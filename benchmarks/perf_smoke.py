@@ -7,7 +7,9 @@ floats.  This script enforces that in CI at ``--quick`` scale:
 * a reduced cluster DES run — ``events_processed`` and a digest of the
   per-rank completion times;
 * a reduced Figure-4 run — a digest of the sorted Allreduce durations and
-  the named slowest-outlier culprit.
+  the named slowest-outlier culprit;
+* the analytic model at sweep settings, co-scheduled and not, at a small
+  and a paper-scale size — a digest of the per-call durations.
 
 Any drift fails the job.  When a change *legitimately* alters results
 (a model change, not an engine change), regenerate the golden with::
@@ -80,6 +82,23 @@ def smoke_fig4() -> dict:
     }
 
 
+def smoke_analytic_sweep() -> dict:
+    """Analytic model at sweep settings: proto16 (co-scheduled) and
+    vanilla16 at 128 and 944 ranks, one seed, 100 calls each."""
+    from repro.analytic.model import AllreduceSeriesModel
+    from repro.experiments.common import PROTO16, VANILLA16, make_config
+
+    digest = hashlib.sha256()
+    t0 = time.perf_counter()
+    for scenario in (PROTO16, VANILLA16):
+        for n in (128, 944):
+            cfg = make_config(scenario, n, seed=1000)
+            model = AllreduceSeriesModel(cfg, n, scenario.tasks_per_node, seed=1000 + n)
+            digest.update(model.run_series(100, compute_between_us=200.0).durations_us.tobytes())
+    wall = time.perf_counter() - t0
+    return {"result_digest": digest.hexdigest(), "wall_s": round(wall, 3)}
+
+
 #: Keys whose values are timing, not semantics: never compared.
 _VOLATILE = {"wall_s"}
 
@@ -91,7 +110,11 @@ def main(argv=None) -> int:
     parser.add_argument("--golden", default=GOLDEN)
     args = parser.parse_args(argv)
 
-    got = {"cluster_des": smoke_cluster_des(), "fig4_quick": smoke_fig4()}
+    got = {
+        "cluster_des": smoke_cluster_des(),
+        "fig4_quick": smoke_fig4(),
+        "analytic_sweep": smoke_analytic_sweep(),
+    }
     for name, r in got.items():
         shown = {k: v for k, v in r.items() if k not in _VOLATILE}
         print(f"[perf-smoke] {name}: {shown} ({r['wall_s']}s)")

@@ -120,6 +120,20 @@ class AllreduceSeriesModel:
             self.rounds.append(partner)
             mask <<= 1
 
+        # Per-round exchange plan over the active ranks: each one's
+        # partner latency and its partner's position among the actives.
+        active_ranks = ranks[active]
+        pos = np.full(n, -1, dtype=int)
+        pos[active_ranks] = np.arange(active_ranks.size)
+        self._exchanges = [
+            (self._pair_latency(active_ranks, partner[active]), pos[partner[active]])
+            for partner in self.rounds
+        ]
+        # Fold/unfold pairs (even folds into odd); latency is symmetric.
+        self._evens = np.arange(0, 2 * rem, 2)
+        self._odds = self._evens + 1
+        self._fold_latency = self._pair_latency(self._evens, self._odds)
+
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -176,7 +190,8 @@ class AllreduceSeriesModel:
         # Exposure estimate per round: overheads + a wire hop (the noise
         # rates are far below 1/round, so precision here barely matters).
         base_round = 2 * o + r + self.config.network.latency_us
-        rem2 = 2 * self.rem
+        idx = self.active_mask
+        evens, odds, fold_lat = self._evens, self._odds, self._fold_latency
 
         hardware = self.config.mpi.algorithm == "hardware"
         net = self.config.network
@@ -207,35 +222,26 @@ class AllreduceSeriesModel:
                 durations[call] = float(np.mean(ready - start))
                 continue
 
-            # ---- fold phase (non-power-of-two) -------------------------
-            if self.rem > 0:
-                evens = np.arange(0, rem2, 2)
-                odds = evens + 1
-                lat = self._pair_latency(evens, odds)
-                arrive = ready[evens] + o + lat
+            if self.rem == 0:
+                # ---- recursive doubling, every rank active -------------
+                for lat, perm in self._exchanges:
+                    ready += self.noise.sample_round(float(ready.mean()), base_round)
+                    send_t = ready + o
+                    ready = np.maximum(send_t, send_t[perm] + lat) + o + r
+            else:
+                # ---- fold phase (non-power-of-two) ---------------------
+                arrive = ready[evens] + o + fold_lat
                 ready[odds] = np.maximum(ready[odds] + o, arrive) + o + r
                 # Evens idle until the unfold at the end.
 
-            # ---- recursive doubling ------------------------------------
-            for partner in self.rounds:
-                idx = self.active_mask
-                p = partner[idx]
-                lat = self._pair_latency(np.arange(n)[idx], p)
-                exposure = base_round
-                t_mean = float(ready[idx].mean())
-                noise_d = self.noise.sample_round(t_mean, exposure)
-                ready += noise_d
-                send_t = ready[idx] + o
-                arrive = send_t[self._perm_within_active(p)] + lat
-                ready_idx = np.maximum(ready[idx] + o, arrive) + o + r
-                ready[idx] = ready_idx
+                # ---- recursive doubling over the active ranks ----------
+                for lat, perm in self._exchanges:
+                    ready += self.noise.sample_round(float(ready[idx].mean()), base_round)
+                    send_t = ready[idx] + o
+                    ready[idx] = np.maximum(send_t, send_t[perm] + lat) + o + r
 
-            # ---- unfold phase -------------------------------------------
-            if self.rem > 0:
-                evens = np.arange(0, rem2, 2)
-                odds = evens + 1
-                lat = self._pair_latency(odds, evens)
-                arrive = ready[odds] + o + lat
+                # ---- unfold phase --------------------------------------
+                arrive = ready[odds] + o + fold_lat
                 ready[evens] = np.maximum(ready[evens] + o, arrive) + o
 
             # ---- long outliers (cron) -----------------------------------
@@ -258,13 +264,4 @@ class AllreduceSeriesModel:
             net.shm_latency_us + nbytes * net.per_byte_us,
             net.latency_us + nbytes * net.per_byte_us,
         )
-
-    def _perm_within_active(self, partners_real: np.ndarray) -> np.ndarray:
-        """Map real partner ranks to positions within the active subset."""
-        # active ranks in order; position of rank x among actives:
-        if not hasattr(self, "_active_pos"):
-            pos = np.full(self.n, -1, dtype=int)
-            pos[np.arange(self.n)[self.active_mask]] = np.arange(int(self.active_mask.sum()))
-            self._active_pos = pos
-        return self._active_pos[partners_real]
 

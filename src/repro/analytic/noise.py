@@ -170,6 +170,18 @@ class NoiseInjector:
         #: "favored" or "unfavored".  Set by the series model.
         self.force_window: str | None = None
 
+        # Cron activations: (period, phase, service per hit) per spec.
+        self._spare = spare
+        self._n_nodes = n_nodes
+        self._cron = [
+            (spec.period_us,
+             spec.phase_us if spec.phase_us is not None else 0.0,
+             spec.mean_service_us())
+            for spec in self.cron_specs
+        ]
+        #: Draw plans by ``(exposure_us, favored)``; see :meth:`_draw_plan`.
+        self._plans: dict[tuple[float, bool], tuple[list, float | None]] = {}
+
     # ------------------------------------------------------------------
     def in_favored_window(self, t: float) -> bool:
         """Is global time *t* inside the co-scheduled favored window?"""
@@ -185,34 +197,58 @@ class NoiseInjector:
         ``t_mean`` locates the round in wall time for window logic.
         Renewal hits are approximated as Poisson thinning — exact for the
         exponential-ish service processes at the rates involved.
+
+        The RNG calls — method, rate, size and order — are part of the
+        model's bit-identity contract (docs/architecture.md): per source
+        that can fire, one Poisson draw over its victims and, only if
+        some victim was hit, one exponential draw per hit victim; then
+        the tick draw.
         """
         delays = np.zeros(self.n)
-        favored = self.in_favored_window(t_mean)
+        key = (exposure_us, self.in_favored_window(t_mean))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._draw_plan(*key)
+        draws, lam_t = plan
+        rng = self.rng
+        for lam, size, mean_delay_us, victims in draws:
+            hits = rng.poisson(lam, size=size)
+            hit = hits.nonzero()[0]
+            if hit.size:
+                # Delay per hit ~ exponential around the mean: preserves
+                # the right-skew of trace-observed service times.
+                add = rng.exponential(mean_delay_us, size=hit.size) * hits[hit]
+                delays[hit if victims is None else victims[hit]] += add
+        if lam_t is not None:
+            if self.ticks_aligned:
+                # Simultaneous everywhere: the cost lands on every rank at
+                # the same instants — a common-mode shift, no added skew.
+                delays += rng.poisson(lam_t) * self.tick_cost
+            else:
+                delays += rng.poisson(lam_t, size=self.n) * self.tick_cost
+        return delays
+
+    def _draw_plan(self, exposure_us: float, favored: bool) -> tuple[list, float | None]:
+        """The draws of one round: ``(lam, size, mean_delay_us, victims)``
+        for each source that can fire, ``victims`` None when the source
+        hits every rank in order; then the tick rate, None when ticks
+        cost nothing.  The sources are fixed at construction, so the plan
+        is a pure function of its arguments."""
+        draws = []
         for src in self.sources:
-            if self.cosched_on and favored and src.deferrable:
+            if favored and src.deferrable:
                 continue
             lam = src.rate_per_us * exposure_us
             if src.absorbed_by_spare:
                 lam *= 1.0 - SPARE_ABSORPTION
             if lam <= 0:
                 continue
-            hits = self.rng.poisson(lam, size=src.victims.size)
-            nz = hits > 0
-            if np.any(nz):
-                # Delay per hit ~ exponential around the mean: preserves
-                # the right-skew of trace-observed service times.
-                add = self.rng.exponential(src.mean_delay_us, size=int(nz.sum())) * hits[nz]
-                delays[src.victims[nz]] += add
-        # Ticks.
+            every_rank = np.array_equal(src.victims, np.arange(self.n))
+            draws.append(
+                (lam, src.victims.size, src.mean_delay_us, None if every_rank else src.victims)
+            )
         lam_t = self.tick_rate * exposure_us
-        if self.tick_cost > 0 and lam_t > 0:
-            if self.ticks_aligned:
-                # Simultaneous everywhere: the cost lands on every rank at
-                # the same instants — a common-mode shift, no added skew.
-                delays += self.rng.poisson(lam_t) * self.tick_cost
-            else:
-                delays += self.rng.poisson(lam_t, size=self.n) * self.tick_cost
-        return delays
+        return draws, (lam_t if self.tick_cost > 0 and lam_t > 0 else None)
 
     def cron_hits(self, t0: float, t1: float) -> np.ndarray:
         """Per-rank delays from aligned cron activations in ``[t0, t1)``.
@@ -223,20 +259,17 @@ class NoiseInjector:
         CPU against several concurrently-fired scripts).
         """
         delays = np.zeros(self.n)
-        spare = self.tpn < self.cpn
-        n_nodes = -(-self.n // self.tpn)
-        for spec in self.cron_specs:
-            phase = spec.phase_us if spec.phase_us is not None else 0.0
-            k0 = int(np.ceil((t0 - phase) / spec.period_us))
-            k1 = int(np.ceil((t1 - phase) / spec.period_us))
-            for k in range(k0, k1):
-                service = spec.service.mean() + spec.pagefault_prob * spec.pagefault_cost_us
+        rng = self.rng
+        for period_us, phase, service in self._cron:
+            k0 = int(np.ceil((t0 - phase) / period_us))
+            k1 = int(np.ceil((t1 - phase) / period_us))
+            for _ in range(k0, k1):
                 # One victim CPU per node (the paper observed one CPU per
                 # node consumed on multiple nodes simultaneously).
-                for node in range(n_nodes):
-                    if spare and self.rng.random() < 0.5:
+                for node in range(self._n_nodes):
+                    if self._spare and rng.random() < 0.5:
                         continue
-                    victim = node * self.tpn + int(self.rng.integers(self.tpn))
+                    victim = node * self.tpn + int(rng.integers(self.tpn))
                     if victim < self.n:
                         delays[victim] += service
         return delays

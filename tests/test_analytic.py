@@ -1,5 +1,7 @@
 """The vectorised model: schedule structure, noise injection, fits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from repro.config import (
     NoiseConfig,
 )
 from repro.daemons.catalog import standard_noise
-from repro.experiments.common import PROTO16, VANILLA16, make_config
+from repro.experiments.common import PROTO16, VANILLA15, VANILLA16, make_config
 
 
 def quiet_config(n_ranks, tpn=16, **kw):
@@ -182,6 +184,71 @@ class TestNoisyScaling:
         cfg = make_config(PROTO16, 64, seed=0)
         res = AllreduceSeriesModel(cfg, 64, 16, seed=0).run_series(100, 100.0)
         assert len(res.durations_us) == 100
+
+
+def _golden_case(name):
+    """(config, n_ranks, tasks_per_node) for one pinned-durations case."""
+    cron = standard_noise(include_cron=True, cron_phase_us=10_000.0)
+    if name == "vanilla16-n128-cron":
+        return make_config(VANILLA16, 128, seed=3, noise=cron), 128, 16
+    if name == "vanilla16-n236":
+        return make_config(VANILLA16, 236, seed=3), 236, 16
+    if name == "vanilla15-n120-cron":
+        return make_config(VANILLA15, 120, seed=3, noise=cron), 120, 15
+    if name == "proto16-n128":
+        return make_config(PROTO16, 128, seed=3), 128, 16
+    if name == "proto16-n100":
+        return make_config(PROTO16, 100, seed=3), 100, 16
+    if name == "vanilla16-n96-aligned-ticks":
+        cfg = make_config(VANILLA16, 96, seed=3)
+        kernel = cfg.kernel.with_options(tick_phase="aligned", align_ticks_to_global_time=True)
+        return cfg.replace(kernel=kernel), 96, 16
+    if name == "vanilla16-n128-hardware":
+        cfg = make_config(VANILLA16, 128, seed=3, noise=cron)
+        return cfg.replace(mpi=MpiConfig(algorithm="hardware")), 128, 16
+    raise KeyError(name)
+
+
+#: sha256 of ``SeriesResult.durations_us`` bytes for 60 calls with 200 µs
+#: of compute between them (seed 11).  Any change to the model's RNG call
+#: sequence or float operations changes these.
+GOLDEN_DURATIONS = {
+    "vanilla16-n128-cron": "9933b59b55b33495d160c7ebf910fb0fccf029b1dd2c7e970155e5b871316849",
+    "vanilla16-n236": "acb71f4e2fc11fc295ac4600940de84d261ad3f1d1e2eceb12bf4fcb73777bf7",
+    "vanilla15-n120-cron": "d41f1b0e58a7ef498deac55bcb0449c726bcf339992a2579d86f1e04c922203e",
+    "proto16-n128": "1a2c022f883f7670e0dd37d9f3d2d2611f7ca80e79ffd2891c4d8fd94eafe4c0",
+    "proto16-n100": "70949a9c3ac1940344efa692646ce2776c408ddfcdcb207d3b33ec01a7a6cad0",
+    "vanilla16-n96-aligned-ticks": "1333b52f35189bf14bd9efc2d00ace5e54b3ef8e4c5845ae72f2ca82f4c1f47a",
+    "vanilla16-n128-hardware": "3139cb951ce9d5629513d0b9429a658d169a7cd54f5fc42bc742f7b804483527",
+}
+
+
+def _golden_series(name):
+    return AllreduceSeriesModel(*_golden_case(name), seed=11).run_series(60, 200.0)
+
+
+class TestGoldenDurations:
+    """The model's outputs are pinned bit for bit (see docs/architecture.md)."""
+
+    def test_cases_cover_the_model_branches(self):
+        models = {name: AllreduceSeriesModel(*_golden_case(name)) for name in GOLDEN_DURATIONS}
+        noise = {name: m.noise for name, m in models.items()}
+        assert models["proto16-n128"].rem == 0 and models["vanilla16-n236"].rem > 0
+        assert noise["proto16-n128"].cosched_on and not noise["vanilla16-n236"].cosched_on
+        assert noise["vanilla16-n96-aligned-ticks"].ticks_aligned
+        assert not noise["vanilla16-n236"].ticks_aligned
+        assert noise["vanilla15-n120-cron"].cron_specs
+        assert noise["vanilla15-n120-cron"].tpn < noise["vanilla15-n120-cron"].cpn
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DURATIONS))
+    def test_durations_digest(self, name):
+        digest = hashlib.sha256(_golden_series(name).durations_us.tobytes()).hexdigest()
+        assert digest == GOLDEN_DURATIONS[name]
+
+    @pytest.mark.parametrize("name", ["vanilla16-n128-cron", "vanilla15-n120-cron"])
+    def test_cron_fires_inside_the_cron_cases(self, name):
+        res = _golden_series(name)
+        assert res.max_us > 100 * res.median_us
 
 
 class TestFits:
