@@ -219,11 +219,11 @@ def inject_interrupted_gc(store, chaos_seed: int) -> str:
     bait fingerprint.
     """
     from repro.store.records import encode_record
-    from repro.store.store import _atomic_write_bytes
+    from repro.atomicio import atomic_write_bytes
 
     bait_key = f"chaos-gc-bait-s{int(chaos_seed)}"
     bait_fp = hashlib.sha256(bait_key.encode("utf-8")).hexdigest()
     store.put(bait_fp, bait_key, {"chaos": "gc-bait", "seed": int(chaos_seed)})
     mark = encode_record({"kind": "gc-mark", "dead": [bait_fp]})
-    _atomic_write_bytes(store.gc_mark_path, mark)
+    atomic_write_bytes(store.gc_mark_path, mark)
     return bait_fp

@@ -26,11 +26,12 @@ import logging
 import os
 import re
 import signal
-import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
+
+from repro.atomicio import atomic_write
 
 __all__ = [
     "TrialFailure",
@@ -78,20 +79,8 @@ class TrialTimeout(TrialFailure):
 
 
 def _atomic_write_json(path: Path, obj) -> None:
-    """Write *obj* as JSON via temp-file + ``os.replace`` (crash-safe)."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Write *obj* as a journal entry's canonical JSON, atomically."""
+    atomic_write(path, lambda fh: json.dump(obj, fh, indent=1, sort_keys=True))
 
 
 class SweepJournal:

@@ -24,14 +24,13 @@ leaves a truncated checkpoint and disk use is bounded.
 
 from __future__ import annotations
 
-import os
 import pickle
 import re
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from repro.atomicio import atomic_write
 from repro.checkpoint.monitor import InvariantError, InvariantMonitor
 from repro.checkpoint.registry import build_driver
 from repro.checkpoint.snapshot import capture_state, state_fingerprint
@@ -187,21 +186,11 @@ class CheckpointManager:
             "state": state,
         }
         final = self.out_dir / f"ckpt-e{sim.events_processed:012d}.pkl"
-        fd, tmp = tempfile.mkstemp(
-            dir=self.out_dir, prefix=".ckpt-", suffix=".tmp"
+        atomic_write(
+            final,
+            lambda fh: pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL),
+            binary=True,
         )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         if final not in self.written:
             self.written.append(final)
         self._last_sim = sim.now

@@ -19,7 +19,7 @@
     repro-experiments policy --policy aix --policy fair  # subset of the zoo
 
 Parallelism: ``--jobs N`` fans the independent (scenario, count, seed)
-trials of every campaign out over N worker processes via
+trials of every campaign out over N supervised worker processes via
 :class:`repro.experiments.runner.TrialRunner`.  Results and journals are
 bit-identical to a serial run — trials are pure functions of their specs
 and outcomes merge in spec order — so ``--jobs`` is purely a wall-clock
@@ -34,7 +34,7 @@ for fresh-run semantics.  ``--trial-timeout`` bounds each trial's
 wall-clock time; wedged trials are recorded as explicit holes and the
 campaign continues.
 
-Fault tolerance: ``--jobs N`` runs on the *supervised* backend
+Fault tolerance: ``--jobs N`` workers are supervised
 (:mod:`repro.experiments.supervisor`) — heartbeating workers, crash/hang
 detection, ``--max-retries`` re-dispatches with ``--backoff``
 exponential delay, quarantine of poison trials, and graceful
@@ -42,8 +42,7 @@ SIGINT/SIGTERM drain (in-flight trials finish, journal shards merge, no
 orphaned workers; exit code 130 with a resumable journal).
 ``--harness-chaos SEED`` deliberately kills/hangs workers on a
 deterministic schedule to prove all of that: the run must still converge
-to results byte-identical to a clean serial run.  ``--backend pool``
-selects the legacy unsupervised pool for comparison.
+to results byte-identical to a clean serial run.
 """
 
 from __future__ import annotations
@@ -165,12 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sup_group = parser.add_argument_group("supervised backend (--jobs N)")
     sup_group.add_argument(
-        "--backend", choices=("supervised", "pool"), default="supervised",
-        help="parallel backend: 'supervised' (fault-tolerant worker pool "
-             "with heartbeats/retries/quarantine, the default) or 'pool' "
-             "(legacy raw ProcessPoolExecutor)",
-    )
-    sup_group.add_argument(
         "--max-retries", type=int, metavar="N", default=3,
         help="re-dispatches allowed per trial after a worker crash/hang "
              "before the trial is quarantined (default: 3)",
@@ -260,16 +253,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-retries must be >= 0")
     if args.backoff < 0:
         parser.error("--backoff must be >= 0")
-    if args.harness_chaos is not None and (
-        args.jobs < 2 or args.backend != "supervised"
-    ) and not (
+    if args.harness_chaos is not None and args.jobs < 2 and not (
         args.shards is not None
         and args.shards >= 1
         and any(e in ("chaos", "pdes") for e in args.experiments)
     ):
         parser.error(
-            "--harness-chaos needs --jobs >= 2 on the supervised backend "
-            "(only it can retry killed workers), or --shards with the "
+            "--harness-chaos needs --jobs >= 2 (only supervised workers "
+            "can be killed and retried), or --shards with the "
             "chaos/pdes experiments (where it SIGKILLs shard workers and "
             "the parallel-DES supervisor must recover them)"
         )
@@ -322,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         "jobs": args.jobs,
     }
 
-    # Route supervisor policy (backend, retry budget, backoff, harness
-    # chaos) to every campaign's internally-built TrialRunner, and make
+    # Route supervisor policy (retry budget, backoff, harness chaos) and
+    # the result store to every campaign's internally-built TrialRunner, and make
     # journal-merge warnings / supervisor summaries visible on stderr.
     from repro.experiments.runner import set_execution_defaults
     from repro.experiments.supervisor import SupervisorConfig
@@ -338,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         store = ResultStore(args.store)
 
     previous_defaults = set_execution_defaults(
-        backend=args.backend,
         supervisor=SupervisorConfig(
             max_retries=args.max_retries,
             backoff_base_s=args.backoff,
@@ -365,12 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 130
     finally:
-        set_execution_defaults(
-            backend=previous_defaults[0],
-            supervisor=previous_defaults[1],
-            store=previous_defaults[2],
-            use_cache=previous_defaults[3],
-        )
+        set_execution_defaults(*previous_defaults)
 
 
 def _run_selected(wanted, args, qa, harness, csv_out, save_json) -> int:

@@ -10,51 +10,46 @@ that shape once:
   journal key, a ``"module:function"`` reference to a top-level trial
   function, and a picklable ``params`` dict.  Specs carry no behaviour,
   so they cross process boundaries and land in journals unchanged.
-* :class:`TrialRunner` owns execution policy: serial in-process, or
-  fanned out over a ``ProcessPoolExecutor`` (``jobs`` workers), with the
-  per-trial wall-clock watchdog and crash-safe journaling from
-  :mod:`repro.checkpoint.harness` applied uniformly either way.
+* :func:`execute_trial` runs one spec under the per-trial wall-clock
+  watchdog from :mod:`repro.checkpoint.harness` and turns a raised
+  exception into a failed :class:`TrialOutcome`.  It is the only place a
+  trial function is called: in-process for ``jobs=1``, and inside the
+  fault-tolerant workers of :mod:`repro.experiments.supervisor` (long-lived
+  heartbeating workers, crash/hang detection, bounded retry with
+  deterministic backoff, quarantine of poison specs, graceful
+  SIGINT/SIGTERM drain) for ``jobs > 1``.
+* :class:`TrialRunner` owns execution policy: journal and store lookups,
+  serial or supervised dispatch, and storing each executed result once,
+  as it completes.
 
 **The determinism-under-parallelism contract.**  Each trial is a pure
 function of its params (all randomness comes from seeds inside them), so
 execution order cannot change any trial's result.  The runner returns
 outcomes in *spec order* regardless of completion order, journal entries
 are keyed (one atomically-written file per trial, workers writing to
-per-process shards merged on read), and failure records are formatted
-identically on both paths.  Hence ``--jobs N`` and a serial run produce
-bit-identical results and byte-identical journals — the property
-``tests/test_runner.py`` pins.
+per-process shards merged on read), and failures are caught and
+formatted by the same function on both paths.  Hence ``--jobs N`` and a
+serial run produce bit-identical results and byte-identical journals —
+the property ``tests/test_runner.py`` pins.
 
 Worker processes prefer the ``fork`` start method where the platform
 offers it (cheap, and test-time monkeypatching propagates); elsewhere the
 default context is used, which is why trial functions must be importable
 top-level names and params must pickle.
 
-**Backends.**  ``jobs > 1`` selects a parallel backend:
-
-* ``"supervised"`` (the default) — the fault-tolerant worker pool in
-  :mod:`repro.experiments.supervisor`: long-lived heartbeating workers,
-  crash/hang detection, bounded retry with deterministic backoff,
-  quarantine of poison specs, and graceful SIGINT/SIGTERM drain.
-* ``"pool"`` — the legacy raw ``ProcessPoolExecutor`` path, kept as a
-  comparison baseline; a dead worker breaks the whole pool.
-
-Both backends honour the determinism contract above.  The CLI selects a
-backend and supervisor policy once per process via
-:func:`set_execution_defaults`; campaigns that build their own
+The CLI selects the supervisor policy and result store once per process
+via :func:`set_execution_defaults`; campaigns that build their own
 ``TrialRunner`` inherit it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib
-import multiprocessing
-import os
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.checkpoint import harness as _harness
 from repro.checkpoint.harness import (
@@ -68,46 +63,35 @@ __all__ = [
     "TrialSpec",
     "TrialOutcome",
     "TrialRunner",
+    "execute_trial",
+    "journal_outcome",
     "resolve_trial_fn",
     "format_trial_traceback",
     "set_execution_defaults",
-    "BACKENDS",
 ]
-
-#: Parallel backends selectable for ``jobs > 1``.
-BACKENDS = ("supervised", "pool")
 
 #: Process-wide execution policy, set once by the CLI (or tests) via
 #: :func:`set_execution_defaults`; ``TrialRunner`` instances that are
-#: not given an explicit ``backend``/``supervisor``/``store`` inherit
-#: these.
-_DEFAULT_BACKEND = "supervised"
+#: not given an explicit ``supervisor``/``store`` inherit these.
 _DEFAULT_SUPERVISOR = None
 _DEFAULT_STORE = None
 _DEFAULT_USE_CACHE = True
 
 
-def set_execution_defaults(
-    backend=None, supervisor=None, store=None, use_cache=None
-) -> tuple:
-    """Set the process-wide default backend, supervisor policy, and
-    result store.
+def set_execution_defaults(supervisor=None, store=None, use_cache=None) -> tuple:
+    """Set the process-wide default supervisor policy and result store.
 
-    Returns the previous ``(backend, supervisor, store, use_cache)``
-    tuple so callers (the CLI, tests) can restore it.  Campaigns
-    construct their own runners deep inside ``run_fig*``-style entry
-    points; this is how one ``--backend``/``--harness-chaos``/``--store``
-    choice reaches all of them.  ``supervisor`` and ``store`` are set
-    unconditionally (``None`` clears them); ``use_cache=False`` makes
-    runners ignore the store for *reads* while still writing results
-    into it (the ``--no-cache`` refresh semantics).
+    Returns the previous ``(supervisor, store, use_cache)`` tuple so
+    callers (the CLI, tests) can restore it.  Campaigns construct their
+    own runners deep inside ``run_fig*``-style entry points; this is how
+    one ``--harness-chaos``/``--store`` choice reaches all of them.
+    ``supervisor`` and ``store`` are set unconditionally (``None`` clears
+    them); ``use_cache=False`` makes runners ignore the store for *reads*
+    while still writing results into it (the ``--no-cache`` refresh
+    semantics).
     """
-    global _DEFAULT_BACKEND, _DEFAULT_SUPERVISOR, _DEFAULT_STORE, _DEFAULT_USE_CACHE
-    previous = (_DEFAULT_BACKEND, _DEFAULT_SUPERVISOR, _DEFAULT_STORE, _DEFAULT_USE_CACHE)
-    if backend is not None:
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; pick from {BACKENDS}")
-        _DEFAULT_BACKEND = backend
+    global _DEFAULT_SUPERVISOR, _DEFAULT_STORE, _DEFAULT_USE_CACHE
+    previous = (_DEFAULT_SUPERVISOR, _DEFAULT_STORE, _DEFAULT_USE_CACHE)
     _DEFAULT_SUPERVISOR = supervisor
     _DEFAULT_STORE = store
     if use_cache is not None:
@@ -140,11 +124,9 @@ def resolve_trial_fn(path: str) -> Callable[[dict], dict]:
 
 
 #: Frames belonging to the execution machinery itself, stripped from
-#: captured trial tracebacks: the serial path raises through ``_run_one``
-#: and the pool path through ``_execute_trial`` (plus contextmanager
-#: plumbing), so keeping those frames would make otherwise-identical
-#: failures journal differently — breaking the byte-identical
-#: serial-vs-parallel contract.
+#: captured trial tracebacks: every trial raises through
+#: :func:`execute_trial` and the watchdog (plus contextmanager plumbing),
+#: whose frames say nothing about the failure.
 _HARNESS_FILES = frozenset({__file__, _harness.__file__, contextlib.__file__})
 
 
@@ -153,7 +135,7 @@ def format_trial_traceback(exc: BaseException) -> Optional[str]:
 
     Keeps only the frames below the runner/watchdog machinery — the trial
     function on down — so the string is identical whether the exception
-    was raised in-process or in a pool worker.  Timeouts return ``None``:
+    was raised in-process or in a supervised worker.  Timeouts return ``None``:
     ``SIGALRM`` lands at an arbitrary bytecode boundary, so their
     tracebacks are wall-clock noise, not diagnosis.
     """
@@ -203,55 +185,62 @@ class TrialOutcome:
         return self.record
 
 
-def _execute_trial(
-    spec: TrialSpec, timeout_s: Optional[float], journal_root: Optional[Any]
-):
-    """Run one trial in a worker process; journal into a per-worker shard.
+def execute_trial(spec: TrialSpec, timeout_s: Optional[float]) -> TrialOutcome:
+    """Run one trial under :func:`trial_watchdog`; return its outcome.
 
-    Must stay a top-level function (pickled by reference into the pool).
-    Returns ``(key, record_or_None, error_or_None)``; exceptions are
-    converted to failure outcomes so one bad trial never kills the pool.
+    The one place a trial function is called, on every path: in-process
+    for ``jobs=1`` and inside each supervised worker.  A raised exception
+    becomes a failed outcome (``KeyboardInterrupt`` still aborts), caught
+    here so its reason, taxonomy and traceback are the same on both.
     """
-    journal = (
-        SweepJournal(journal_root, shard=f"w{os.getpid()}")
-        if journal_root is not None
-        else None
-    )
     try:
         with trial_watchdog(timeout_s):
             record = resolve_trial_fn(spec.fn)(spec.params)
     except Exception as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        tb = format_trial_traceback(exc)
-        taxonomy = "timeout" if isinstance(exc, TrialTimeout) else "exception"
-        if journal is not None:
-            journal.record_failure(spec.key, reason, traceback=tb, taxonomy=taxonomy)
-        return spec.key, None, reason, tb, taxonomy
-    if journal is not None:
-        journal.record(spec.key, record)
-    return spec.key, record, None, None, None
+        return TrialOutcome(
+            spec.key,
+            None,
+            error=f"{type(exc).__name__}: {exc}",
+            traceback=format_trial_traceback(exc),
+            taxonomy="timeout" if isinstance(exc, TrialTimeout) else "exception",
+        )
+    return TrialOutcome(spec.key, record)
+
+
+def journal_outcome(journal: Optional[SweepJournal], outcome: TrialOutcome) -> None:
+    """Journal *outcome* — a record or a structured failure — if a
+    journal is attached."""
+    if journal is None:
+        return
+    if outcome.ok:
+        journal.record(outcome.key, outcome.record)
+    else:
+        journal.record_failure(
+            outcome.key, outcome.error, traceback=outcome.traceback, taxonomy=outcome.taxonomy
+        )
 
 
 class TrialRunner:
     """Executes :class:`TrialSpec` lists under one policy.
 
     ``jobs=1`` (the default) runs trials in-process, in order.  ``jobs>1``
-    fans pending trials out over worker processes — supervised by default
-    (crash/hang recovery, retries, quarantine; see
-    :mod:`repro.experiments.supervisor`), or the legacy raw pool with
-    ``backend="pool"``.  Either way:
+    fans pending trials out over supervised worker processes (crash/hang
+    recovery, retries, quarantine; see :mod:`repro.experiments.supervisor`).
+    Either way:
 
     * trials already journaled (``status: "ok"``) are served from the
       journal without executing — crash/resume semantics;
-    * each executed trial runs under :func:`trial_watchdog` when
-      ``trial_timeout_s`` is set (``SIGALRM`` works in pool workers too:
-      the trial runs on the worker process's main thread);
+    * each executed trial goes through :func:`execute_trial`, under the
+      watchdog when ``trial_timeout_s`` is set (``SIGALRM`` works in
+      workers too: the trial runs on the worker process's main thread);
     * a trial that raises becomes a failed :class:`TrialOutcome` (and a
       ``status: "failed"`` journal entry) instead of aborting the campaign;
     * :meth:`run` returns outcomes in spec order, so assembly code is
       oblivious to completion order — the deterministic merge.
 
-    After a supervised run, :attr:`stats` holds the
+    ``backend`` is accepted for compatibility and must be ``None`` or
+    ``"supervised"``, the only parallel backend.  After a supervised run,
+    :attr:`stats` holds the
     :class:`~repro.experiments.supervisor.SupervisorStats` (retry counts,
     backoff sequences, worker-fault totals) for that batch.
     """
@@ -266,20 +255,19 @@ class TrialRunner:
         store=None,
         use_cache: Optional[bool] = None,
     ) -> None:
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; pick from {BACKENDS}")
+        if backend not in (None, "supervised"):
+            raise ValueError(f"unknown backend {backend!r}; the only one is 'supervised'")
         self.jobs = max(1, int(jobs))
         self.journal = journal
         self.trial_timeout_s = trial_timeout_s
-        self.backend = backend or _DEFAULT_BACKEND
         #: Explicit :class:`~repro.experiments.supervisor.SupervisorConfig`
         #: override; ``None`` inherits the process default (or env).
         self.supervisor = supervisor
         #: Cross-run memo store (:class:`repro.store.ResultStore`) or
         #: ``None``; inherits the process default set by the CLI's
         #: ``--store``.  Probed after the journal, before dispatch; every
-        #: executed result is written back, and a journal hit backfills
-        #: the store so old campaigns migrate in passing.
+        #: executed result is written as it completes, and a journal hit
+        #: backfills the store so old campaigns migrate in passing.
         self.store = store if store is not None else _DEFAULT_STORE
         #: When ``False`` the store is write-only for this runner
         #: (``--no-cache``): results are recomputed and re-put — which
@@ -336,99 +324,49 @@ class TrialRunner:
                     continue
             pending.append(spec)
 
-        supervised = self.jobs > 1 and self.backend == "supervised"
-        chaos_active = supervised and self._supervisor_config().chaos_seed is not None
-        # A single pending trial gains nothing from a pool; run it inline
+        complete = functools.partial(self._complete, outcomes, fingerprints)
+        chaos_active = self.jobs > 1 and self._supervisor_config().chaos_seed is not None
+        # A single pending trial gains nothing from workers; run it inline
         # (same code path, same journal bytes) — unless harness chaos is
         # armed, where only the supervised path can retry injected kills.
         if self.jobs == 1 or (len(pending) <= 1 and not chaos_active):
             for spec in pending:
-                outcomes[spec.key] = self._run_one(spec)
-        elif supervised:
-            self._run_supervised(pending, outcomes, fingerprints)
+                outcome = execute_trial(spec, self.trial_timeout_s)
+                journal_outcome(self.journal, outcome)
+                complete(outcome)
         else:
-            self._run_pool(pending, outcomes)
-        if self.store is not None:
-            # Persist every executed result.  The supervised backend
-            # already streamed puts as trials completed; re-putting here
-            # is a cheap byte-compare no-op that also covers the serial
-            # and raw-pool paths.
-            for spec in pending:
-                done = outcomes.get(spec.key)
-                if done is not None and done.ok:
-                    self.store.put(fingerprints[spec.key], spec.key, done.record)
+            self._run_supervised(pending, complete)
         return [outcomes[spec.key] for spec in specs]
 
-    # ------------------------------------------------------------------
-    def _run_one(self, spec: TrialSpec) -> TrialOutcome:
-        try:
-            with trial_watchdog(self.trial_timeout_s):
-                record = resolve_trial_fn(spec.fn)(spec.params)
-        except Exception as exc:  # KeyboardInterrupt still aborts.
-            reason = f"{type(exc).__name__}: {exc}"
-            tb = format_trial_traceback(exc)
-            taxonomy = "timeout" if isinstance(exc, TrialTimeout) else "exception"
-            if self.journal is not None:
-                self.journal.record_failure(
-                    spec.key, reason, traceback=tb, taxonomy=taxonomy
-                )
-            return TrialOutcome(
-                spec.key, None, error=reason, traceback=tb, taxonomy=taxonomy
-            )
-        if self.journal is not None:
-            self.journal.record(spec.key, record)
-        return TrialOutcome(spec.key, record)
+    def _complete(
+        self, outcomes: dict, fingerprints: dict, outcome: TrialOutcome
+    ) -> None:
+        """Take in one executed trial's outcome, the moment it completes.
+
+        Both paths end here: the serial loop directly, the supervisor
+        through its completion callback.  A successful result goes into
+        the store exactly once, as soon as it exists — so an interrupted
+        campaign (crash, SIGINT drain) still leaves every finished trial
+        durable, and a result that disagrees with a prior run's record
+        trips the determinism oracle at once, not at campaign end.
+        """
+        outcomes[outcome.key] = outcome
+        if outcome.ok and self.store is not None:
+            self.store.put(fingerprints[outcome.key], outcome.key, outcome.record)
 
     def _run_supervised(
-        self,
-        pending: list[TrialSpec],
-        outcomes: dict[str, TrialOutcome],
-        fingerprints: Optional[dict] = None,
+        self, pending: list[TrialSpec], on_complete: Callable[[TrialOutcome], None]
     ) -> None:
         from repro.experiments.supervisor import Supervisor
 
         sup = Supervisor(
             jobs=self.jobs,
+            on_complete=on_complete,
             journal=self.journal,
             trial_timeout_s=self.trial_timeout_s,
             config=self._supervisor_config(),
-            store=self.store,
-            fingerprints=fingerprints,
         )
         try:
-            outcomes.update(sup.run(pending))
+            sup.run(pending)
         finally:
             self.stats = sup.stats
-
-    def _run_pool(
-        self, pending: list[TrialSpec], outcomes: dict[str, TrialOutcome]
-    ) -> None:
-        journal_root = self.journal.root if self.journal is not None else None
-        ctx = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)), mp_context=ctx
-        ) as pool:
-            futures = [
-                (spec, pool.submit(_execute_trial, spec, self.trial_timeout_s, journal_root))
-                for spec in pending
-            ]
-            for spec, future in futures:
-                try:
-                    key, record, error, tb, taxonomy = future.result()
-                except Exception as exc:
-                    # The worker process itself died (BrokenProcessPool);
-                    # the trial never journaled, so record it here.  The
-                    # raw pool cannot retry — that is the supervised
-                    # backend's job.
-                    key, record, error, tb, taxonomy = (
-                        spec.key, None, f"{type(exc).__name__}: {exc}", None, "crash",
-                    )
-                    if self.journal is not None:
-                        self.journal.record_failure(key, error, taxonomy=taxonomy)
-                outcomes[key] = TrialOutcome(
-                    key, record, error=error, traceback=tb, taxonomy=taxonomy
-                )
-        if self.journal is not None:
-            self.journal.merge_shards()

@@ -1,16 +1,16 @@
-"""Supervised worker pool: the fault-tolerant execution backend.
+"""Supervised worker pool: how trials run when ``jobs > 1``.
 
-The raw ``ProcessPoolExecutor`` path treats its workers as infallible: a
-segfaulted or OOM-killed worker breaks the whole pool
-(``BrokenProcessPool``), a silently wedged worker is only caught if the
-in-worker ``SIGALRM`` still fires, and a *poison* trial — one that kills
-every worker it touches — sinks the campaign.  This module replaces that
-path with the heartbeat/retry/quarantine discipline batch schedulers
-apply to cluster nodes, applied to our own worker fleet:
+Worker processes are fallible — a segfaulted or OOM-killed worker, one
+silently wedged where ``SIGALRM`` never fires, a *poison* trial that
+kills every worker it touches — so they run under the
+heartbeat/retry/quarantine discipline batch schedulers apply to cluster
+nodes, applied to our own worker fleet:
 
 * **Long-lived workers** pull :class:`~repro.experiments.runner.TrialSpec`
-  dispatches over a duplex pipe, journal into per-process shards, and
-  emit heartbeats from a side thread while a trial runs.
+  dispatches over a duplex pipe, run each through
+  :func:`~repro.experiments.runner.execute_trial` (the serial path's own
+  function), journal into per-process shards, and emit heartbeats from a
+  side thread while a trial runs.
 * **The supervisor** (parent) multiplexes every worker pipe and process
   sentinel through :func:`multiprocessing.connection.wait`.  A dead
   process is a **crash**; a live-but-silent one (no heartbeat inside
@@ -67,24 +67,19 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.checkpoint.harness import SweepJournal, TrialTimeout, trial_watchdog
-from repro.experiments import runner as _runner
+from repro.checkpoint.harness import SweepJournal
 from repro.experiments.runner import (
     TrialOutcome,
     TrialSpec,
-    format_trial_traceback,
-    resolve_trial_fn,
+    execute_trial,
+    journal_outcome,
 )
 
 __all__ = ["SupervisorConfig", "SupervisorStats", "Supervisor"]
 
 _log = logging.getLogger("repro.harness")
-
-#: Trial tracebacks must not vary with which execution path raised them;
-#: this module's frames are harness machinery like the runner's own.
-_runner._HARNESS_FILES = frozenset(_runner._HARNESS_FILES | {__file__})
 
 #: Exit code a chaos-crashed worker dies with (mimics an abrupt kill).
 _CHAOS_EXIT = 139
@@ -221,7 +216,7 @@ def _worker_main(
     heartbeat_interval_s: float,
     chaos_seed: Optional[int],
 ) -> None:
-    """Worker loop: recv dispatch → heartbeat + run trial → send result.
+    """Worker loop: recv dispatch → heartbeat + run trial → send outcome.
 
     Top-level so it imports under any multiprocessing start method.
     SIGINT is ignored — on a terminal Ctrl+C the *parent* coordinates the
@@ -272,32 +267,16 @@ def _worker_main(
         hb_thread = threading.Thread(target=beat, daemon=True)
         hb_thread.start()
         try:
-            try:
-                with trial_watchdog(trial_timeout_s):
-                    record = resolve_trial_fn(spec.fn)(spec.params)
-            except Exception as exc:
-                # Identical handling to TrialRunner._run_one — in-trial
-                # failures must journal the same bytes on every path.
-                reason = f"{type(exc).__name__}: {exc}"
-                tb = format_trial_traceback(exc)
-                taxonomy = "timeout" if isinstance(exc, TrialTimeout) else "exception"
+            outcome = execute_trial(spec, trial_timeout_s)
+            if outcome.ok and fault == ("crash", "mid"):
                 if journal is not None:
-                    journal.record_failure(
-                        spec.key, reason, traceback=tb, taxonomy=taxonomy
-                    )
-                result = ("done", spec.key, None, reason, tb, taxonomy)
-            else:
-                if fault == ("crash", "mid"):
-                    if journal is not None:
-                        _write_torn_entry(journal, spec.key, record)
-                    os._exit(_CHAOS_EXIT)
-                if journal is not None:
-                    journal.record(spec.key, record)
-                result = ("done", spec.key, record, None, None, None)
+                    _write_torn_entry(journal, spec.key, outcome.record)
+                os._exit(_CHAOS_EXIT)
+            journal_outcome(journal, outcome)
         finally:
             stop.set()
         hb_thread.join()
-        send(result)
+        send(("done", outcome))
     conn.close()
 
 
@@ -322,8 +301,7 @@ class _Worker:
 
 
 def _mp_context():
-    """Prefer fork (cheap; test monkeypatching propagates), like the
-    legacy pool path."""
+    """Prefer fork (cheap; test monkeypatching propagates)."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -332,33 +310,26 @@ def _mp_context():
 class Supervisor:
     """Runs one batch of pending specs under supervision.
 
-    One-shot: construct, :meth:`run`, read :attr:`stats`.  The journal
-    (if any) is the parent's canonical journal — workers shard under it,
-    and shards are merged before :meth:`run` returns, on every path
-    including signal-triggered drains.
+    One-shot: construct, :meth:`run`, read :attr:`stats`.  Every trial's
+    final :class:`TrialOutcome` — success, in-trial failure, or
+    quarantine — is handed to *on_complete* the moment it is known.  The
+    journal (if any) is the parent's canonical journal — workers shard
+    under it, and shards are merged before :meth:`run` returns, on every
+    path including signal-triggered drains.
     """
 
     def __init__(
         self,
         jobs: int,
+        on_complete: Callable[[TrialOutcome], None],
         journal: Optional[SweepJournal] = None,
         trial_timeout_s: Optional[float] = None,
         config: Optional[SupervisorConfig] = None,
-        store=None,
-        fingerprints: Optional[dict] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
+        self.on_complete = on_complete
         self.journal = journal
         self.trial_timeout_s = trial_timeout_s
-        #: Optional :class:`repro.store.ResultStore` plus a key ->
-        #: fingerprint map for this batch's specs: successful trials are
-        #: streamed into the store *as they complete*, so a crash (or
-        #: SIGINT drain) mid-campaign still leaves every finished trial
-        #: durable and cross-run reusable — and a result that disagrees
-        #: with a prior run's record trips the determinism oracle at the
-        #: moment of completion, not hours later at campaign end.
-        self.store = store
-        self.fingerprints = fingerprints or {}
         self.config = config if config is not None else SupervisorConfig.from_env()
         self.stats = SupervisorStats()
         self._ctx = _mp_context()
@@ -367,7 +338,6 @@ class Supervisor:
         self._seq = itertools.count()  # heap tiebreaker
         self._queue: deque = deque()
         self._delayed: list = []  # (ready_at, seq, spec, attempt)
-        self._outcomes: dict[str, TrialOutcome] = {}
         self._signals = 0
         self._drain = False
         self._drain_started: Optional[float] = None
@@ -375,8 +345,8 @@ class Supervisor:
 
     # -- public -------------------------------------------------------
 
-    def run(self, specs) -> dict[str, TrialOutcome]:
-        """Execute *specs*; return outcomes keyed by trial key.
+    def run(self, specs) -> None:
+        """Execute *specs*, reporting each outcome to ``on_complete``.
 
         Raises :class:`KeyboardInterrupt` after a clean drain when a
         SIGINT/SIGTERM arrived mid-campaign (journal merged first).
@@ -396,7 +366,6 @@ class Supervisor:
             _log.info("supervisor: %s", self.stats.summary())
         if self._signals:
             raise KeyboardInterrupt
-        return self._outcomes
 
     # -- signals ------------------------------------------------------
 
@@ -550,21 +519,10 @@ class Supervisor:
             if kind in ("hb", "start"):
                 worker.last_hb = time.monotonic()
             elif kind == "done":
-                _, key, record, error, tb, taxonomy = msg
-                attempt = worker.busy[1] if worker.busy else 0
-                self._outcomes[key] = TrialOutcome(
-                    key,
-                    record,
-                    error=error,
-                    traceback=tb,
-                    taxonomy=taxonomy,
-                    retries=attempt,
-                )
+                outcome = msg[1]
+                outcome.retries = worker.busy[1] if worker.busy else 0
                 worker.busy = None
-                if record is not None and self.store is not None:
-                    fp = self.fingerprints.get(key)
-                    if fp is not None:
-                        self.store.put(fp, key, record)
+                self.on_complete(outcome)
 
     def _check_health(self, now: float) -> None:
         for worker in list(self._workers.values()):
@@ -601,19 +559,13 @@ class Supervisor:
                 f"worker {kind} on attempt {attempt + 1}; quarantined after "
                 f"{self.config.max_retries} retries"
             )
-            if self.journal is not None:
-                self.journal.record_failure(
-                    spec.key, reason, taxonomy="quarantined"
-                )
-            self._outcomes[spec.key] = TrialOutcome(
-                spec.key,
-                None,
-                error=reason,
-                taxonomy="quarantined",
-                retries=attempt,
+            outcome = TrialOutcome(
+                spec.key, None, error=reason, taxonomy="quarantined", retries=attempt
             )
+            journal_outcome(self.journal, outcome)
             self.stats.quarantined.append(spec.key)
             _log.warning("supervisor: quarantined %s (%s)", spec.key, reason)
+            self.on_complete(outcome)
             return
         delay = self.config.backoff_s(attempt)
         self.stats.backoffs.setdefault(spec.key, []).append(delay)

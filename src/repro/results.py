@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
-from pathlib import Path
 from typing import Any, Type
 
 import numpy as np
+
+from repro.atomicio import atomic_write
 
 __all__ = [
     "register_result",
@@ -28,7 +27,6 @@ __all__ = [
     "load_result",
     "to_jsonable",
     "canonical_dumps",
-    "atomic_write_text",
     "REGISTRY",
 ]
 
@@ -122,39 +120,13 @@ def _from_jsonable(value: Any) -> Any:
     return value
 
 
-def atomic_write_text(path, write_fn) -> None:
-    """Crash-safe text write: *write_fn(fh)* streams into a temp file in
-    the destination directory, which is fsynced and renamed over *path*.
-
-    A crash (or an exception from *write_fn*) at any point leaves either
-    the previous file intact or the new file whole — never a truncated
-    mix — and cleans up the temp file.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            write_fn(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def save_result(path, result: Any) -> None:
     """Write a registered result dataclass (or a dict of them) as JSON.
 
     The write is atomic: a crash mid-serialisation (hours into a sweep)
     cannot truncate or corrupt a previously saved file.
     """
-    atomic_write_text(path, lambda fh: json.dump(to_jsonable(result), fh, indent=1))
+    atomic_write(path, lambda fh: json.dump(to_jsonable(result), fh, indent=1))
 
 
 def load_result(path) -> Any:

@@ -46,11 +46,11 @@ import json
 import logging
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from repro.atomicio import atomic_write_bytes
 from repro.checkpoint.harness import sanitize_key, valid_journal_entry
 from repro.store.records import IntegrityError, decode_record, encode_record
 
@@ -81,24 +81,6 @@ class DeterminismViolation(StoreError):
     worth a loud stop — serving or overwriting either record would
     silently corrupt downstream results.
     """
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Crash-safe byte write: temp file + fsync + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -259,7 +241,7 @@ class ResultStore:
                     "trials must be pure functions of their specs; if code "
                     "changed, bump the code version (REPRO_CODE_VERSION)"
                 )
-        _atomic_write_bytes(path, data)
+        atomic_write_bytes(path, data)
         self._write_index(key, fingerprint)
         self.puts += 1
         return outcome
@@ -319,7 +301,7 @@ class ResultStore:
         data = encode_record({"kind": "index", "key": key, "fingerprint": fingerprint})
         if path.is_file() and path.read_bytes() == data:
             return
-        _atomic_write_bytes(path, data)
+        atomic_write_bytes(path, data)
 
     def _quarantine(self, path: Path) -> Path:
         """Move a corrupt file into ``quarantine/`` (never delete it)."""
@@ -524,7 +506,7 @@ class ResultStore:
         if dry_run or not dead:
             return report
         mark = encode_record({"kind": "gc-mark", "dead": dead})
-        _atomic_write_bytes(self.gc_mark_path, mark)
+        atomic_write_bytes(self.gc_mark_path, mark)
         report.swept = self._sweep(dead)
         return report
 

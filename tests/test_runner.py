@@ -22,7 +22,7 @@ from repro.results import save_result
 
 SWEEP_KW = dict(proc_counts=(128, 256), n_calls=40, n_seeds=2)
 
-#: Monkeypatched sabotage only reaches pool workers under fork.
+#: Monkeypatched sabotage only reaches worker processes under fork.
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="failure injection into workers needs the fork start method",
@@ -116,7 +116,7 @@ class TestRunnerSemantics:
         assert not slow.ok and slow.traceback is None
 
     @fork_only
-    def test_pool_traceback_identical_to_serial(self, tmp_path):
+    def test_supervised_traceback_identical_to_serial(self, tmp_path):
         specs = [
             TrialSpec(f"bad{i}", "tests.test_runner:_boom_trial", {"x": i})
             for i in range(3)
@@ -132,13 +132,18 @@ class TestRunnerSemantics:
         with pytest.raises(ModuleNotFoundError):
             resolve_trial_fn("definitely.not.a.module:fn")
 
-    def test_parallel_pool_runs_all_trials(self):
+    def test_parallel_supervised_runs_all_trials(self):
         specs = [
             TrialSpec(f"t{i}", "tests.test_runner:_double_trial", {"x": i})
             for i in range(6)
         ]
         outs = TrialRunner(jobs=3).run(specs)
         assert [o.record["twice"] for o in outs] == [0, 2, 4, 6, 8, 10]
+
+    def test_only_the_supervised_backend_is_accepted(self):
+        TrialRunner(backend="supervised")
+        with pytest.raises(ValueError, match="backend"):
+            TrialRunner(backend="pool")
 
 
 class TestParallelEqualsSerial:
@@ -166,7 +171,7 @@ class TestParallelEqualsSerial:
     def test_injected_failures_identical_both_ways(self, tmp_path, monkeypatch):
         """Trials that blow up must land in the same failed_points, the
         same NaN holes, and byte-identical failure journal entries
-        whether they die in-process or in a pool worker."""
+        whether they die in-process or in a supervised worker."""
         real = AllreduceSeriesModel.run_series
 
         def sabotaged(self, *a, **kw):
@@ -196,7 +201,7 @@ class TestParallelEqualsSerial:
 
     @fork_only
     def test_injected_timeouts_identical_both_ways(self, tmp_path, monkeypatch):
-        """The per-trial watchdog fires inside pool workers too (SIGALRM
+        """The per-trial watchdog fires inside supervised workers too (SIGALRM
         on the worker's main thread) and journals the same record."""
         real = AllreduceSeriesModel.run_series
 

@@ -263,9 +263,9 @@ class TestGc:
         s.put(FP_A, "k1", {"v": 1})
         s.put(FP_B, "k2", {"v": 2})
         # Crash between mark and sweep: mark on disk, nothing deleted.
-        from repro.store.store import _atomic_write_bytes
+        from repro.atomicio import atomic_write_bytes
 
-        _atomic_write_bytes(s.gc_mark_path, encode_record(
+        atomic_write_bytes(s.gc_mark_path, encode_record(
             {"kind": "gc-mark", "dead": [FP_B]}
         ))
         # A record put *after* the mark must survive the resumed sweep.
@@ -280,9 +280,9 @@ class TestGc:
     def test_fsck_detects_and_completes_interrupted_gc(self, tmp_path):
         s = ResultStore(tmp_path)
         s.put(FP_A, "k1", {"v": 1})
-        from repro.store.store import _atomic_write_bytes
+        from repro.atomicio import atomic_write_bytes
 
-        _atomic_write_bytes(s.gc_mark_path, encode_record(
+        atomic_write_bytes(s.gc_mark_path, encode_record(
             {"kind": "gc-mark", "dead": [FP_A]}
         ))
         report = s.fsck()
@@ -348,7 +348,7 @@ class TestRunnerStoreIntegration:
         with pytest.raises(DeterminismViolation):
             TrialRunner(store=store, use_cache=False).run([_spec("t0", 2)])
 
-    def test_parallel_backends_fill_the_store_identically(self, tmp_path):
+    def test_parallel_fills_the_store_like_serial(self, tmp_path):
         serial_store = ResultStore(tmp_path / "serial")
         pool_store = ResultStore(tmp_path / "pool")
         specs = [_spec(f"t{i}", i) for i in range(4)]
@@ -359,6 +359,10 @@ class TestRunnerStoreIntegration:
         parallel = {fp: pool_store.object_path(fp).read_bytes()
                     for fp in pool_store.fingerprints()}
         assert serial and serial == parallel
+        # Each result is stored once, as its trial completes: no
+        # end-of-run re-put that re-reads and byte-compares it.
+        assert serial_store.puts == 4 and serial_store.identical == 0
+        assert pool_store.puts == 4 and pool_store.identical == 0
 
     def test_execution_defaults_route_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -367,10 +371,7 @@ class TestRunnerStoreIntegration:
             TrialRunner().run([_spec("t0", 1)])
             assert store.puts == 1
         finally:
-            set_execution_defaults(
-                backend=previous[0], supervisor=previous[1],
-                store=previous[2], use_cache=previous[3],
-            )
+            set_execution_defaults(*previous)
 
 
 class TestStoreCli:

@@ -377,11 +377,13 @@ class TestCliValidation:
         with pytest.raises(SystemExit):
             cli.main(["fig3", "--quick", "--harness-chaos", "7"])
         assert "--harness-chaos needs --jobs >= 2" in capsys.readouterr().err
+
+    def test_backend_option_is_gone(self, capsys):
+        from repro.experiments import cli
+
         with pytest.raises(SystemExit):
-            cli.main(
-                ["fig3", "--quick", "--jobs", "2", "--backend", "pool",
-                 "--harness-chaos", "7"]
-            )
+            cli.main(["fig3", "--quick", "--jobs", "2", "--backend", "pool"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_retry_knobs_validated(self, capsys):
         from repro.experiments import cli
