@@ -16,9 +16,9 @@ Modes:
 
 * ``crash`` — the worker ``os._exit``\\ s mid-trial, as an OOM kill or
   segfault would.  ``point`` refines it: ``pre`` dies before the trial
-  function runs; ``mid`` dies after computing the record but while
-  journaling it, leaving a deliberately *torn* shard entry behind — the
-  case the journal-merge hardening must survive.
+  function runs; ``mid`` dies after computing the record but before
+  reporting it, so the finished work is lost and the parent sees only a
+  crash.
 * ``hang`` — the worker goes silent (no heartbeats) without exiting,
   the failure only a missed-heartbeat deadline can catch.
 
@@ -49,7 +49,6 @@ from typing import Optional
 from repro.rng import StreamFactory
 
 __all__ = [
-    "ENV_VAR",
     "HarnessFault",
     "plan_for",
     "injection_for",
@@ -62,10 +61,6 @@ __all__ = [
     "inject_interrupted_gc",
 ]
 
-#: Environment fallback for the harness-chaos seed (the CLI flag wins).
-ENV_VAR = "REPRO_HARNESS_CHAOS"
-
-
 @dataclass(frozen=True)
 class HarnessFault:
     """The fault plan for one trial key under one harness-chaos seed."""
@@ -75,7 +70,7 @@ class HarnessFault:
     #: Attempts ``0 .. kills-1`` are killed; attempt ``kills`` survives.
     kills: int
     #: For crashes: ``"pre"`` (before the trial runs) or ``"mid"``
-    #: (after computing, torn journal write).  Irrelevant for hangs.
+    #: (after computing, before reporting).  Irrelevant for hangs.
     point: str
 
 

@@ -2,11 +2,14 @@
 
 A sweep is a loop over (scenario, proc-count, seed) trials, each costing
 minutes of wall clock.  The journal records every completed trial to its
-own atomically-written JSON file, so a crash (or a ``kill -9``) between
-trials loses at most the trial in flight; re-running the sweep with the
-same journal skips finished trials and recomputes only the rest.  Because
-``json`` round-trips doubles exactly, a resumed sweep is bit-identical to
-an uninterrupted one.
+own atomically-written JSON file, so a crash (or a ``kill -9``) loses at
+most the trials in flight; re-running the sweep with the same journal
+skips finished trials and recomputes only the rest.  Because ``json``
+round-trips doubles exactly, a resumed sweep is bit-identical to an
+uninterrupted one.  Only the campaign's own process writes the journal:
+under ``--jobs N`` the workers report each outcome to it, so a killed
+parent can also lose up to N trials a worker finished but had not yet
+reported.
 
 Failed trials are journaled too — with ``status: "failed"`` — but are
 *retried* on resume: a failure is usually environmental (timeout, OOM),
@@ -56,17 +59,18 @@ def sanitize_key(key: str) -> str:
 def valid_journal_entry(obj) -> bool:
     """Is *obj* a structurally valid journal entry?
 
-    An entry is a dict whose ``status`` is ``"ok"`` (with a ``record``)
-    or ``"failed"``.  Anything else — valid JSON of the wrong shape, a
-    bare list, a half-migrated file — is treated exactly like a torn
-    write: dropped by :meth:`SweepJournal.merge_shards`, ignored by
+    An entry is a dict whose ``status`` is ``"ok"`` (with a dict
+    ``record``) or ``"failed"``.  Anything else — valid JSON of the wrong
+    shape, a bare list, a null or non-dict record, a half-migrated file —
+    is treated exactly like a torn write: dropped by
+    :meth:`SweepJournal.merge_shards`, ignored by
     :meth:`SweepJournal.lookup`, recomputed on resume.
     """
     if not isinstance(obj, dict):
         return False
     status = obj.get("status")
     if status == "ok":
-        return "record" in obj
+        return isinstance(obj.get("record"), dict)
     return status == "failed"
 
 
@@ -91,53 +95,47 @@ class SweepJournal:
     returns the recorded result for finished trials (and counts the hit,
     so resume tests can assert how much work was skipped).
 
-    Multiprocess safety: a journal opened with a *shard* name (as each
-    :class:`~repro.experiments.runner.TrialRunner` worker process does)
-    writes its entries under ``journal/shards/<shard>/`` with the same
-    atomic temp + ``os.replace`` discipline, so concurrent workers never
-    contend on a path.  Readers (``lookup`` / ``entries``, always the
-    parent process) first fold any shard files into the canonical
-    directory via :meth:`merge_shards` — a rename per file, atomic on the
-    same filesystem — so after any run, parallel or serial, the journal
-    directory holds one identical set of per-key files.
+    One writer: the process that runs the campaign.  Supervised workers
+    report their outcomes back and the parent's
+    :class:`~repro.experiments.runner.TrialRunner` journals every one, so
+    a journal written under ``--jobs N`` is byte-identical to a serial
+    one.  Opening a journal folds in any ``journal/shards/`` tree an
+    older version's parallel campaign left behind (see
+    :meth:`merge_shards`).
     """
 
-    def __init__(self, root, shard: Optional[str] = None) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self.dir = self.root / "journal"
         self.shards_dir = self.dir / "shards"
-        if shard is not None:
-            self._write_dir = self.shards_dir / sanitize_key(shard)
-        else:
-            self._write_dir = self.dir
-        self._write_dir.mkdir(parents=True, exist_ok=True)
+        self.dir.mkdir(parents=True, exist_ok=True)
         #: Successful lookups served from the journal (resume telemetry).
         self.hits = 0
+        self.merge_shards()
 
     def _path(self, key: str) -> Path:
-        return self._write_dir / f"{sanitize_key(key)}.json"
+        return self.dir / f"{sanitize_key(key)}.json"
 
     def merge_shards(self) -> int:
-        """Fold per-worker shard entries into the canonical directory.
+        """Fold a legacy ``journal/shards/w<pid>/`` tree into the journal.
 
-        Idempotent and crash-safe: each shard file is validated as JSON,
-        then ``os.replace``d into place (trials are deterministic, so a
-        same-key duplicate carries identical bytes and last-writer-wins
-        is harmless).  Returns the number of entries moved.
+        Older versions had each parallel worker journal into its own shard
+        directory; a campaign hard-killed before merging left that tree
+        behind.  Opening a journal runs this once, so such a campaign
+        resumes with its finished trials.  Idempotent and crash-safe: each
+        shard file is validated as JSON, then ``os.replace``d into place
+        (trials are deterministic, so a same-key duplicate carries
+        identical bytes and last-writer-wins is harmless).  Returns the
+        number of entries moved.
 
-        A truncated or corrupt shard entry — e.g. a worker killed
-        mid-write, or a non-atomic writer torn by the filesystem — is
+        A truncated or corrupt shard entry (a worker killed mid-write) is
         deleted with a logged warning instead of either raising or, worse,
         clobbering a good canonical entry of the same key; so is an entry
         that parses as JSON but has the wrong shape (see
         :func:`valid_journal_entry`).  Either way its trial is simply
-        recomputed on resume, and the total dropped count is logged once
-        so a merge that shed entries is visible in one line.  Leftover
-        ``*.tmp`` spill from a killed atomic write — and any other stray
-        file a dying worker left in a shard — is swept out too, and the
-        emptied ``shards/w<pid>/`` directories are removed so resumed
-        campaigns never accumulate stale shard dirs.  Callers run this
-        quiesced (no live shard writers), so deleting stragglers is safe.
+        recomputed on resume, and the total dropped count is logged once.
+        Leftover ``*.tmp`` spill and any other stray file is swept out
+        too, and the emptied shard directories are removed.
         """
         if not self.shards_dir.is_dir():
             return 0
@@ -198,8 +196,7 @@ class SweepJournal:
         Failed entries return None on purpose: failures are retried on
         resume, not skipped (see the module docstring).
         """
-        self.merge_shards()
-        path = self.dir / f"{sanitize_key(key)}.json"
+        path = self._path(key)
         if not path.is_file():
             return None
         try:
@@ -231,9 +228,7 @@ class SweepJournal:
         chaos or sweep failure is diagnosable from the journal alone.
         *taxonomy* classifies the failure mode — one of ``crash | hang |
         exception | timeout | quarantined`` (see
-        :mod:`repro.experiments.supervisor`) — and must be computed
-        identically on the serial and worker paths to preserve the
-        byte-identical-journals contract.
+        :mod:`repro.experiments.supervisor`).
         """
         _atomic_write_json(
             self._path(key),
@@ -247,7 +242,6 @@ class SweepJournal:
 
     def entries(self) -> dict[str, dict]:
         """All journal entries by sanitised key (forensics/tests)."""
-        self.merge_shards()
         out = {}
         for p in sorted(self.dir.glob("*.json")):
             try:
@@ -258,8 +252,7 @@ class SweepJournal:
         return out
 
     def clear(self) -> None:
-        """Delete every journal entry, shards included (fresh-run semantics)."""
-        self.merge_shards()
+        """Delete every journal entry (fresh-run semantics)."""
         for p in self.dir.glob("*.json"):
             try:
                 p.unlink()

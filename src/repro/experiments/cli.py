@@ -26,8 +26,8 @@ and outcomes merge in spec order — so ``--jobs`` is purely a wall-clock
 lever.
 
 Crash safety: with ``--results DIR`` every sweep journals each finished
-(count, seed) trial under ``DIR/journal/`` (worker processes write
-per-process shards, merged on read); after a crash (or kill -9),
+(count, seed) trial under ``DIR/journal/`` (the parent process writes
+every entry; workers only report outcomes); after a crash (or kill -9),
 re-running with ``--resume`` skips completed trials and recomputes only
 the rest — bit-identically.  Without ``--resume`` the journal is cleared
 for fresh-run semantics.  ``--trial-timeout`` bounds each trial's
@@ -38,7 +38,7 @@ Fault tolerance: ``--jobs N`` workers are supervised
 (:mod:`repro.experiments.supervisor`) — heartbeating workers, crash/hang
 detection, ``--max-retries`` re-dispatches with ``--backoff``
 exponential delay, quarantine of poison trials, and graceful
-SIGINT/SIGTERM drain (in-flight trials finish, journal shards merge, no
+SIGINT/SIGTERM drain (in-flight trials finish and are journaled, no
 orphaned workers; exit code 130 with a resumable journal).
 ``--harness-chaos SEED`` deliberately kills/hangs workers on a
 deterministic schedule to prove all of that: the run must still converge
@@ -174,13 +174,11 @@ def main(argv: list[str] | None = None) -> int:
              "re-dispatches: BACKOFF * 2^attempt, capped at 5 s "
              "(default: 0.1)",
     )
-    _env_chaos = os.environ.get("REPRO_HARNESS_CHAOS", "").strip()
     sup_group.add_argument(
-        "--harness-chaos", type=int, metavar="SEED",
-        default=int(_env_chaos) if _env_chaos else None,
-        help="inject deterministic worker kills/hangs drawn from SEED "
-             "(env: REPRO_HARNESS_CHAOS); the campaign must still "
-             "converge byte-identically to a clean serial run",
+        "--harness-chaos", type=int, metavar="SEED", default=None,
+        help="inject deterministic worker kills/hangs drawn from SEED; "
+             "the campaign must still converge byte-identically to a "
+             "clean serial run",
     )
     chaos_group = parser.add_argument_group("chaos campaign (E10)")
     chaos_group.add_argument(

@@ -19,18 +19,19 @@ that shape once:
   deterministic backoff, quarantine of poison specs, graceful
   SIGINT/SIGTERM drain) for ``jobs > 1``.
 * :class:`TrialRunner` owns execution policy: journal and store lookups,
-  serial or supervised dispatch, and storing each executed result once,
-  as it completes.
+  serial or supervised dispatch, and persisting each executed outcome
+  once, as it completes — workers only compute and report, so the
+  parent is the journal's only writer.
 
 **The determinism-under-parallelism contract.**  Each trial is a pure
 function of its params (all randomness comes from seeds inside them), so
 execution order cannot change any trial's result.  The runner returns
 outcomes in *spec order* regardless of completion order, journal entries
-are keyed (one atomically-written file per trial, workers writing to
-per-process shards merged on read), and failures are caught and
-formatted by the same function on both paths.  Hence ``--jobs N`` and a
-serial run produce bit-identical results and byte-identical journals —
-the property ``tests/test_runner.py`` pins.
+are keyed (one atomically-written file per trial, written by the parent
+as each outcome arrives), and failures are caught and formatted by the
+same function on both paths.  Hence ``--jobs N`` and a serial run
+produce bit-identical results and byte-identical journals — the property
+``tests/test_runner.py`` pins.
 
 Worker processes prefer the ``fork`` start method where the platform
 offers it (cheap, and test-time monkeypatching propagates); elsewhere the
@@ -64,7 +65,6 @@ __all__ = [
     "TrialOutcome",
     "TrialRunner",
     "execute_trial",
-    "journal_outcome",
     "resolve_trial_fn",
     "format_trial_traceback",
     "set_execution_defaults",
@@ -207,19 +207,6 @@ def execute_trial(spec: TrialSpec, timeout_s: Optional[float]) -> TrialOutcome:
     return TrialOutcome(spec.key, record)
 
 
-def journal_outcome(journal: Optional[SweepJournal], outcome: TrialOutcome) -> None:
-    """Journal *outcome* — a record or a structured failure — if a
-    journal is attached."""
-    if journal is None:
-        return
-    if outcome.ok:
-        journal.record(outcome.key, outcome.record)
-    else:
-        journal.record_failure(
-            outcome.key, outcome.error, traceback=outcome.traceback, taxonomy=outcome.taxonomy
-        )
-
-
 class TrialRunner:
     """Executes :class:`TrialSpec` lists under one policy.
 
@@ -261,7 +248,7 @@ class TrialRunner:
         self.journal = journal
         self.trial_timeout_s = trial_timeout_s
         #: Explicit :class:`~repro.experiments.supervisor.SupervisorConfig`
-        #: override; ``None`` inherits the process default (or env).
+        #: override; ``None`` inherits the process default.
         self.supervisor = supervisor
         #: Cross-run memo store (:class:`repro.store.ResultStore`) or
         #: ``None``; inherits the process default set by the CLI's
@@ -280,7 +267,7 @@ class TrialRunner:
         from repro.experiments.supervisor import SupervisorConfig
 
         cfg = self.supervisor if self.supervisor is not None else _DEFAULT_SUPERVISOR
-        return cfg if cfg is not None else SupervisorConfig.from_env()
+        return cfg if cfg is not None else SupervisorConfig()
 
     def run(self, specs: Sequence[TrialSpec]) -> list[TrialOutcome]:
         """Execute *specs*; return their outcomes in the given order."""
@@ -331,9 +318,7 @@ class TrialRunner:
         # armed, where only the supervised path can retry injected kills.
         if self.jobs == 1 or (len(pending) <= 1 and not chaos_active):
             for spec in pending:
-                outcome = execute_trial(spec, self.trial_timeout_s)
-                journal_outcome(self.journal, outcome)
-                complete(outcome)
+                complete(execute_trial(spec, self.trial_timeout_s))
         else:
             self._run_supervised(pending, complete)
         return [outcomes[spec.key] for spec in specs]
@@ -344,13 +329,25 @@ class TrialRunner:
         """Take in one executed trial's outcome, the moment it completes.
 
         Both paths end here: the serial loop directly, the supervisor
-        through its completion callback.  A successful result goes into
-        the store exactly once, as soon as it exists — so an interrupted
-        campaign (crash, SIGINT drain) still leaves every finished trial
-        durable, and a result that disagrees with a prior run's record
-        trips the determinism oracle at once, not at campaign end.
+        through its completion callback (quarantines included).  The
+        outcome is journaled — a record or a structured failure — and a
+        successful result goes into the store, each exactly once and as
+        soon as it exists, so an interrupted campaign (crash, SIGINT
+        drain) still leaves every reported trial durable, and a result
+        that disagrees with a prior run's record trips the determinism
+        oracle at once, not at campaign end.
         """
         outcomes[outcome.key] = outcome
+        if self.journal is not None:
+            if outcome.ok:
+                self.journal.record(outcome.key, outcome.record)
+            else:
+                self.journal.record_failure(
+                    outcome.key,
+                    outcome.error,
+                    traceback=outcome.traceback,
+                    taxonomy=outcome.taxonomy,
+                )
         if outcome.ok and self.store is not None:
             self.store.put(fingerprints[outcome.key], outcome.key, outcome.record)
 
@@ -362,7 +359,6 @@ class TrialRunner:
         sup = Supervisor(
             jobs=self.jobs,
             on_complete=on_complete,
-            journal=self.journal,
             trial_timeout_s=self.trial_timeout_s,
             config=self._supervisor_config(),
         )

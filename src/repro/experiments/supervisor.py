@@ -9,8 +9,11 @@ nodes, applied to our own worker fleet:
 * **Long-lived workers** pull :class:`~repro.experiments.runner.TrialSpec`
   dispatches over a duplex pipe, run each through
   :func:`~repro.experiments.runner.execute_trial` (the serial path's own
-  function), journal into per-process shards, and emit heartbeats from a
-  side thread while a trial runs.
+  function), send the outcome back, and emit heartbeats from a side
+  thread while a trial runs.  Workers never touch the journal: every
+  outcome reaches the parent's ``on_complete`` callback, which the
+  :class:`~repro.experiments.runner.TrialRunner` uses to journal and
+  store it.
 * **The supervisor** (parent) multiplexes every worker pipe and process
   sentinel through :func:`multiprocessing.connection.wait`.  A dead
   process is a **crash**; a live-but-silent one (no heartbeat inside
@@ -22,14 +25,15 @@ nodes, applied to our own worker fleet:
   function of the attempt number so retry schedules are identical across
   runs and worker counts.
 * **Quarantine**: a spec whose attempts keep killing workers is allowed
-  ``max_retries`` re-dispatches; one more failure records it as a
-  structured ``status: "failed"`` journal entry with taxonomy
-  ``quarantined`` and the campaign moves on.
+  ``max_retries`` re-dispatches; one more failure reports it as a failed
+  outcome with taxonomy ``quarantined`` (journaled like any other
+  failure) and the campaign moves on.
 * **Graceful shutdown**: SIGINT/SIGTERM stops dispatching, drains
   in-flight trials (bounded by ``drain_timeout_s``; a second signal
-  aborts immediately), terminates every worker, merges journal shards,
-  and re-raises ``KeyboardInterrupt`` — the journal on disk is resumable
-  and no child process survives.
+  aborts immediately), terminates every worker, and re-raises
+  ``KeyboardInterrupt`` — every outcome reported before then is
+  journaled, so the journal on disk is resumable, and no child process
+  survives.
 
 **Failure taxonomy** — every failed trial is classified exactly one of:
 
@@ -42,9 +46,9 @@ nodes, applied to our own worker fleet:
 ========== =========================================================
 
 **Determinism contract.**  Trials are pure functions of their specs, and
-in-trial failures are journaled byte-identically to the serial path, so
-a supervised campaign's results and journals are byte-identical to a
-serial run's — *including* campaigns where workers are deliberately
+every outcome is journaled by the same parent-side code as on the serial
+path, so a supervised campaign's results and journals are byte-identical
+to a serial run's — *including* campaigns where workers are deliberately
 killed: the harness-chaos mode (:mod:`repro.chaos.harness_faults`,
 ``--harness-chaos SEED``) injects worker kills/hangs as a pure function
 of ``(seed, trial key, attempt)``, every injected kill is transient
@@ -57,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import logging
 import multiprocessing
 import multiprocessing.connection as _mpc
@@ -69,13 +72,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.checkpoint.harness import SweepJournal
-from repro.experiments.runner import (
-    TrialOutcome,
-    TrialSpec,
-    execute_trial,
-    journal_outcome,
-)
+from repro.experiments.runner import TrialOutcome, TrialSpec, execute_trial
 
 __all__ = ["SupervisorConfig", "SupervisorStats", "Supervisor"]
 
@@ -116,15 +113,6 @@ class SupervisorConfig:
     #: Install SIGINT/SIGTERM drain handlers for the duration of a run
     #: (skipped automatically off the main thread).
     handle_signals: bool = True
-
-    @staticmethod
-    def from_env() -> "SupervisorConfig":
-        """Defaults, with the chaos seed picked up from the environment
-        (``REPRO_HARNESS_CHAOS``) when set."""
-        from repro.chaos.harness_faults import ENV_VAR
-
-        raw = os.environ.get(ENV_VAR, "").strip()
-        return SupervisorConfig(chaos_seed=int(raw) if raw else None)
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic backoff before re-dispatching attempt+1."""
@@ -194,24 +182,9 @@ def _chaos_injection(chaos_seed, key: str, attempt: int):
     return injection_for(chaos_seed, key, attempt)
 
 
-def _write_torn_entry(journal: SweepJournal, key: str, record: dict) -> None:
-    """Chaos ``crash/mid``: leave a half-written shard entry behind.
-
-    Bypasses the atomic temp+replace discipline on purpose — this is the
-    torn-write case (non-atomic writer, hostile filesystem) the journal
-    merge hardening exists for.
-    """
-    payload = json.dumps({"status": "ok", "record": record}, indent=1, sort_keys=True)
-    with open(journal._path(key), "w", encoding="utf-8") as fh:
-        fh.write(payload[: max(1, len(payload) // 2)])
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
 def _worker_main(
     wid: int,
     conn,
-    journal_root,
     trial_timeout_s: Optional[float],
     heartbeat_interval_s: float,
     chaos_seed: Optional[int],
@@ -220,15 +193,10 @@ def _worker_main(
 
     Top-level so it imports under any multiprocessing start method.
     SIGINT is ignored — on a terminal Ctrl+C the *parent* coordinates the
-    drain; workers must stay alive to finish (and journal) their trial.
+    drain; workers must stay alive to finish (and report) their trial.
     """
     if hasattr(signal, "SIGINT"):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    journal = (
-        SweepJournal(journal_root, shard=f"w{os.getpid()}")
-        if journal_root is not None
-        else None
-    )
     send_lock = threading.Lock()
 
     def send(msg) -> None:
@@ -269,10 +237,8 @@ def _worker_main(
         try:
             outcome = execute_trial(spec, trial_timeout_s)
             if outcome.ok and fault == ("crash", "mid"):
-                if journal is not None:
-                    _write_torn_entry(journal, spec.key, outcome.record)
+                # Computed, never reported: the parent sees only a crash.
                 os._exit(_CHAOS_EXIT)
-            journal_outcome(journal, outcome)
         finally:
             stop.set()
         hb_thread.join()
@@ -312,25 +278,21 @@ class Supervisor:
 
     One-shot: construct, :meth:`run`, read :attr:`stats`.  Every trial's
     final :class:`TrialOutcome` — success, in-trial failure, or
-    quarantine — is handed to *on_complete* the moment it is known.  The
-    journal (if any) is the parent's canonical journal — workers shard
-    under it, and shards are merged before :meth:`run` returns, on every
-    path including signal-triggered drains.
+    quarantine — is handed to *on_complete* the moment it is known; that
+    callback is the only way results leave the supervisor.
     """
 
     def __init__(
         self,
         jobs: int,
         on_complete: Callable[[TrialOutcome], None],
-        journal: Optional[SweepJournal] = None,
         trial_timeout_s: Optional[float] = None,
         config: Optional[SupervisorConfig] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.on_complete = on_complete
-        self.journal = journal
         self.trial_timeout_s = trial_timeout_s
-        self.config = config if config is not None else SupervisorConfig.from_env()
+        self.config = config if config is not None else SupervisorConfig()
         self.stats = SupervisorStats()
         self._ctx = _mp_context()
         self._workers: dict[int, _Worker] = {}
@@ -349,7 +311,7 @@ class Supervisor:
         """Execute *specs*, reporting each outcome to ``on_complete``.
 
         Raises :class:`KeyboardInterrupt` after a clean drain when a
-        SIGINT/SIGTERM arrived mid-campaign (journal merged first).
+        SIGINT/SIGTERM arrived mid-campaign.
         """
         specs = list(specs)
         self.stats.trials = len(specs)
@@ -360,8 +322,6 @@ class Supervisor:
         finally:
             self._shutdown_workers()
             self._restore_signal_handlers(previous_handlers)
-            if self.journal is not None:
-                self.journal.merge_shards()
         if self.stats.retries or self.stats.quarantined:
             _log.info("supervisor: %s", self.stats.summary())
         if self._signals:
@@ -438,7 +398,6 @@ class Supervisor:
             args=(
                 wid,
                 child_conn,
-                self.journal.root if self.journal is not None else None,
                 self.trial_timeout_s,
                 self.config.heartbeat_interval_s,
                 self.config.chaos_seed,
@@ -562,7 +521,6 @@ class Supervisor:
             outcome = TrialOutcome(
                 spec.key, None, error=reason, taxonomy="quarantined", retries=attempt
             )
-            journal_outcome(self.journal, outcome)
             self.stats.quarantined.append(spec.key)
             _log.warning("supervisor: quarantined %s (%s)", spec.key, reason)
             self.on_complete(outcome)

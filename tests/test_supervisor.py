@@ -1,6 +1,6 @@
 """The supervised backend: heartbeats, crash/hang recovery, deterministic
 retry/backoff, quarantine, harness chaos, graceful SIGINT drain, and the
-journal-merge hardening against torn shard entries.
+parent as the journal's only writer (workers never create journal shards).
 
 The headline contract these tests pin: a supervised campaign — *including
 one whose workers are deliberately killed by harness chaos* — produces
@@ -9,7 +9,6 @@ count.
 """
 
 import json
-import logging
 import multiprocessing
 import os
 import signal
@@ -65,6 +64,11 @@ def _slow_trial(params):
     return {"i": params["i"]}
 
 
+def _shards_probe_trial(params):
+    """Reports whether a journal shards directory exists mid-campaign."""
+    return {"shards_exist": os.path.exists(params["shards"])}
+
+
 def _specs(n, fn="tests.test_supervisor:_double_trial"):
     return [TrialSpec(f"t{i}", fn, {"x": i}) for i in range(n)]
 
@@ -96,6 +100,22 @@ class TestSupervisedCleanRuns:
         assert np.array_equal(serial.mean_us, supervised.mean_us)
         assert serial.failure_taxonomy == supervised.failure_taxonomy == {}
         assert _journal_files(tmp_path / "s") == _journal_files(tmp_path / "p")
+
+
+class TestParentOnlyJournal:
+    def test_workers_never_create_journal_shards(self, tmp_path):
+        shards = tmp_path / "journal" / "shards"
+        specs = [
+            TrialSpec(f"t{i}", "tests.test_supervisor:_shards_probe_trial",
+                      {"shards": str(shards)})
+            for i in range(4)
+        ]
+        runner = TrialRunner(
+            jobs=2, journal=SweepJournal(tmp_path), supervisor=fast_config()
+        )
+        outs = runner.run(specs)
+        assert [o.record["shards_exist"] for o in outs] == [False] * 4
+        assert len(_journal_files(tmp_path)) == 4
 
 
 class TestQuarantine:
@@ -299,7 +319,7 @@ class TestGracefulShutdown:
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 
-        # Shards were merged on the way out; completed trials journaled.
+        # The parent journaled every trial reported before the drain ended.
         done = _journal_files(tmp_path)
         assert 0 < len(done) < self.N_TRIALS
         assert all(
@@ -317,57 +337,6 @@ class TestGracefulShutdown:
         )
         assert journal.hits == len(done)
         assert all(o.ok for o in outs)
-
-
-class TestCorruptShardMerge:
-    def _plant_torn(self, root, key: str) -> Path:
-        shard = Path(root) / "journal" / "shards" / "w999"
-        shard.mkdir(parents=True, exist_ok=True)
-        victim = shard / f"{key}.json"
-        victim.write_text('{"status": "ok", "rec')  # torn mid-write
-        return victim
-
-    def test_corrupt_entry_dropped_with_warning(self, tmp_path, caplog):
-        SweepJournal(tmp_path, shard="w1").record("good", {"mean_us": 1.0})
-        self._plant_torn(tmp_path, "torn")
-        reader = SweepJournal(tmp_path)
-        with caplog.at_level(logging.WARNING, logger="repro.harness"):
-            entries = reader.entries()
-        assert "good" in entries and "torn" not in entries
-        assert "dropping corrupt shard entry" in caplog.text
-        assert "torn.json" in caplog.text
-        assert not (tmp_path / "journal" / "shards").exists()
-
-    def test_corrupt_shard_never_clobbers_canonical_entry(self, tmp_path):
-        """A good canonical entry must survive a same-key torn shard file
-        — the merge validates before it replaces."""
-        journal = SweepJournal(tmp_path)
-        journal.record("k", {"mean_us": 42.0})
-        before = (tmp_path / "journal" / "k.json").read_bytes()
-        self._plant_torn(tmp_path, "k")
-        assert SweepJournal(tmp_path).lookup("k") == {"mean_us": 42.0}
-        assert (tmp_path / "journal" / "k.json").read_bytes() == before
-
-    def test_trial_behind_torn_shard_is_recomputed(self, tmp_path):
-        """Resume over a journal holding a half-written shard entry: the
-        torn trial reruns, lands whole, and the sweep matches clean."""
-        self._plant_torn(tmp_path, "t1")
-        journal = SweepJournal(tmp_path)
-        outs = TrialRunner(journal=journal).run(_specs(3))
-        assert [o.record["twice"] for o in outs] == [0, 2, 4]
-        assert not any(o.cached for o in outs)
-        assert json.loads(
-            (tmp_path / "journal" / "t1.json").read_text()
-        ) == {"status": "ok", "record": {"twice": 2}}
-
-    def test_stale_tmp_spill_is_swept(self, tmp_path):
-        shard = tmp_path / "journal" / "shards" / "w7"
-        shard.mkdir(parents=True)
-        (shard / ".k.json.abc123.tmp").write_text('{"status": "ok"')
-        SweepJournal(tmp_path, shard="w7").record("k", {"mean_us": 1.0})
-        reader = SweepJournal(tmp_path)
-        assert reader.lookup("k") == {"mean_us": 1.0}
-        assert not (tmp_path / "journal" / "shards").exists()
 
 
 class TestCliValidation:
