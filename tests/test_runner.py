@@ -19,6 +19,7 @@ from repro.checkpoint.harness import SweepJournal, TrialFailure
 from repro.experiments.common import PROTO16, VANILLA16, allreduce_sweep
 from repro.experiments.runner import TrialRunner, TrialSpec, resolve_trial_fn
 from repro.results import save_result
+from tests.test_harness_resume import _legacy_entry, _ok
 
 SWEEP_KW = dict(proc_counts=(128, 256), n_calls=40, n_seeds=2)
 
@@ -235,3 +236,37 @@ class TestParallelEqualsSerial:
         resumed = allreduce_sweep(PROTO16, **SWEEP_KW, journal=resumed_journal, jobs=4)
         assert resumed_journal.hits == 4  # every trial came from the journal
         assert np.array_equal(first.mean_us, resumed.mean_us)
+
+
+class TestShardedJournal:
+    """The runner-facing view of a legacy ``journal/shards/`` tree: what
+    an older version's workers left behind is served (or retried) like
+    any canonical entry once the journal is opened."""
+
+    def test_merge_on_read_folds_shards(self, tmp_path):
+        _legacy_entry(tmp_path, "w1", "k1", _ok({"mean_us": 1.0}))
+        _legacy_entry(tmp_path, "w2", "k2", {"status": "failed", "reason": "boom",
+                                             "taxonomy": None, "traceback": None})
+        reader = SweepJournal(tmp_path)
+        assert reader.lookup("k1") == {"mean_us": 1.0}
+        assert reader.lookup("k2") is None  # failures retried, not served
+        assert (tmp_path / "journal" / "k1.json").is_file()
+        assert (tmp_path / "journal" / "k2.json").is_file()
+        assert not (tmp_path / "journal" / "shards").exists()
+
+    def test_merged_bytes_equal_direct_writes(self, tmp_path):
+        _legacy_entry(tmp_path / "a", "w9", "k", _ok({"mean_us": 2.5}))
+        SweepJournal(tmp_path / "b").record("k", {"mean_us": 2.5})
+        merged = SweepJournal(tmp_path / "a")
+        assert merged.entries() == SweepJournal(tmp_path / "b").entries()
+        assert (tmp_path / "a" / "journal" / "k.json").read_bytes() == (
+            tmp_path / "b" / "journal" / "k.json"
+        ).read_bytes()
+
+    def test_clear_removes_shards_too(self, tmp_path):
+        _legacy_entry(tmp_path, "w1", "k1", _ok({"mean_us": 1.0}))
+        journal = SweepJournal(tmp_path)
+        journal.clear()
+        assert journal.lookup("k1") is None
+        assert list((tmp_path / "journal").glob("*.json")) == []
+        assert not (tmp_path / "journal" / "shards").exists()

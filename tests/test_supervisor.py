@@ -9,6 +9,7 @@ count.
 """
 
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -26,6 +27,7 @@ from repro.experiments.common import PROTO16, allreduce_sweep
 from repro.experiments.runner import TrialRunner, TrialSpec
 from repro.experiments.supervisor import SupervisorConfig
 from repro.results import save_result
+from tests.test_harness_resume import _legacy_entry, _legacy_shard_file, _ok
 from tests.test_runner import _journal_files
 
 SWEEP_KW = dict(proc_counts=(128, 256), n_calls=40, n_seeds=2)
@@ -254,6 +256,31 @@ class TestHarnessChaosDeterminism:
         assert stats[0] == stats[1]
         assert journals[0] == journals[1]
         assert stats[0]["retries"]  # the seed really did kill workers
+
+
+class TestCorruptShardMerge:
+    """A legacy shard tree holding a worker's half-finished writes — a
+    truncated entry, a temp spill — folds cleanly when a resumed
+    campaign opens the journal."""
+
+    def test_corrupt_entry_dropped_with_warning(self, tmp_path, caplog):
+        _legacy_entry(tmp_path, "w1", "good", _ok({"mean_us": 1.0}))
+        _legacy_shard_file(tmp_path, "w999", "torn.json", '{"status": "ok", "rec')
+        with caplog.at_level(logging.WARNING, logger="repro.harness"):
+            reader = SweepJournal(tmp_path)
+        entries = reader.entries()
+        assert "good" in entries and "torn" not in entries
+        assert "dropping corrupt shard entry" in caplog.text
+        assert "torn.json" in caplog.text
+        assert not (tmp_path / "journal" / "shards").exists()
+
+    def test_stale_tmp_spill_is_swept(self, tmp_path):
+        _legacy_shard_file(tmp_path, "w7", ".k.json.abc123.tmp", '{"status": "ok"')
+        _legacy_entry(tmp_path, "w7", "k", _ok({"mean_us": 1.0}))
+        reader = SweepJournal(tmp_path)
+        assert reader.lookup("k") == {"mean_us": 1.0}
+        assert not (tmp_path / "journal" / ".k.json.abc123.tmp").exists()
+        assert not (tmp_path / "journal" / "shards").exists()
 
 
 _DRAIN_DRIVER = """
