@@ -9,7 +9,11 @@ floats.  This script enforces that in CI at ``--quick`` scale:
 * a reduced Figure-4 run — a digest of the sorted Allreduce durations and
   the named slowest-outlier culprit;
 * the analytic model at sweep settings, co-scheduled and not, at a small
-  and a paper-scale size — a digest of the per-call durations.
+  and a paper-scale size — a digest of the per-call durations;
+* a reduced co-scheduled DES run (prototype kernel, priority cycling,
+  IPIs, long polling) — ``events_processed``, a digest of node 0's
+  per-call durations plus the elapsed time, and the co-scheduler's cycle
+  count, which must be at least one.
 
 Any drift fails the job.  When a change *legitimately* alters results
 (a model change, not an engine change), regenerate the golden with::
@@ -99,6 +103,50 @@ def smoke_analytic_sweep() -> dict:
     return {"result_digest": digest.hexdigest(), "wall_s": round(wall, 3)}
 
 
+def smoke_cosched() -> dict:
+    """Co-scheduled serial DES: 16 ranks on 1x16 CPUs, prototype kernel,
+    co-scheduler at period s(5)/50 and 90 % duty, long polling, noise x50."""
+    from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
+    from repro.config import (
+        ClusterConfig,
+        CoschedConfig,
+        KernelConfig,
+        MachineConfig,
+        MpiConfig,
+    )
+    from repro.daemons.catalog import scale_noise, standard_noise
+    from repro.system import System
+    from repro.units import s
+
+    cfg = ClusterConfig(
+        machine=MachineConfig(n_nodes=1, cpus_per_node=16),
+        kernel=KernelConfig.prototype(big_tick=1),
+        cosched=CoschedConfig(enabled=True, period_us=s(5) / 50, duty_cycle=0.9),
+        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
+        noise=scale_noise(standard_noise(include_cron=False), 50.0),
+        seed=7,
+    )
+    system = System(cfg)
+    t0 = time.perf_counter()
+    result = run_aggregate_trace(
+        system, 16, 16,
+        AggregateTraceConfig(calls_per_loop=150, compute_between_us=200.0),
+    )
+    wall = time.perf_counter() - t0
+    cycles = sum(
+        nc.cycles for jc in system.coscheds for nc in jc.node_coscheds.values()
+    )
+    return {
+        "events_processed": system.sim.events_processed,
+        "result_digest": _digest(
+            [[(r, d.tolist()) for r, d in sorted(result.node0_durations_us.items())],
+             result.elapsed_us]
+        ),
+        "cosched_cycles": cycles,
+        "wall_s": round(wall, 3),
+    }
+
+
 #: Keys whose values are timing, not semantics: never compared.
 _VOLATILE = {"wall_s"}
 
@@ -114,6 +162,7 @@ def main(argv=None) -> int:
         "cluster_des": smoke_cluster_des(),
         "fig4_quick": smoke_fig4(),
         "analytic_sweep": smoke_analytic_sweep(),
+        "cosched_quick": smoke_cosched(),
     }
     for name, r in got.items():
         shown = {k: v for k, v in r.items() if k not in _VOLATILE}
@@ -135,6 +184,8 @@ def main(argv=None) -> int:
         return 2
 
     failures = []
+    if got["cosched_quick"]["cosched_cycles"] < 1:
+        failures.append("cosched_quick: the co-scheduler completed no cycle")
     for name, wanted in want.items():
         for key, value in wanted.items():
             if key in _VOLATILE:

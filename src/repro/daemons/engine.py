@@ -79,7 +79,9 @@ def _daemon_body(
             counter[0] += 1
             yield Compute(service)
             if spec.jitter > 0.0:
-                step = spec.period_us * (1.0 + spec.jitter * float(rng.uniform(-1.0, 1.0)))
+                # numpy's uniform(-1, 1) is -1 + 2 * random(): the same
+                # value from the same stream position, at a fifth the cost.
+                step = spec.period_us * (1.0 + spec.jitter * (-1.0 + 2.0 * rng.random()))
             else:
                 step = spec.period_us
             next_t += step
@@ -97,7 +99,7 @@ def _daemon_body(
                 service *= 1.0 + penalty
             total += service
             if spec.jitter > 0.0:
-                step = spec.period_us * (1.0 + spec.jitter * float(rng.uniform(-1.0, 1.0)))
+                step = spec.period_us * (1.0 + spec.jitter * (-1.0 + 2.0 * rng.random()))
             else:
                 step = spec.period_us
             t += step

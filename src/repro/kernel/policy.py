@@ -52,7 +52,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.kernel.thread import Thread, ThreadState
-from repro.sim.core import EventPriority
 
 __all__ = [
     "SchedPolicy",
@@ -66,8 +65,6 @@ __all__ = [
     "validate_policy",
     "make_policy",
 ]
-
-_PRIO_INTERRUPT = EventPriority.INTERRUPT
 
 _REGISTRY: dict[str, type] = {}
 

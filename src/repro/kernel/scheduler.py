@@ -65,10 +65,15 @@ from repro.sim.core import EventPriority, Simulator
 __all__ = ["CpuState", "NodeScheduler"]
 
 #: Hoisted enum members: the dispatcher schedules kernel-priority events on
-#: every completion/wakeup, and repeated ``EventPriority.KERNEL`` attribute
-#: walks show up at profile scale.
-_PRIO_KERNEL = EventPriority.KERNEL
-_PRIO_INTERRUPT = EventPriority.INTERRUPT
+#: every completion/wakeup and tests thread states on every request, and
+#: each enum attribute walk costs about 0.1 µs.  Priorities are plain ints
+#: so ``Simulator.schedule_at`` can skip its ``int()`` normalisation.
+_PRIO_KERNEL = int(EventPriority.KERNEL)
+_PRIO_INTERRUPT = int(EventPriority.INTERRUPT)
+_RUNNING = ThreadState.RUNNING
+_READY = ThreadState.READY
+_SLEEPING = ThreadState.SLEEPING
+_BLOCKED = ThreadState.BLOCKED
 
 
 class CpuState:
@@ -211,7 +216,7 @@ class NodeScheduler:
 
     def wake(self, thread: Thread, value: Any = None) -> None:
         """Complete a Block/Sleep: advance the thread to its next request."""
-        if thread.state not in (ThreadState.BLOCKED, ThreadState.SLEEPING):
+        if thread.state not in (_BLOCKED, _SLEEPING):
             raise RuntimeError(f"wake() on {thread!r} in state {thread.state}")
         if thread.wake_ev is not None:
             thread.wake_ev.cancel()
@@ -223,7 +228,7 @@ class NodeScheduler:
         if thread.spinning is None:
             raise RuntimeError(f"spin_deliver() on non-spinning {thread!r}")
         thread.spinning = None
-        if thread.state is ThreadState.RUNNING:
+        if thread.state is _RUNNING:
             # Account the spin occupancy before the thread moves on.  The
             # segment starts at run_start (set when the spin began or the
             # thread was re-dispatched), NOT cpu.run_began: the occupancy
@@ -231,7 +236,7 @@ class NodeScheduler:
             # _on_complete already credited.
             thread.stats.cpu_time_us += self.sim.now - thread.run_start
             self._advance(thread, value)
-        elif thread.state is ThreadState.READY:
+        elif thread.state is _READY:
             # Preempted mid-spin; resume the generator at next dispatch.
             thread.spin_value = value
             thread.resume_advance = True
@@ -255,13 +260,13 @@ class NodeScheduler:
         if thread.on_priority_change is not None:
             thread.on_priority_change(thread, old, priority)
 
-        if thread.state is ThreadState.READY:
+        if thread.state is _READY:
             q = self._queue_for(thread)
             q.remove(thread)
             q.push(thread)
             if priority < old:
                 self._consider_placement(thread)
-        elif thread.state is ThreadState.RUNNING:
+        elif thread.state is _RUNNING:
             if priority > old:
                 # Reverse preemption: does a waiter now beat us?
                 cpu_idx = thread.cpu
@@ -285,9 +290,9 @@ class NodeScheduler:
         """
         if thread.state is ThreadState.FINISHED:
             return
-        if thread.state is ThreadState.RUNNING:
+        if thread.state is _RUNNING:
             self._off_cpu_and_dispatch(thread, voluntary=False)
-        elif thread.state is ThreadState.READY:
+        elif thread.state is _READY:
             self._queue_for(thread).remove(thread)
         if thread.wake_ev is not None:
             thread.wake_ev.cancel()
@@ -363,7 +368,7 @@ class NodeScheduler:
                 if req.duration_us <= 0:
                     continue
                 thread.work_remaining = req.duration_us
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     self._schedule_completion(thread)
                 else:
                     self._make_ready(thread)
@@ -376,18 +381,18 @@ class NodeScheduler:
                     wake_t = max(sim.now, req.time_us)
                 if thread.tick_quantized:
                     wake_t = self.ticks.quantize_wake(thread.affinity_cpu, wake_t)
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     self._off_cpu_and_dispatch(thread, voluntary=True)
-                thread.state = ThreadState.SLEEPING
+                thread.state = _SLEEPING
                 thread.wake_ev = sim.schedule_at(
                     wake_t, self._timer_wake, thread, priority=_PRIO_KERNEL
                 )
                 return
 
             if cls is Block:
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     self._off_cpu_and_dispatch(thread, voluntary=True)
-                thread.state = ThreadState.BLOCKED
+                thread.state = _BLOCKED
                 return
 
             if cls is SpinWait:
@@ -396,7 +401,7 @@ class NodeScheduler:
                     value = res  # event already occurred; no spin needed
                     continue
                 thread.spinning = req
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     # Occupy the CPU open-endedly; no completion event.
                     thread.run_start = self.sim.now
                     thread.run_work = 0.0
@@ -406,7 +411,7 @@ class NodeScheduler:
 
             if cls is SetPriority:
                 self.set_priority(thread, req.priority, self_call=True)
-                if thread.state is not ThreadState.RUNNING:
+                if thread.state is not _RUNNING:
                     # set_priority preempted us (reverse preemption at the
                     # syscall boundary); the generator resumes at dispatch.
                     thread.resume_advance = True
@@ -414,7 +419,7 @@ class NodeScheduler:
                 continue
 
             if cls is YieldCpu:
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     thread.resume_advance = True
                     self._off_cpu_and_dispatch(thread, voluntary=True)
                     self._make_ready(thread)
@@ -424,7 +429,7 @@ class NodeScheduler:
             raise TypeError(f"unknown syscall request {req!r} from {thread!r}")
 
     def _finish(self, thread: Thread) -> None:
-        if thread.state is ThreadState.RUNNING:
+        if thread.state is _RUNNING:
             self._off_cpu_and_dispatch(thread, voluntary=True)
         if thread.wake_ev is not None:
             thread.wake_ev.cancel()
@@ -436,7 +441,7 @@ class NodeScheduler:
 
     def _timer_wake(self, thread: Thread) -> None:
         thread.wake_ev = None
-        if thread.state is ThreadState.SLEEPING:
+        if thread.state is _SLEEPING:
             self._advance(thread, None)
 
     # ==================================================================
@@ -446,7 +451,7 @@ class NodeScheduler:
     # active policy's queue_for / place / pick in __init__.
 
     def _make_ready(self, thread: Thread) -> None:
-        thread.state = ThreadState.READY
+        thread.state = _READY
         thread.stats.last_ready_at = self.sim.now
         self._queue_for(thread).push(thread)
         self._consider_placement(thread)
@@ -471,7 +476,7 @@ class NodeScheduler:
 
     def _place(self, cpu: CpuState, thread: Thread) -> None:
         now = self.sim.now
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         thread.cpu = cpu.index
         cpu.thread = thread
         cpu.run_began = now
@@ -508,7 +513,7 @@ class NodeScheduler:
         # Only fire while the thread still holds a CPU *and* the
         # continuation is still pending; otherwise the flag survives and the
         # next _place schedules a fresh resume.
-        if thread.state is ThreadState.RUNNING and thread.resume_advance:
+        if thread.state is _RUNNING and thread.resume_advance:
             thread.resume_advance = False
             value, thread.spin_value = thread.spin_value, None
             self._advance(thread, value)

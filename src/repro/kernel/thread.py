@@ -77,7 +77,7 @@ class Compute:
     duration_us: float
 
     def __post_init__(self) -> None:
-        if self.duration_us < 0:
+        if not self.duration_us >= 0:  # also rejects NaN
             raise ValueError("Compute duration must be >= 0")
 
 
@@ -86,7 +86,7 @@ class Sleep:
     duration_us: float
 
     def __post_init__(self) -> None:
-        if self.duration_us < 0:
+        if not self.duration_us >= 0:  # also rejects NaN
             raise ValueError("Sleep duration must be >= 0")
 
 

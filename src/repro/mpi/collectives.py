@@ -88,8 +88,9 @@ def allreduce_recursive_doubling(
     while mask < pof2:
         newdst = newrank ^ mask
         dst = newdst * 2 + 1 if newdst < rem else newdst + rem
-        yield from world.send(rank, dst, tag(("rd", rnd)), value, nbytes)
-        msg = yield from world.recv(rank, dst, tag(("rd", rnd)))
+        rd_tag = tag(("rd", rnd))
+        yield from world.send(rank, dst, rd_tag, value, nbytes)
+        msg = yield from world.recv(rank, dst, rd_tag)
         value = yield from world.reduce_local(op, value, msg.payload, nbytes)
         mask <<= 1
         rnd += 1

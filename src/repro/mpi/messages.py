@@ -10,7 +10,7 @@ from repro.sim.core import EventPriority
 __all__ = ["Message", "ReliableTransport"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """One point-to-point message.
 
@@ -24,6 +24,17 @@ class Message:
     tag: Hashable
     payload: Any
     nbytes: int
+
+    def __init__(self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int) -> None:
+        # One message per send: filling the instance dict directly costs
+        # about a third of the generated frozen __init__, which goes
+        # through object.__setattr__ once per field.
+        d = self.__dict__
+        d["src"] = src
+        d["dst"] = dst
+        d["tag"] = tag
+        d["payload"] = payload
+        d["nbytes"] = nbytes
 
     @property
     def key(self) -> tuple:

@@ -44,6 +44,12 @@ class MpiWorld:
         self.cluster = cluster
         self.placement = placement
         self.config = config
+        #: Fixed-cost requests, built once: requests are frozen, so every
+        #: send/recv/combine can yield the same instance.
+        self._overhead = Compute(cluster.config.network.overhead_us)
+        self._reduce_op = Compute(config.reduce_op_us)
+        #: ``placement.node_of`` inlined on the send path.
+        self._tasks_per_node = placement.tasks_per_node
         self._mail: dict[tuple, deque] = {}
         self._spin_waiters: dict[tuple, Thread] = {}
         self._block_waiters: dict[tuple, Thread] = {}
@@ -95,10 +101,11 @@ class MpiWorld:
         self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int
     ) -> Generator:
         """Eager send: CPU overhead on the sender, then fire-and-forget."""
-        yield Compute(self.cluster.config.network.overhead_us)
+        yield self._overhead
         msg = Message(src, dst, tag, payload, nbytes)
-        src_node = self.placement.node_of(src)
-        dst_node = self.placement.node_of(dst)
+        tpn = self._tasks_per_node
+        src_node = src // tpn
+        dst_node = dst // tpn
         router = self.cluster.router
         if self.reliability is not None:
             # The transport owns cross-shard routing for its own data and
@@ -130,12 +137,12 @@ class MpiWorld:
             # The blocking path pays for the syscall + adapter interrupt +
             # scheduler wakeup that polling avoids.
             yield Compute(self.config.block_wakeup_cost_us)
-        yield Compute(self.cluster.config.network.overhead_us)
+        yield self._overhead
         return msg
 
     def reduce_local(self, op: Callable, a: Any, b: Any, nbytes: int) -> Generator:
         """Combine two contributions, charging reduction CPU time."""
-        yield Compute(self.config.reduce_op_us)
+        yield self._reduce_op
         return op(a, b)
 
     # ------------------------------------------------------------------

@@ -23,6 +23,9 @@ from repro.sim.core import EventPriority, Simulator
 
 __all__ = ["Fabric", "MessageStats"]
 
+#: Plain int, hoisted: ``Simulator.schedule_at`` skips ``int()`` for it.
+_PRIO_MESSAGE = int(EventPriority.MESSAGE)
+
 
 @dataclass
 class MessageStats:
@@ -94,10 +97,10 @@ class Fabric:
         if self.fault_plane is not None and faultable:
             for extra in self.fault_plane.plan(src_node, dst_node, nbytes):
                 self.sim.schedule_at(
-                    arrival + extra, on_arrive, payload, priority=EventPriority.MESSAGE
+                    arrival + extra, on_arrive, payload, priority=_PRIO_MESSAGE
                 )
             return arrival
-        self.sim.schedule_at(arrival, on_arrive, payload, priority=EventPriority.MESSAGE)
+        self.sim.schedule_at(arrival, on_arrive, payload, priority=_PRIO_MESSAGE)
         return arrival
 
     def wire_time(self, nbytes: int, same_node: bool) -> float:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from enum import IntEnum
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 __all__ = ["Event", "EventPriority", "Simulator", "SimulationError"]
@@ -61,6 +62,11 @@ class EventPriority(IntEnum):
     KERNEL = 2        # dispatcher passes, wakeups, completion processing
     NORMAL = 3        # default application-level callbacks
     LATE = 4          # bookkeeping that must observe everything else
+
+
+#: Plain-int default priority: ``schedule_at`` skips its ``int()`` call for
+#: priorities that already are plain ints (hot callers hoist theirs too).
+_PRIO_NORMAL = int(EventPriority.NORMAL)
 
 
 class Event:
@@ -137,7 +143,10 @@ class Simulator:
     Callbacks receive their ``args`` and may schedule further events.  The
     clock only moves forward; scheduling strictly in the past raises
     :class:`SimulationError` (scheduling *at* the current instant is legal
-    and common — e.g. an immediate dispatcher pass).
+    and common — e.g. an immediate dispatcher pass).  A NaN time or delay
+    raises too: NaN compares false with everything, so it would corrupt
+    the heap order.  The guards are written ``not x >= bound`` so that one
+    comparison rejects both the past and NaN.
     """
 
     def __init__(self) -> None:
@@ -166,11 +175,11 @@ class Simulator:
         delay: float,
         fn: Callable[..., Any],
         *args: Any,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _PRIO_NORMAL,
     ) -> Event:
         """Schedule *fn(*args)* to run *delay* µs from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay!r}")
         return self.schedule_at(self.now + delay, fn, *args, priority=priority)
 
     def schedule_at(
@@ -178,15 +187,16 @@ class Simulator:
         time: float,
         fn: Callable[..., Any],
         *args: Any,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _PRIO_NORMAL,
     ) -> Event:
         """Schedule *fn(*args)* at absolute time *time* (µs)."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(f"cannot schedule at {time!r}; now is {self.now!r}")
-        priority = int(priority)
+        if priority.__class__ is not int:
+            priority = int(priority)
         seq = next(self._seq)
         ev = Event(time, priority, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, priority, seq, ev))
+        heappush(self._heap, (time, priority, seq, ev))
         self._live += 1
         return ev
 
@@ -275,8 +285,8 @@ class Simulator:
         valve for tests (raises :class:`SimulationError` when exceeded, which
         catches accidental event storms early instead of hanging CI).
         """
-        if time < self.now:
-            raise SimulationError(f"run_until({time!r}) is in the past (now={self.now!r})")
+        if not time >= self.now:
+            raise SimulationError(f"run_until({time!r}) is in the past or NaN (now={self.now!r})")
         processed = 0
         # The pop/fire pair is inlined below: at profile scale the two
         # method calls per event are a measurable slice of the engine's
@@ -330,9 +340,9 @@ class Simulator:
         message can still arrive exactly at the horizon instant with an
         earlier tie-break priority.  Returns the number of events processed.
         """
-        if bound < self.now:
+        if not bound >= self.now:
             raise SimulationError(
-                f"run_until_before({bound!r}) is in the past (now={self.now!r})"
+                f"run_until_before({bound!r}) is in the past or NaN (now={self.now!r})"
             )
         processed = 0
         heap = self._heap

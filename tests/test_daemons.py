@@ -1,5 +1,6 @@
 """Daemon engine + catalog: periodicity, batching, budgets, ablations."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -18,7 +19,7 @@ from repro.daemons.catalog import (
 )
 from repro.daemons.engine import install_noise
 from repro.machine import Cluster
-from repro.rng import Constant
+from repro.rng import Constant, Exponential
 from repro.units import ms, s
 
 
@@ -36,6 +37,30 @@ def spec(**kw):
     base = dict(name="d", period_us=ms(10), service=Constant(100.0), jitter=0.0)
     base.update(kw)
     return DaemonSpec(**base)
+
+
+#: First 50 activation instants (µs) of the jittered per-CPU daemon in
+#: ``TestJitter.test_jittered_activation_instants_pinned``, recorded when
+#: the jitter was still drawn with ``float(rng.uniform(-1.0, 1.0))``.
+JITTERED_ACTIVATIONS = [
+    0.0, 9354.297686489479, 18631.76157046711,
+    32794.50755244856, 46472.036930053095, 58251.70940156005,
+    73067.09784203576, 82774.57743965145, 87837.17541334704,
+    102266.01662932751, 112323.6693199124, 120730.40614291442,
+    126231.55374639684, 141150.36250101883, 152408.52944380048,
+    165296.39563568452, 174886.0018785305, 186790.48376274694,
+    199325.9204982896, 211133.8958889141, 220552.1800902485,
+    234209.73884626167, 248881.59027601342, 256649.88506175036,
+    271051.7685748231, 279645.19215630955, 287517.81810315634,
+    299242.67882827326, 311258.9178269198, 323551.30671670026,
+    335717.4655626558, 345806.99978190375, 354083.2954452054,
+    365992.7951370968, 374960.2037553258, 380729.01536485454,
+    392657.38351056713, 402821.58563655335, 415343.16503861,
+    425714.55884534965, 431977.8307762453, 444052.31912524824,
+    455765.3663880678, 464363.1329304533, 472256.9076489596,
+    477869.7334456347, 483108.7670817327, 489530.3668688465,
+    495931.9647109724, 502697.3556290278,
+]
 
 
 class TestDaemonSpec:
@@ -161,6 +186,40 @@ class TestEngine:
         c.run_for(ms(120))
         # Service 100us inflated by 50% (plus context switch).
         assert all(d >= 150.0 - 1e-6 for d in probe)
+
+
+class TestJitter:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**31 - 1])
+    def test_random_transform_equals_uniform(self, seed):
+        """The engine draws jitter as ``-1 + 2 * rng.random()``: numpy's
+        ``uniform(low, high)`` is ``low + (high - low) * next_double``, so
+        both forms give the same values from the same stream position."""
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10_000):
+            assert -1.0 + 2.0 * a.random() == float(b.uniform(-1.0, 1.0))
+        assert a.random() == b.random()  # and they consumed the same stream
+
+    def test_jittered_activation_instants_pinned(self):
+        """A hardware per-CPU daemon on an idle node is dispatched exactly
+        at each activation instant (no tick quantisation), so its run
+        intervals start at the instants the jittered loop computed."""
+        c = one_node_cluster(seed=11)
+        starts = []
+
+        class Probe:
+            def record_interval(self, node, cpu, thread, t0, t1):
+                if thread.name == "d.c1":
+                    starts.append(t0)
+
+        c.trace = Probe()
+        for node in c.nodes:
+            node.scheduler.trace = c.trace
+        nc = NoiseConfig(daemons=(spec(
+            service=Exponential(100.0), jitter=0.5, per_cpu=True, hardware=True,
+        ),))
+        install_noise(c, nc)
+        c.run_for(ms(600))
+        assert starts[:50] == JITTERED_ACTIVATIONS
 
 
 class TestCatalog:

@@ -124,6 +124,18 @@ class TestDegenerateRequests:
         assert t.finished
 
 
+class TestNaNDurations:
+    @pytest.mark.parametrize("request_cls", [Compute, Sleep])
+    def test_nan_duration_rejected(self, request_cls):
+        with pytest.raises(ValueError):
+            request_cls(float("nan"))
+
+    @pytest.mark.parametrize("request_cls", [Compute, Sleep])
+    def test_negative_duration_rejected(self, request_cls):
+        with pytest.raises(ValueError):
+            request_cls(-1.0)
+
+
 class TestSpinRaces:
     def test_double_spinner_same_key_rejected(self):
         """The MPI layer guarantees one waiter per key; the guard raises."""

@@ -59,6 +59,49 @@ class TestScheduling:
         assert sim.now == 3.0
 
 
+NAN = float("nan")
+
+
+class TestNaNTimes:
+    """NaN compares false with everything, so a NaN-timed heap entry used
+    to poison the heap order and a NaN bound used to drain the whole
+    queue.  Every entry point rejects NaN instead."""
+
+    def test_schedule_nan_delay_raises(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule(NAN, lambda: None)
+
+    @pytest.mark.parametrize("offset", [0.0, 2.0])
+    def test_schedule_at_nan_raises(self, offset):
+        sim = Simulator()
+        sim.run_until(offset)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(sim.now + NAN, lambda: None)
+        assert sim.pending == 0
+
+    def test_rejected_nan_keeps_firing_order(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule_at(5.0, hits.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(NAN, hits.append, "nan")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(sim.now + NAN, hits.append, "nan2")
+        sim.schedule_at(1.0, hits.append, "b")
+        sim.schedule_at(3.0, hits.append, "c")
+        sim.run()
+        assert hits == ["b", "c", "a"]
+
+    @pytest.mark.parametrize("method", ["run_until", "run_until_before"])
+    def test_run_to_nan_raises_and_keeps_queue(self, method):
+        sim = Simulator()
+        hits = []
+        sim.schedule_at(1.0, hits.append, 1)
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(NAN)
+        assert hits == [] and sim.now == 0.0 and sim.pending == 1
+
+
 class TestOrdering:
     def test_fifo_among_exact_ties(self):
         sim = Simulator()
