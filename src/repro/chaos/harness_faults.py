@@ -37,7 +37,7 @@ left alone — plus one injected crash-mid-GC (a mark journal with no
 completed sweep).  ``store fsck`` must detect every one of the damaging
 injections, ``fsck --repair`` must return the store to clean, and the
 ``dup`` axis must produce *zero* findings; that is the store-chaos
-acceptance loop the CI smoke job drives.
+acceptance loop ``tests/test_contract.py`` drives through the CLI.
 """
 
 from __future__ import annotations

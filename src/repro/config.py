@@ -496,10 +496,6 @@ class NoiseConfig:
     """The complete interference ecology for a run."""
 
     daemons: tuple[DaemonSpec, ...] = ()
-    #: Per-rank residual jitter that no scheduling policy removes (cache,
-    #: memory, switch contention); sampled per compute segment.
-    residual_jitter: Optional[Distribution] = None
-    residual_jitter_prob: float = 0.0
 
     def __post_init__(self) -> None:
         names = [d.name for d in self.daemons]

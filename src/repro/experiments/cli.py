@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     pdes_group.add_argument(
         "--digest-out", metavar="PATH",
         help="pdes: write the run's result digest to PATH (one hex line; "
-             "CI byte-compares these across shard counts)",
+             "tests/test_contract.py compares these across shard counts)",
     )
     policy_group = parser.add_argument_group("dispatch policy (E13 / chaos)")
     policy_group.add_argument(

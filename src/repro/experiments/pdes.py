@@ -5,8 +5,9 @@ aggregate-trace workload under conservative parallel DES with ``--shards
 N``, print the run's result digest, and optionally write the digest to a
 file.  The digest covers exactly the rank-visible outcome (per-call
 durations of the recorded ranks, reduction integrity, makespan), which
-the engine guarantees is shard-count invariant — so CI runs this twice
-(``--shards 1`` and ``--shards 2``) and byte-compares the digest files.
+the engine guarantees is shard-count invariant — so
+``tests/test_contract.py`` runs it at 1, 2 and worker-killed shards and
+compares each digest file with one golden.
 A human debugging a determinism regression does the same by hand.
 """
 
@@ -64,7 +65,7 @@ def run_pdes(
     *shard_chaos_seed* arms the ``harness.shard.kill`` axis: shard
     workers are SIGKILLed on their deterministic plans and recovered by
     respawn + replay — the printed digest must still match a clean run's
-    (the CI ``shard-chaos-smoke`` recovery check).  Forces forked
+    (checked by ``tests/test_contract.py``).  Forces forked
     workers, since in-process shards have nothing to kill.
     """
     if shard_chaos_seed is not None and use_processes is None:

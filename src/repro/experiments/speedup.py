@@ -41,10 +41,6 @@ class SpeedupResult:
         for the ~3.2× slope ratio)."""
         return 100.0 * self.baseline_allreduce_us / self.proto_allreduce_us
 
-    @property
-    def cycle_speedup_percent(self) -> float:
-        return 100.0 * self.baseline_cycle_us / self.proto_cycle_us
-
 
 def run_speedup154(
     n_nodes: int = 100,

@@ -337,10 +337,6 @@ class NodeScheduler:
         """Number of CPUs with no occupant right now."""
         return sum(1 for c in self.cpus if c.idle)
 
-    def running_threads(self) -> list[Optional[Thread]]:
-        """Per-CPU occupants (None for idle CPUs)."""
-        return [c.thread for c in self.cpus]
-
     # ==================================================================
     # Generator driving
     # ==================================================================

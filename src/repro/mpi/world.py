@@ -226,10 +226,6 @@ class MpiWorld:
             self._block_waiters[key] = blocker
         self._mail.setdefault(key, deque()).append(msg)
 
-    def pending_messages(self) -> int:
-        """Messages delivered but not yet received (test/debug aid)."""
-        return sum(len(q) for q in self._mail.values())
-
     def snapshot_state(self, desc) -> dict:
         """Checkpoint view: mailboxes, waiters, hw-collective state.
 

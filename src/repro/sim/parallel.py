@@ -45,8 +45,7 @@ shard-stable named streams — including per-link message-fault draws,
 per-node pipe-loss draws, and the retransmit layer's ack traffic (see
 :mod:`repro.sim.shard`).  Sharded runs therefore reproduce the serial
 oracle's **result digest byte-for-byte** — enforced by
-``tests/test_parallel_des.py`` and the CI ``parallel-des-smoke`` /
-``shard-chaos-smoke`` jobs.
+``tests/test_parallel_des.py`` and ``tests/test_contract.py``.
 
 What sharded mode rejects (:func:`validate_sharded_config`): hardware
 collectives only — the switch-combine path schedules cross-node arrivals
@@ -511,10 +510,6 @@ class ParallelRunResult:
     wall_s: float = 0.0
     counters: dict = field(default_factory=dict)
     recoveries: int = 0
-
-    @property
-    def events_total(self) -> int:
-        return sum(self.events_per_shard)
 
     def digest_payload(self) -> dict:
         """The rank-visible outcome — the part that is shard-count

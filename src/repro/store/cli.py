@@ -14,7 +14,8 @@ fills it.
 * ``stats`` — durable store facts as ``key=value`` lines.
 * ``chaos --chaos-seed N`` — deterministically damage the store
   (torn/bit-flip/dup per fingerprint, plus one crash-mid-GC) and print a
-  manifest; the CI smoke job then proves fsck detects and repairs it all.
+  manifest; ``tests/test_contract.py`` then proves fsck detects and
+  repairs it all.
 """
 
 from __future__ import annotations

@@ -5,15 +5,14 @@ default is bit-identical to the pre-refactor scheduler (held elsewhere by
 the golden perf_smoke digests), and *every* zoo member — however exotic
 its dispatch order — still satisfies the properties any policy must:
 threads are never lost or duplicated across place/steal/rotate, no CPU
-idles while dispatchable work waits, every run is seed-deterministic,
-and the experiment harness produces byte-identical journals serially and
-under ``--jobs 2``.
+idles while dispatchable work waits, and every run is seed-deterministic.
+Serial vs ``--jobs 2`` byte identity per policy is part of the
+correctness contract (``tests/test_contract.py``).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checkpoint import SweepJournal
 from repro.config import KernelConfig
 from repro.kernel.policy import policy_names, policy_param_names, validate_policy
 from repro.kernel.schedtune import Schedtune
@@ -329,29 +328,3 @@ class TestAixOrdering:
         # The favored (lowest-value) thread always completes first; full
         # completion order is priority order.
         assert done == sorted(prios)
-
-
-# ----------------------------------------------------------------------
-# Experiment harness: serial vs --jobs 2 byte-identical, per policy
-# ----------------------------------------------------------------------
-
-
-def _journal_bytes(journal):
-    return {p.name: p.read_bytes() for p in sorted(journal.dir.glob("*.json"))}
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_policyzoo_serial_vs_jobs2_identical(policy, tmp_path):
-    """The acceptance criterion on the ablation experiment itself: for
-    every policy the journaled trial records are byte-identical whether
-    the grid runs serially or fanned out over worker processes."""
-    from repro.experiments.policyzoo import run_policyzoo
-
-    kw = dict(policies=[policy], sizes=(8,), calls=30, seed=5)
-    js = SweepJournal(tmp_path / "serial")
-    jp = SweepJournal(tmp_path / "par")
-    serial = run_policyzoo(journal=js, jobs=1, **kw)
-    parallel = run_policyzoo(journal=jp, jobs=2, **kw)
-    assert serial.digests == parallel.digests
-    assert serial.mean_us == parallel.mean_us
-    assert _journal_bytes(js) == _journal_bytes(jp)

@@ -90,19 +90,6 @@ class TestSupervisedCleanRuns:
         }
         assert 1 <= runner.stats.spawned <= 2
 
-    def test_supervised_matches_serial_bytes(self, tmp_path):
-        serial = allreduce_sweep(
-            PROTO16, **SWEEP_KW, journal=SweepJournal(tmp_path / "s"), jobs=1
-        )
-        runner = TrialRunner(
-            jobs=4, journal=SweepJournal(tmp_path / "p"), backend="supervised",
-            supervisor=fast_config(),
-        )
-        supervised = allreduce_sweep(PROTO16, **SWEEP_KW, runner=runner)
-        assert np.array_equal(serial.mean_us, supervised.mean_us)
-        assert serial.failure_taxonomy == supervised.failure_taxonomy == {}
-        assert _journal_files(tmp_path / "s") == _journal_files(tmp_path / "p")
-
 
 class TestParentOnlyJournal:
     def test_workers_never_create_journal_shards(self, tmp_path):
