@@ -303,6 +303,25 @@ class TestGc:
 
 
 class TestRunnerStoreIntegration:
+    def test_warm_rerun_executes_zero_trials(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        specs = [_spec(f"t{i}", i) for i in range(4)]
+        cold = TrialRunner(store=store).run(specs)
+        assert _count_trial.calls == 4 and store.puts == 4
+        warm = TrialRunner(store=ResultStore(tmp_path / "store")).run(specs)
+        assert _count_trial.calls == 4  # nothing executed
+        assert all(o.cached for o in warm)
+        assert [o.record for o in warm] == [o.record for o in cold]
+
+    def test_store_hit_materialises_journal_byte_identically(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        specs = [_spec("t0", 5)]
+        TrialRunner(journal=SweepJournal(tmp_path / "cold"), store=store).run(specs)
+        TrialRunner(journal=SweepJournal(tmp_path / "warm"), store=store).run(specs)
+        cold = (tmp_path / "cold" / "journal" / "t0.json").read_bytes()
+        warm = (tmp_path / "warm" / "journal" / "t0.json").read_bytes()
+        assert cold == warm
+
     def test_journal_hit_backfills_the_store(self, tmp_path):
         journal = SweepJournal(tmp_path / "res")
         TrialRunner(journal=journal).run([_spec("t0", 3)])
