@@ -1,526 +1,29 @@
-"""Engine performance harness: events/sec plus subsystem attribution.
+"""White-scale mean-field run: E14 on the paper's ASCI White machine.
 
-This is the perf-regression counterpart of the DES hot-path work: it pins
-the engine's event rate (the first-class scalability metric of the DES
-literature this repo leans on) in ``BENCH_engine.json`` so future PRs can
-see at a glance whether they moved it, and in which subsystem the cycles
-went.
+Runs E14's ``white`` grid, 8192 ranks on 512 nodes x 16 CPUs, exact
+against mean-field batch 32, and prints the curve: event reduction, wall
+speedup, makespan and mean deviation.  It takes minutes of wall time::
 
-Four scenarios, each chosen to exercise one hot layer:
+    PYTHONPATH=src python benchmarks/bench_engine.py --white
 
-* ``event_churn`` — a pure schedule→fire chain: the heap and dispatch
-  loop with no model on top (peak attainable event rate).
-* ``cancel_churn`` — a preemption-shaped workload where most scheduled
-  events are cancelled before firing: lazy deletion + compaction.
-* ``cluster_des`` — the full stack (kernel dispatcher, ticks, MPI, net,
-  daemons) at 64 ranks: the realistic blended rate.
-* ``fig4_attribution`` — the Figure-4 trace-attribution sweep: the
-  interval index's O(log I + k) window queries.
-
-With ``--profile``, the cluster scenario additionally runs under cProfile
-and the JSON gains a per-subsystem attribution of engine time (fractions
-of total tottime by ``repro.<subsystem>``) — the "where did the cycles
-go" view that motivated this harness.
-
-Each invocation appends one labelled entry to the ``history`` list of the
-output file (creating it if missing), so before/after comparisons live in
-the artifact itself::
-
-    PYTHONPATH=src python benchmarks/bench_engine.py --label "tuple heap"
-    PYTHONPATH=.bl/src python benchmarks/bench_engine.py --label "seed"
+Engine timing is ``perfbench/bench.py``'s job, not this script's.
 """
 
-from __future__ import annotations
-
 import argparse
-import cProfile
-import json
-import os
-import platform
-import pstats
-import subprocess
 import sys
-import time
 
-
-def _build_cluster():
-    from repro.config import ClusterConfig, MachineConfig, MpiConfig
-    from repro.daemons.catalog import scale_noise, standard_noise
-    from repro.system import System
-
-    cfg = ClusterConfig(
-        machine=MachineConfig(n_nodes=4, cpus_per_node=16),
-        mpi=MpiConfig(progress_threads_enabled=False),
-        noise=scale_noise(standard_noise(include_cron=False), 30.0),
-        seed=1,
-    )
-    return System(cfg)
-
-
-def bench_event_churn(n_events: int = 200_000) -> dict:
-    """Peak heap throughput: one event always pending, fire→schedule chain."""
-    from repro.sim.core import Simulator
-
-    sim = Simulator()
-    count = [0]
-
-    def tick():
-        count[0] += 1
-        if count[0] < n_events:
-            sim.schedule(1.0, tick)
-
-    sim.schedule(0.0, tick)
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    assert count[0] == n_events
-    return {"events": n_events, "wall_s": round(wall, 4),
-            "events_per_s": round(n_events / wall)}
-
-
-def bench_cancel_churn(n_rounds: int = 100_000) -> dict:
-    """Preemption-shaped load: every fired event cancels a decoy.
-
-    Each round schedules a decoy far in the future and cancels the
-    previous round's decoy, so the heap continuously accretes dead
-    entries the way the dispatcher's cancel-and-reschedule of compute
-    completions does.  Exercises lazy deletion and compaction; also
-    reports the peak raw heap length as a boundedness signal.
-    """
-    from repro.sim.core import Simulator
-
-    sim = Simulator()
-    state = {"round": 0, "decoy": None, "peak_heap": 0}
-
-    def nop():  # pragma: no cover - decoys never fire
-        raise AssertionError("decoy fired")
-
-    def tick():
-        state["round"] += 1
-        if state["decoy"] is not None:
-            state["decoy"].cancel()
-        if len(sim._heap) > state["peak_heap"]:
-            state["peak_heap"] = len(sim._heap)
-        if state["round"] < n_rounds:
-            state["decoy"] = sim.schedule(1e12, nop)
-            sim.schedule(1.0, tick)
-
-    sim.schedule(0.0, tick)
-    t0 = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - t0
-    return {
-        "rounds": n_rounds,
-        "wall_s": round(wall, 4),
-        "events_per_s": round(n_rounds / wall),
-        "peak_heap_entries": state["peak_heap"],
-        "final_pending": sim.pending,
-    }
-
-
-def bench_cluster_des(profile: bool = False) -> tuple[dict, dict | None]:
-    """Blended full-stack rate; optionally with subsystem attribution.
-
-    The events/sec figure always comes from an unprofiled run; with
-    *profile* a second, separate run gathers the cProfile attribution so
-    tracing overhead never contaminates the recorded rate.
-    """
-    from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
-
-    def run_once(prof: cProfile.Profile | None):
-        system = _build_cluster()
-        t0 = time.perf_counter()
-        if prof is not None:
-            prof.enable()
-        run_aggregate_trace(
-            system, 64, 16,
-            AggregateTraceConfig(calls_per_loop=150, compute_between_us=200.0),
-        )
-        if prof is not None:
-            prof.disable()
-        return time.perf_counter() - t0, system.sim.events_processed
-
-    wall, events = run_once(None)
-    result = {
-        "ranks": 64,
-        "events": events,
-        "wall_s": round(wall, 4),
-        "events_per_s": round(events / wall),
-    }
-    attribution = None
-    if profile:
-        prof = cProfile.Profile()
-        run_once(prof)
-        attribution = _subsystem_attribution(prof)
-    return result, attribution
-
-
-def _subsystem_attribution(prof: cProfile.Profile) -> dict:
-    """Fold cProfile tottime into fractions by repro.<subsystem>."""
-    stats = pstats.Stats(prof)
-    by_subsystem: dict[str, float] = {}
-    total = 0.0
-    for (filename, _lineno, _fn), (_cc, _nc, tottime, _ct, _callers) in stats.stats.items():
-        total += tottime
-        marker = os.sep + "repro" + os.sep
-        if marker in filename:
-            sub = filename.split(marker, 1)[1].split(os.sep)[0].removesuffix(".py")
-        elif filename.startswith("<") or "python" in filename.lower():
-            sub = "(interpreter)"
-        else:
-            sub = "(other)"
-        by_subsystem[sub] = by_subsystem.get(sub, 0.0) + tottime
-    if total <= 0:
-        return {}
-    out = {k: round(v / total, 4) for k, v in
-           sorted(by_subsystem.items(), key=lambda kv: -kv[1])}
-    out["_total_tottime_s"] = round(total, 3)
-    return out
-
-
-def bench_policy_dispatch() -> dict:
-    """Dispatch-core cost across the SchedPolicy zoo, aix first.
-
-    A deliberately dispatch-bound shape: no daemon noise, every CPU
-    occupied by a rank, short compute bursts — so context switches,
-    queue ops, and the policy's place/pick/on_tick hooks dominate the
-    event mix.  The ``aix`` rate here is the guard for the
-    policy-extraction refactor: its indirection must stay within noise
-    (≤3%) of the pre-refactor hard-coded dispatcher, measured via
-    :func:`bench_cluster_des` on the same machine state.  The other
-    policies are recorded for context, not guarded — e.g. ``fair``
-    legitimately pays for vruntime bookkeeping per queue op.
-    """
-    from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
-    from repro.config import ClusterConfig, KernelConfig, MachineConfig, MpiConfig
-    from repro.kernel.policy import policy_names
-    from repro.system import System
-
-    out = {}
-    for policy in policy_names():
-        cfg = ClusterConfig(
-            machine=MachineConfig(n_nodes=2, cpus_per_node=8),
-            kernel=KernelConfig(policy=policy),
-            mpi=MpiConfig(progress_threads_enabled=False),
-            seed=3,
-        )
-        system = System(cfg)
-        t0 = time.perf_counter()
-        run_aggregate_trace(
-            system, 16, 8,
-            AggregateTraceConfig(calls_per_loop=120, compute_between_us=150.0),
-        )
-        wall = time.perf_counter() - t0
-        events = system.sim.events_processed
-        out[policy] = {
-            "events": events,
-            "wall_s": round(wall, 4),
-            "events_per_s": round(events / wall),
-        }
-    aix = out["aix"]["events_per_s"]
-    out["relative_to_aix"] = {
-        name: round(out[name]["events_per_s"] / aix, 3)
-        for name in out if name != "aix" and "events_per_s" in out[name]
-    }
-    return out
-
-
-def bench_fig4_attribution() -> dict:
-    """The Figure-4 analysis shape: many windows against one dense trace.
-
-    Synthetic but dimensioned like the real run (one node, ~30k recorded
-    intervals, 448 windows), isolating the interval-index query cost from
-    DES noise.  Deterministic: no RNG, so the checksum pins equivalence
-    across engine versions as well as speed.
-    """
-    from repro.trace.analysis import attribute_window
-    from repro.trace.recorder import RunInterval, TraceRecorder
-
-    trace = TraceRecorder(enabled=True)
-    names = ["app.rank0", "syncd", "mmfsd", "hatsd", "cron_health"]
-    cats = ["app", "daemon", "daemon", "daemon", "daemon"]
-    t = 0.0
-    for i in range(30_000):
-        j = i % 5
-        dur = 40.0 + (i % 17)
-        trace.intervals.append(
-            RunInterval(0, i % 16, j, names[j], cats[j], t, t + dur)
-        )
-        t += dur * 0.25  # overlapping occupancy across 16 CPUs
-    span = t
-    windows = [
-        (k * span / 448.0, (k + 1) * span / 448.0 + 500.0) for k in range(448)
-    ]
-    t0 = time.perf_counter()
-    checksum = 0.0
-    for w0, w1 in windows:
-        att = attribute_window(trace, 0, w0, w1)
-        checksum += att.interference_us
-    wall = time.perf_counter() - t0
-    return {
-        "intervals": len(trace.intervals),
-        "windows": len(windows),
-        "wall_s": round(wall, 4),
-        "windows_per_s": round(len(windows) / wall),
-        "interference_checksum_us": round(checksum, 6),
-    }
-
-
-def bench_fig4_end_to_end() -> dict:
-    """Full run_fig4 at the paper's default 944 ranks: the acceptance metric."""
-    import hashlib
-
-    from repro.experiments.fig4 import run_fig4
-
-    t0 = time.perf_counter()
-    res = run_fig4()
-    wall = time.perf_counter() - t0
-    return {
-        "n_ranks": res.n_ranks,
-        "wall_s": round(wall, 3),
-        "result_digest": hashlib.sha256(
-            res.sorted_durations_us.tobytes()
-        ).hexdigest(),
-        "slowest_culprit": res.slowest_culprit,
-    }
-
-
-def bench_meanfield() -> dict:
-    """The mean-field accuracy/speed curve (E14, quick grid).
-
-    This is the published artifact for the fast path: per batch factor,
-    the event-count reduction and wall speedup against the exact engine,
-    with the sorted-curve error quantiles that price the approximation.
-    The oracle gate (batch=1 digest == exact digest) rides along, so a
-    regression that silently changes the exact path shows up here too.
-    """
-    from repro.experiments.e14_meanfield import run_e14
-
-    res = run_e14(quick=True)
-    return {
-        "n_ranks": res.n_ranks,
-        "n_nodes": res.n_nodes,
-        "oracle_ok": res.oracle_ok,
-        "exact_events": res.exact_events,
-        "exact_wall_s": round(res.exact_wall_s, 3),
-        "curve": [
-            {
-                "batch": res.batches[i],
-                "events": res.events[i],
-                "event_reduction": round(res.event_reduction[i], 3),
-                "wall_speedup": round(res.wall_speedup[i], 3),
-                "elapsed_dev_pct": round(res.elapsed_dev_pct[i], 3),
-                "mean_dev_pct": round(res.mean_dev_pct[i], 3),
-                "curve_err_p50_pct": round(res.curve_err_p50_pct[i], 3),
-                "curve_err_p90_pct": round(res.curve_err_p90_pct[i], 3),
-            }
-            for i in range(len(res.batches))
-        ],
-    }
-
-
-def bench_sharded_des(shards: int = 2) -> dict:
-    """Conservative parallel DES across real worker processes.
-
-    The *correctness* half always runs: an N-shard run's result digest
-    must equal the serial run's, byte for byte.  The *speedup* half is
-    only meaningful when the machine actually has a core per shard —
-    on smaller boxes it is skipped with an honest annotation instead of
-    recording a "slowdown" that is really just oversubscription.
-    """
-    from repro.experiments.pdes import run_pdes
-
-    cpus = os.cpu_count() or 1
-    serial = run_pdes(shards=1, quick=True)
-    sharded = run_pdes(shards=shards, quick=True)
-    out = {
-        "shards": shards,
-        "n_ranks": serial.n_ranks,
-        "digest_match": serial.digest == sharded.digest,
-        "serial_wall_s": round(serial.wall_s, 3),
-        "sharded_wall_s": round(sharded.wall_s, 3),
-        "events_per_shard": sharded.events_per_shard,
-        "supersteps": sharded.supersteps,
-        "messages_crossed": sharded.messages_crossed,
-    }
-    if cpus < shards:
-        out["speedup"] = None
-        out["skipped"] = (
-            f"cpu_count {cpus} < shards {shards}: wall-clock speedup is not "
-            "measurable on this machine (workers time-share one core); "
-            "digest equivalence still verified"
-        )
-    else:
-        out["speedup"] = round(serial.wall_s / sharded.wall_s, 3)
-    return out
-
-
-def bench_white_meanfield() -> dict:
-    """White-scale fig4-style run: 8192 CPUs (512 nodes x 16), exact vs
-    mean-field.  The headline claim — noise-dominated White-scale runs at
-    >=5x — priced with the makespan/mean deviation of the batched run.
-    Minutes of wall; opt-in via --white.
-    """
-    import numpy as np
-
-    from repro.daemons.catalog import scale_noise, standard_noise
-    from repro.experiments.common import VANILLA16, make_config
-    from repro.sim.meanfield import MeanFieldConfig
-    from repro.sim.parallel import run_parallel
-    from repro.units import s as sec
-
-    n_ranks = 8192
-    noise = scale_noise(standard_noise(include_cron=False), 50.0)
-    cfg = make_config(VANILLA16, n_ranks=n_ranks, noise=noise, seed=1234)
-    params = dict(loops=1, calls_per_loop=4, trace_block=64,
-                  compute_between_us=40000.0, payload_bytes=8,
-                  record_nodes=(0,))
-
-    def one(mf):
-        t0 = time.perf_counter()
-        r = run_parallel(cfg, n_ranks=n_ranks, tasks_per_node=16,
-                         app="repro.apps.aggregate_trace:sharded_app",
-                         app_params=params, shards=1, horizon_us=sec(600),
-                         meanfield=mf, use_processes=False)
-        return r, time.perf_counter() - t0
-
-    exact, exact_wall = one(None)
-    fast, fast_wall = one(MeanFieldConfig(batch=32, exempt_nodes=(0,)))
-    e_sorted = np.sort(np.concatenate([np.asarray(v) for v in exact.ranks.values()]))
-    f_sorted = np.sort(np.concatenate([np.asarray(v) for v in fast.ranks.values()]))
-    return {
-        "n_ranks": n_ranks,
-        "n_nodes": cfg.machine.n_nodes,
-        "batch": 32,
-        "exact_events": sum(exact.events_per_shard),
-        "fast_events": sum(fast.events_per_shard),
-        "event_reduction": round(
-            sum(exact.events_per_shard) / sum(fast.events_per_shard), 3
-        ),
-        "exact_wall_s": round(exact_wall, 1),
-        "fast_wall_s": round(fast_wall, 1),
-        "wall_speedup": round(exact_wall / fast_wall, 3),
-        "elapsed_dev_pct": round(
-            (fast.elapsed_us - exact.elapsed_us) / exact.elapsed_us * 100, 3
-        ),
-        "mean_dev_pct": round(
-            (float(f_sorted.mean()) - float(e_sorted.mean()))
-            / float(e_sorted.mean()) * 100, 3
-        ),
-    }
-
-
-def _git_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, cwd=os.path.dirname(__file__) or ".",
-        ).stdout.strip() or "unknown"
-    except OSError:  # pragma: no cover - git missing
-        return "unknown"
+from repro.experiments.e14_meanfield import format_e14, run_e14
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument("--label", default=None,
-                        help="history entry label (default: the git commit)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the cluster scenario under cProfile and "
-                             "record per-subsystem attribution")
-    parser.add_argument("--fig4", action="store_true",
-                        help="also time the full 944-rank run_fig4 "
-                             "(the PR acceptance metric; ~seconds)")
-    parser.add_argument("--fresh", action="store_true",
-                        help="start a new history instead of appending")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard count for the sharded_des scenario "
-                             "(default: 2)")
-    parser.add_argument("--white", action="store_true",
-                        help="also run the White-scale (8192-CPU) "
-                             "exact-vs-meanfield comparison (~minutes)")
+    parser.add_argument("--white", action="store_true", help="run the White-scale E14 grid")
     args = parser.parse_args(argv)
-
-    commit = _git_commit()
-    entry = {
-        "label": args.label or commit,
-        "commit": commit,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        # Recorded per entry, not just in the (latest-run) environment
-        # block: history accretes across machines, and a speedup number
-        # is only interpretable next to the core count that produced it.
-        "cpu_count": os.cpu_count(),
-        "scenarios": {},
-    }
-    print(f"[bench_engine] label={entry['label']} commit={commit}")
-
-    entry["scenarios"]["event_churn"] = r = bench_event_churn()
-    print(f"  event_churn      : {r['events_per_s'] / 1e6:.2f} M events/s")
-    entry["scenarios"]["cancel_churn"] = r = bench_cancel_churn()
-    print(f"  cancel_churn     : {r['events_per_s'] / 1e6:.2f} M rounds/s "
-          f"(peak heap {r['peak_heap_entries']})")
-    cluster, attribution = bench_cluster_des(profile=args.profile)
-    entry["scenarios"]["cluster_des"] = cluster
-    print(f"  cluster_des      : {cluster['events_per_s'] / 1e3:.0f} k events/s "
-          f"({cluster['events']} events)")
-    if attribution is not None:
-        entry["subsystem_attribution"] = attribution
-        top = [f"{k} {v:.0%}" for k, v in attribution.items()
-               if not k.startswith("_")][:5]
-        print(f"  profile          : {', '.join(top)}")
-    entry["scenarios"]["policy_dispatch"] = r = bench_policy_dispatch()
-    rates = ", ".join(
-        f"{k} {v['events_per_s'] / 1e3:.0f}k"
-        for k, v in r.items() if k != "relative_to_aix"
-    )
-    print(f"  policy_dispatch  : {rates} events/s")
-    entry["scenarios"]["fig4_attribution"] = r = bench_fig4_attribution()
-    print(f"  fig4_attribution : {r['windows_per_s']} windows/s over "
-          f"{r['intervals']} intervals")
-    entry["scenarios"]["meanfield"] = r = bench_meanfield()
-    best = r["curve"][-1]
-    print(f"  meanfield        : oracle {'PASS' if r['oracle_ok'] else 'FAIL'}, "
-          f"batch {best['batch']}: {best['event_reduction']}x events, "
-          f"{best['wall_speedup']}x wall, "
-          f"curve p90 err {best['curve_err_p90_pct']}%")
-    entry["scenarios"]["sharded_des"] = r = bench_sharded_des(shards=args.shards)
-    if r.get("skipped"):
-        print(f"  sharded_des      : digest_match={r['digest_match']} "
-              f"(speedup skipped: {r['skipped'].split(':')[0]})")
-    else:
-        print(f"  sharded_des      : digest_match={r['digest_match']}, "
-              f"{r['speedup']}x wall on {r['shards']} shards")
-    if args.white:
-        entry["scenarios"]["white_meanfield"] = r = bench_white_meanfield()
-        print(f"  white_meanfield  : {r['event_reduction']}x events, "
-              f"{r['wall_speedup']}x wall at {r['n_ranks']} ranks "
-              f"(elapsed dev {r['elapsed_dev_pct']}%)")
-    if args.fig4:
-        entry["scenarios"]["fig4_end_to_end"] = r = bench_fig4_end_to_end()
-        print(f"  fig4_end_to_end  : {r['wall_s']}s, digest "
-              f"{r['result_digest'][:16]}…")
-
-    report = {
-        "benchmark": "DES engine hot paths (events/sec + attribution)",
-        "environment": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
-        "history": [],
-    }
-    if not args.fresh and os.path.exists(args.out):
-        try:
-            with open(args.out) as fh:
-                prior = json.load(fh)
-            report["history"] = prior.get("history", [])
-        except (OSError, ValueError):
-            pass
-    report["history"].append(entry)
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"[wrote {args.out}: {len(report['history'])} history entries]")
+    if not args.white:
+        print("only --white runs here; time the engine with perfbench/bench.py",
+              file=sys.stderr)
+        return 2
+    print(format_e14(run_e14("white")))
     return 0
 
 

@@ -1,23 +1,18 @@
 """Benchmark harness conventions.
 
 Every benchmark regenerates one paper table/figure (DESIGN.md §3): it runs
-the corresponding experiment once under pytest-benchmark timing, prints the
-same rows/series the paper reports, and asserts the *shape* criteria
-(who wins, by roughly what factor, where the pathology shows) — absolute
-microseconds are simulator-relative by construction.
+the corresponding experiment once, prints the same rows/series the paper
+reports, and asserts the *shape* criteria (who wins, by roughly what
+factor, where the pathology shows) — absolute microseconds are
+simulator-relative by construction.  Timing is ``perfbench/bench.py``'s
+job, not these checks'.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
 """
 
 import pytest
-
-
-def run_once(benchmark, fn, **kwargs):
-    """Benchmark *fn* with a single round (experiments are heavy and
-    deterministic; statistical repetition adds nothing)."""
-    return benchmark.pedantic(fn, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
 
 
 @pytest.fixture

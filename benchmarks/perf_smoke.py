@@ -40,7 +40,7 @@ def _digest(payload) -> str:
 
 
 def smoke_cluster_des() -> dict:
-    """Reduced bench_engine cluster scenario: 32 ranks, 2 nodes."""
+    """Full-stack DES under x30 daemon noise: 32 ranks on 2 nodes, 80 calls."""
     from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
     from repro.config import ClusterConfig, MachineConfig, MpiConfig
     from repro.daemons.catalog import scale_noise, standard_noise

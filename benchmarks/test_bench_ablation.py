@@ -1,11 +1,10 @@
 """A1: cumulative ablation of the paper's modifications (DESIGN.md §4)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.ablation import format_ablation, run_ablation
 
 
-def test_bench_ablation_cumulative(benchmark, show):
-    res = run_once(benchmark, run_ablation, n_ranks=944, n_calls=300, n_seeds=3)
+def test_bench_ablation_cumulative(show):
+    res = run_ablation(n_ranks=944, n_calls=300, n_seeds=3)
     show(format_ablation(res))
     means = {label: m for label, m, _ in res.steps}
     vanilla = means["1 vanilla"]

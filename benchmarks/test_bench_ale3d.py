@@ -6,12 +6,11 @@ daemons); with the favored priority just above the I/O daemons, run time
 dropped 24% (1315 s -> 1152 s at 944 processors).
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.ale3d_io import format_ale3d_io, run_ale3d_io
 
 
-def test_bench_ale3d_io_priorities(benchmark, show):
-    res = run_once(benchmark, run_ale3d_io)
+def test_bench_ale3d_io_priorities(show):
+    res = run_ale3d_io()
     show(format_ale3d_io(res))
     # The fiasco: favored above the I/O daemons is SLOWER than no
     # co-scheduling at all, and the loss is in I/O time.

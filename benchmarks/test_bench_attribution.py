@@ -5,12 +5,11 @@ job; other outliers were attributed to syncd/mmfsd/hatsd-class daemons and
 interrupt handlers via AIX traces.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.fig4 import run_fig4
 
 
-def test_bench_outlier_attribution(benchmark, show):
-    res = run_once(benchmark, run_fig4, n_ranks=944, n_calls=448, des_ranks=32)
+def test_bench_outlier_attribution(show):
+    res = run_fig4(n_ranks=944, n_calls=448, des_ranks=32)
     lines = ["T5: top DES outliers and their culprits"]
     for idx, dur, top in res.outlier_attribution[:8]:
         culprits = ", ".join(f"{n} ({c:.0f}us)" for n, c in top)

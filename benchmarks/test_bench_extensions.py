@@ -1,7 +1,6 @@
 """E1–E4: extension benchmarks (paper §6 baseline, §7 future work,
 DESIGN.md §4 design-choice ablations)."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.extensions import (
     format_fine_grain,
     format_hw_collectives,
@@ -14,11 +13,11 @@ from repro.experiments.extensions import (
 )
 
 
-def test_bench_multijob_gang_vs_uncoordinated(benchmark, show):
+def test_bench_multijob_gang_vs_uncoordinated(show):
     """E1: co-located fine-grain jobs need coordination; gang shares the
     machine in slots, demand-based boosting self-organises into serial
     batching (best per-op, worst turnaround fairness)."""
-    res = run_once(benchmark, run_multijob)
+    res = run_multijob()
     show(format_multijob(res))
     assert res.per_op_improvement > 1.5
     assert res.demand_improvement > 1.5
@@ -29,9 +28,9 @@ def test_bench_multijob_gang_vs_uncoordinated(benchmark, show):
     assert res.gang_finish_spread_us / res.gang_makespan_us < 0.3
 
 
-def test_bench_hardware_collectives(benchmark, show):
+def test_bench_hardware_collectives(show):
     """E2: switch-combined Allreduce under the vanilla noise ecology."""
-    res = run_once(benchmark, run_hw_collectives, n_calls=200)
+    res = run_hw_collectives(n_calls=200)
     show(format_hw_collectives(res))
     # Hardware wins at every count, more at scale, but does not reach
     # zero sensitivity (the slowest deposit still gates the combine).
@@ -39,10 +38,10 @@ def test_bench_hardware_collectives(benchmark, show):
     assert res.ratio_at_max() > 1.3
 
 
-def test_bench_fine_grain_hints(benchmark, show):
+def test_bench_fine_grain_hints(show):
     """E3: region-scoped boosting avoids the T4 I/O starvation without
     per-daemon priority tuning."""
-    res = run_once(benchmark, run_fine_grain)
+    res = run_fine_grain()
     show(format_fine_grain(res))
     # Always-on with the untuned priority is the T4 fiasco...
     assert res.always_on_us > res.vanilla_us
@@ -51,41 +50,41 @@ def test_bench_fine_grain_hints(benchmark, show):
     assert res.fine_grain_io_us < res.always_on_io_us / 2
 
 
-def test_bench_clock_misalignment(benchmark, show):
+def test_bench_clock_misalignment(show):
     """E4: the co-scheduler without switch-clock sync loses its edge."""
-    res = run_once(benchmark, run_misalignment)
+    res = run_misalignment()
     show(format_misalignment(res))
     assert res.degradation > 1.1
 
 
-def test_bench_waitmode_tradeoff(benchmark, show):
+def test_bench_waitmode_tradeoff(show):
     """E5: poll wins quiet, block wins under heavy full-occupancy noise."""
     from repro.experiments.workloads import format_waitmode, run_waitmode
 
-    res = run_once(benchmark, run_waitmode)
+    res = run_waitmode()
     show(format_waitmode(res))
     assert res.quiet_poll_advantage > 1.3
     assert res.noisy_block_advantage > 1.1
 
 
-def test_bench_workload_sensitivity(benchmark, show):
+def test_bench_workload_sensitivity(show):
     """E6: collective-heavy codes amplify noise more than wavefronts."""
     from repro.experiments.workloads import format_sensitivity, run_sensitivity
 
-    res = run_once(benchmark, run_sensitivity)
+    res = run_sensitivity()
     show(format_sensitivity(res))
     assert res.collective_slowdown > res.wavefront_slowdown
     assert res.collective_slowdown > 1.5
 
 
-def test_bench_granularity(benchmark, show):
+def test_bench_granularity(show):
     """E7: efficiency falls as cycles shrink; the prototype recovers most
     of the fine-grain loss (paper §2's framing, quantified)."""
     import numpy as np
 
     from repro.experiments.workloads import format_granularity, run_granularity
 
-    res = run_once(benchmark, run_granularity)
+    res = run_granularity()
     show(format_granularity(res))
     # Efficiency improves monotonically-ish with granularity for vanilla.
     assert res.vanilla_efficiency[0] < res.vanilla_efficiency[-1]

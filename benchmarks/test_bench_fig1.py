@@ -1,11 +1,10 @@
 """Figure 1: random vs co-scheduled interference on an 8-way node."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.fig1 import format_fig1, run_fig1
 
 
-def test_bench_fig1_overlap(benchmark, show):
-    res = run_once(benchmark, run_fig1, n_cpus=8, bursts_per_cpu=300, seed=1)
+def test_bench_fig1_overlap(show):
+    res = run_fig1(n_cpus=8, bursts_per_cpu=300, seed=1)
     show(format_fig1(res))
     # Paper's Figure 1 message: same total noise, far more all-CPU time
     # when overlapped; with 8 CPUs the gap is large.

@@ -3,13 +3,12 @@
 Paper shape: linear (not logarithmic) scaling with large variability.
 """
 
-from benchmarks.conftest import run_once
 from repro.analytic.fits import compare_fits
 from repro.experiments.fig6 import format_sweep, run_fig3
 
 
-def test_bench_fig3_vanilla_scaling(benchmark, show):
-    res = run_once(benchmark, run_fig3, n_calls=300, n_seeds=3)
+def test_bench_fig3_vanilla_scaling(show):
+    res = run_fig3(n_calls=300, n_seeds=3)
     show(format_sweep(res, "Figure 3: vanilla kernel, 16 tasks/node"))
     lin, log, winner = compare_fits(res.proc_counts, res.mean_us)
     assert winner == "linear"

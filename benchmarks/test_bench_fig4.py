@@ -5,12 +5,11 @@ fastest, mean several times the model, the slowest call (the 15-minute
 cron job) alone a large share of total time.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.fig4 import format_fig4, run_fig4
 
 
-def test_bench_fig4_sorted_outliers(benchmark, show):
-    res = run_once(benchmark, run_fig4)
+def test_bench_fig4_sorted_outliers(show):
+    res = run_fig4()
     show(format_fig4(res))
     assert res.min_us <= 1.35 * res.model_prediction_us          # fastest near model
     assert 1.05 <= res.median_us / res.min_us <= 2.5             # median modestly above

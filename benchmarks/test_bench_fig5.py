@@ -3,13 +3,12 @@
 Paper shape: much faster than vanilla and far less variable, still linear.
 """
 
-from benchmarks.conftest import run_once
 from repro.analytic.fits import fit_linear
 from repro.experiments.fig6 import format_sweep, run_fig3, run_fig5
 
 
-def test_bench_fig5_prototype_scaling(benchmark, show):
-    res = run_once(benchmark, run_fig5, n_calls=300, n_seeds=3)
+def test_bench_fig5_prototype_scaling(show):
+    res = run_fig5(n_calls=300, n_seeds=3)
     show(format_sweep(res, "Figure 5: prototype kernel + co-scheduler"))
     vanilla = run_fig3(proc_counts=tuple(res.proc_counts), n_calls=150, n_seeds=2)
     # Prototype is faster at every plotted count...

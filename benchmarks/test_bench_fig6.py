@@ -4,12 +4,11 @@ Paper: y_vanilla = 0.70x + 166, y_prototype = 0.22x + 210; slope ratio
 ~3.2x, headline "over 300% speedup on synchronizing collectives".
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.fig6 import format_fig6, run_fig6
 
 
-def test_bench_fig6_fitted_lines(benchmark, show):
-    res = run_once(benchmark, run_fig6, n_calls=300, n_seeds=3)
+def test_bench_fig6_fitted_lines(show):
+    res = run_fig6(n_calls=300, n_seeds=3)
     show(format_fig6(res))
     # Vanilla slope lands near the paper's 0.70 (calibrated ecology).
     assert 0.35 <= res.vanilla_fit.slope <= 1.2

@@ -1,15 +1,14 @@
 """E8: fault injection & resilience at full experiment scale."""
 
-from benchmarks.conftest import run_once
 from repro.experiments.resilience import format_resilience, run_resilience
 
 
-def test_bench_resilience(benchmark, show):
+def test_bench_resilience(show):
     """Graceful degradation: timesync loss lands the co-scheduled run near
     the uncoordinated baseline (never catastrophically past it), message
     loss is absorbed by retransmits, and the watchdog recovers daemon
     death to near-healthy latency."""
-    res = run_once(benchmark, run_resilience)
+    res = run_resilience()
     show(format_resilience(res))
     # Losing timesync really costs coordination...
     assert res.degradation_ratio > 1.2

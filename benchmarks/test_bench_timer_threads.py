@@ -4,12 +4,11 @@ Paper: the 400 ms timer threads disrupted tightly synchronised Allreduces;
 raising the polling interval to ~400 s removed the interference.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.timer_threads import format_timer_threads, run_timer_threads
 
 
-def test_bench_timer_thread_interference(benchmark, show):
-    res = run_once(benchmark, run_timer_threads)
+def test_bench_timer_thread_interference(show):
+    res = run_timer_threads()
     show(format_timer_threads(res))
     # DES: the fix kills the tail the timer threads create.
     assert res.des_max_default_us > 1.3 * res.des_max_fixed_us

@@ -5,13 +5,12 @@ variability using 15 tasks per node.  In spite of the improved
 performance, the scaling is still linear rather than logarithmic."
 """
 
-from benchmarks.conftest import run_once
 from repro.analytic.fits import compare_fits
 from repro.experiments.fig6 import format_sweep, run_fig3, run_tpn15
 
 
-def test_bench_tpn15_workaround(benchmark, show):
-    res = run_once(benchmark, run_tpn15, n_calls=300, n_seeds=3)
+def test_bench_tpn15_workaround(show):
+    res = run_tpn15(n_calls=300, n_seeds=3)
     show(format_sweep(res, "T1: vanilla kernel, 15 tasks/node"))
     lin, log, winner = compare_fits(res.proc_counts, res.mean_us)
     assert winner == "linear"  # still linear, as the paper stresses

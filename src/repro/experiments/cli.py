@@ -230,6 +230,21 @@ def main(argv: list[str] | None = None) -> int:
              " instead of letting the chaos.policy axis draw one",
     )
     args = parser.parse_args(argv)
+    wanted = list(args.experiments)
+    if "all" in wanted:
+        wanted = ["fig1", "fig3", "fig4", "fig5", "fig6", "tpn15",
+                  "speedup", "timers", "ale3d", "ablation",
+                  "multijob", "hw", "finegrain", "misalign", "resilience",
+                  "waitmode", "sensitivity", "granularity", "e9"]
+    elif "extensions" in wanted:
+        wanted = ["multijob", "hw", "finegrain", "misalign", "resilience",
+                  "waitmode", "sensitivity", "granularity"]
+
+    if args.shards is not None and not {"pdes", "chaos", "resilience"} & set(wanted):
+        parser.error("--shards needs the pdes, chaos or resilience experiment")
+    for flag, given in (("--meanfield", args.meanfield), ("--digest-out", args.digest_out)):
+        if given and "pdes" not in wanted:
+            parser.error(f"{flag} needs the pdes experiment")
     if args.policy:
         from repro.kernel.policy import policy_names
 
@@ -282,16 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         path = os.path.join(args.csv, f"{name}.csv")
         write_csv(path, headers, rows)
         print(f"[csv: {path}]")
-
-    wanted = list(args.experiments)
-    if "all" in wanted:
-        wanted = ["fig1", "fig3", "fig4", "fig5", "fig6", "tpn15",
-                  "speedup", "timers", "ale3d", "ablation",
-                  "multijob", "hw", "finegrain", "misalign", "resilience",
-                  "waitmode", "sensitivity", "granularity", "e9"]
-    elif "extensions" in wanted:
-        wanted = ["multijob", "hw", "finegrain", "misalign", "resilience",
-                  "waitmode", "sensitivity", "granularity"]
 
     def save_json(name: str, result) -> None:
         """Archive one experiment's result dataclass (atomic write)."""
@@ -486,7 +491,7 @@ def _run_selected(wanted, args, qa, harness, csv_out, save_json) -> int:
         elif name == "e14":
             from repro.experiments.e14_meanfield import format_e14, run_e14
 
-            res = run_e14(quick=args.quick)
+            res = run_e14("quick" if args.quick else "full")
             print(format_e14(res))
             csv_out(
                 "e14",

@@ -32,35 +32,33 @@ vanilla 16-tasks-per-node machine, so daemon activations — the thing
 mean-field elides — dominate the event budget the way they do over the
 minutes-long windows of a real White run.  The traced node (node 0) is
 exempt from batching, as a real measurement would keep it; its share of
-the event budget shrinks as 1/n_nodes, so the reductions here (16 nodes)
-*understate* White scale (512 nodes).
+the event budget shrinks as 1/n_nodes, so the reductions of the ``full``
+grid (16 nodes) *understate* White scale (512 nodes).  The ``white`` grid
+measures White scale itself: exact against batch 32 only, in minutes of
+wall (``benchmarks/bench_engine.py --white``).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.daemons.catalog import scale_noise, standard_noise
-from repro.experiments.common import VANILLA16, make_config
+from repro.experiments.pdes import TIME_COMPRESSION, run_sharded_trace
 from repro.experiments.reporting import text_table
 from repro.results import register_result
 from repro.sim.meanfield import MeanFieldConfig
-from repro.sim.parallel import run_parallel
-from repro.units import s
 
 __all__ = ["E14Result", "run_e14", "format_e14"]
 
-#: App provider module:attr path (picklable across shard workers).
-APP = "repro.apps.aggregate_trace:sharded_app"
-
-#: Time-compression factor applied to the standard daemon ecology.
-TIME_COMPRESSION = 50.0
-
-BATCHES = (1, 2, 4, 8, 16, 32)
-BATCHES_QUICK = (1, 8, 32)
+#: Grid name -> (n_ranks, calls, compute_between_us, batches).  ``white``
+#: is the paper's ASCI White, 512 nodes x 16 CPUs, at batch 32 only, so
+#: its oracle is not run.
+GRIDS = {
+    "quick": (64, 12, 20000.0, (1, 8, 32)),
+    "full": (256, 48, 20000.0, (1, 2, 4, 8, 16, 32)),
+    "white": (8192, 4, 40000.0, (32,)),
+}
 
 
 @register_result
@@ -90,7 +88,8 @@ class E14Result:
     curve_err_p90_pct: list = field(default_factory=list)
     curve_err_max_abs_us: list = field(default_factory=list)
     digests: list = field(default_factory=list)
-    #: batch=1 reproduced the exact digest bit-for-bit.
+    #: batch=1 reproduced the exact digest bit-for-bit; vacuously true
+    #: when the grid has no batch 1 (``format_e14`` prints "not run").
     oracle_ok: bool = False
 
     def rows(self):
@@ -115,42 +114,19 @@ def _sorted_series(ranks: dict) -> np.ndarray:
     return np.sort(np.concatenate([np.asarray(v, dtype=float) for v in ranks.values()]))
 
 
-def run_e14(quick: bool = False, seed: int = 1234) -> E14Result:
-    """Run the exact reference and the batch sweep; never raises on
-    accuracy — the numbers *are* the result — but records the oracle
-    verdict (``batch=1`` digest equality) for callers to gate on."""
-    if quick:
-        n_ranks, calls, batches = 64, 12, BATCHES_QUICK
-    else:
-        n_ranks, calls, batches = 256, 48, BATCHES
-    compute_between = 20000.0
-    noise = scale_noise(standard_noise(include_cron=False), TIME_COMPRESSION)
-    config = make_config(VANILLA16, n_ranks=n_ranks, noise=noise, seed=seed)
-    params = dict(
-        loops=1,
-        calls_per_loop=calls,
-        trace_block=64,
-        compute_between_us=compute_between,
-        payload_bytes=8,
-        record_nodes=(0,),
-    )
+def run_e14(grid: str = "full", seed: int = 1234) -> E14Result:
+    """Run the exact reference and the batch sweep of one :data:`GRIDS`
+    entry; never raises on accuracy — the numbers *are* the result — but
+    records the oracle verdict (``batch=1`` digest equality) for callers
+    to gate on."""
+    n_ranks, calls, compute_between, batches = GRIDS[grid]
 
     def one(meanfield):
-        t0 = time.perf_counter()
-        r = run_parallel(
-            config,
-            n_ranks=n_ranks,
-            tasks_per_node=16,
-            app=APP,
-            app_params=params,
-            shards=1,
-            horizon_us=s(600),
-            meanfield=meanfield,
-            use_processes=False,
+        return run_sharded_trace(
+            n_ranks, calls, compute_between, meanfield=meanfield, seed=seed
         )
-        return r, time.perf_counter() - t0
 
-    exact, exact_wall = one(None)
+    config, exact = one(None)
     exact_sorted = _sorted_series(exact.ranks)
     exact_mean = float(exact_sorted.mean())
     res = E14Result(
@@ -162,11 +138,11 @@ def run_e14(quick: bool = False, seed: int = 1234) -> E14Result:
         seed=seed,
         exact_digest=exact.digest,
         exact_events=sum(exact.events_per_shard),
-        exact_wall_s=exact_wall,
+        exact_wall_s=exact.wall_s,
         exact_elapsed_us=exact.elapsed_us,
     )
     for b in batches:
-        r, wall = one(MeanFieldConfig(batch=b, exempt_nodes=(0,)))
+        _, r = one(MeanFieldConfig(batch=b, exempt_nodes=(0,)))
         srt = _sorted_series(r.ranks)
         gap = np.abs(srt - exact_sorted)
         rel = gap / exact_sorted * 100.0
@@ -174,8 +150,8 @@ def run_e14(quick: bool = False, seed: int = 1234) -> E14Result:
         res.batches.append(b)
         res.events.append(ev)
         res.event_reduction.append(res.exact_events / ev)
-        res.wall_s.append(wall)
-        res.wall_speedup.append(exact_wall / wall)
+        res.wall_s.append(r.wall_s)
+        res.wall_speedup.append(exact.wall_s / r.wall_s)
         res.elapsed_dev_pct.append(
             (r.elapsed_us - exact.elapsed_us) / exact.elapsed_us * 100.0
         )
@@ -192,13 +168,17 @@ def run_e14(quick: bool = False, seed: int = 1234) -> E14Result:
 
 def format_e14(res: E14Result) -> str:
     """Render the curve as an aligned text table with the oracle verdict."""
+    if 1 not in res.batches:
+        oracle = "not run"
+    else:
+        oracle = "PASS" if res.oracle_ok else "FAIL"
     head = (
         f"E14: mean-field accuracy/speed curve — {res.n_ranks} ranks on "
         f"{res.n_nodes} nodes, {res.calls} Allreduce calls, time "
         f"compression {res.time_compression:g}\n"
         f"exact: {res.exact_events} events, {res.exact_wall_s:.1f}s wall, "
         f"digest {res.exact_digest[:12]}\n"
-        f"oracle (batch=1 bit-identical): {'PASS' if res.oracle_ok else 'FAIL'}"
+        f"oracle (batch=1 bit-identical): {oracle}"
     )
     table = text_table(
         (

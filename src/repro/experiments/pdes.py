@@ -13,17 +13,17 @@ A human debugging a determinism regression does the same by hand.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
+from repro.config import ClusterConfig
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.results import register_result
 from repro.sim.meanfield import MeanFieldConfig
-from repro.sim.parallel import run_parallel
+from repro.sim.parallel import ParallelRunResult, run_parallel
 from repro.units import s
 
-__all__ = ["PdesResult", "run_pdes", "format_pdes"]
+__all__ = ["PdesResult", "run_sharded_trace", "run_pdes", "format_pdes"]
 
 APP = "repro.apps.aggregate_trace:sharded_app"
 TIME_COMPRESSION = 50.0
@@ -52,6 +52,52 @@ class PdesResult:
     recoveries: int = 0
 
 
+def run_sharded_trace(
+    n_ranks: int,
+    calls: int,
+    compute_between_us: float = 20000.0,
+    shards: int = 1,
+    meanfield: MeanFieldConfig | None = None,
+    seed: int = 1234,
+    use_processes: bool | None = None,
+    shard_chaos_seed: int | None = None,
+) -> tuple[ClusterConfig, ParallelRunResult]:
+    """The one recipe for a sharded aggregate-trace run (``pdes``, E14).
+
+    Vanilla kernel at 16 tasks/node, the standard daemon ecology
+    compressed :data:`TIME_COMPRESSION`-fold without cron, one 8-byte
+    Allreduce every *compute_between_us*, node 0 recorded.  *meanfield*
+    is passed through as given: ``MeanFieldConfig(batch=1)`` still runs
+    the mean-field code path, which is what E14's oracle checks.
+    Returns the config that ran and the merged result (whose ``wall_s``
+    times the run itself).
+    """
+    noise = scale_noise(standard_noise(include_cron=False), TIME_COMPRESSION)
+    config = make_config(VANILLA16, n_ranks=n_ranks, noise=noise, seed=seed)
+    params = dict(
+        loops=1,
+        calls_per_loop=calls,
+        trace_block=64,
+        compute_between_us=compute_between_us,
+        payload_bytes=8,
+        record_nodes=(0,),
+    )
+    result = run_parallel(
+        config,
+        n_ranks=n_ranks,
+        tasks_per_node=16,
+        app=APP,
+        app_params=params,
+        shards=shards,
+        horizon_us=s(600),
+        meanfield=meanfield,
+        use_processes=use_processes,
+        shard_chaos_seed=shard_chaos_seed,
+        respawn_backoff_s=0.01 if shard_chaos_seed is not None else 0.05,
+    )
+    return config, result
+
+
 def run_pdes(
     shards: int = 1,
     quick: bool = False,
@@ -70,40 +116,20 @@ def run_pdes(
     """
     if shard_chaos_seed is not None and use_processes is None:
         use_processes = True
-    if quick:
-        n_ranks, calls = 64, 8
-    else:
-        n_ranks, calls = 256, 48
-    noise = scale_noise(standard_noise(include_cron=False), TIME_COMPRESSION)
-    config = make_config(VANILLA16, n_ranks=n_ranks, noise=noise, seed=seed)
-    params = dict(
-        loops=1,
-        calls_per_loop=calls,
-        trace_block=64,
-        compute_between_us=20000.0,
-        payload_bytes=8,
-        record_nodes=(0,),
-    )
-    meanfield = (
-        MeanFieldConfig(batch=meanfield_batch, exempt_nodes=(0,))
-        if meanfield_batch > 1
-        else None
-    )
-    t0 = time.perf_counter()
-    r = run_parallel(
-        config,
-        n_ranks=n_ranks,
-        tasks_per_node=16,
-        app=APP,
-        app_params=params,
+    n_ranks, calls = (64, 8) if quick else (256, 48)
+    config, r = run_sharded_trace(
+        n_ranks,
+        calls,
         shards=shards,
-        horizon_us=s(600),
-        meanfield=meanfield,
+        meanfield=(
+            MeanFieldConfig(batch=meanfield_batch, exempt_nodes=(0,))
+            if meanfield_batch > 1
+            else None
+        ),
+        seed=seed,
         use_processes=use_processes,
         shard_chaos_seed=shard_chaos_seed,
-        respawn_backoff_s=0.01 if shard_chaos_seed is not None else 0.05,
     )
-    wall = time.perf_counter() - t0
     return PdesResult(
         n_ranks=n_ranks,
         n_nodes=config.machine.n_nodes,
@@ -117,7 +143,7 @@ def run_pdes(
         lookahead_us=r.lookahead_us,
         elapsed_us=r.elapsed_us,
         ok=r.ok,
-        wall_s=wall,
+        wall_s=r.wall_s,
         recoveries=r.recoveries,
     )
 

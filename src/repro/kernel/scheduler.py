@@ -162,7 +162,7 @@ class NodeScheduler:
         self.policy.bind(self)
         # Bound-method aliases: the decision calls sit on the dispatch hot
         # path, and one attribute walk per call is the whole price of the
-        # policy indirection (guarded by the bench_engine policy bench).
+        # policy indirection (timed by perfbench's ``cosched`` workload).
         self._queue_for = self.policy.queue_for
         self._consider_placement = self.policy.place
         self._pick_best = self.policy.pick

@@ -238,3 +238,25 @@ def test_e9_checkpoint_and_journal_resumed(tmp_path):
     uninterrupted sweep; the digest pins both outcomes."""
     cli("e9", "--quick", "--results", tmp_path)
     expect("e9 --quick", tree_digest(tmp_path))
+
+
+# ---- e14 --quick: the mean-field oracle and its accuracy curve ----------
+
+def e14_digest(results: Path) -> str:
+    """Digest of E14's deterministic fields: digests and event counts.
+
+    The wall-clock fields (``exact_wall_s``, ``wall_s``,
+    ``wall_speedup``) vary from run to run and stay out.
+    """
+    fields = json.loads((results / "e14.json").read_text())["fields"]
+    kept = {
+        k: fields[k]
+        for k in ("exact_digest", "exact_events", "batches", "digests", "events")
+    }
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
+
+
+def test_e14(tmp_path):
+    out = cli("e14", "--quick", "--results", tmp_path)
+    assert "oracle (batch=1 bit-identical): PASS" in out
+    expect("e14 --quick", e14_digest(tmp_path))

@@ -129,3 +129,24 @@ class TestActivationConservation:
                 assert batched[key] == n_exact
             else:
                 assert abs(batched[key] - n_exact) <= 8
+
+
+class TestE14Report:
+    def test_oracle_not_run_without_batch_1(self):
+        from repro.experiments.e14_meanfield import E14Result, format_e14
+
+        res = E14Result(
+            n_ranks=8192, n_nodes=512, calls=4, compute_between_us=40000.0,
+            time_compression=50.0, seed=1234, exact_digest="ab" * 32,
+            exact_events=1000, exact_wall_s=2.0, exact_elapsed_us=1e6,
+            batches=[32], events=[250], event_reduction=[4.0], wall_s=[1.0],
+            wall_speedup=[2.0], elapsed_dev_pct=[1.0], mean_dev_pct=[0.5],
+            curve_err_p50_pct=[1.0], curve_err_p90_pct=[2.0],
+            curve_err_max_abs_us=[100.0], digests=["cd" * 32], oracle_ok=True,
+        )
+        assert "oracle (batch=1 bit-identical): not run" in format_e14(res)
+
+        res.batches, res.digests = [1], [res.exact_digest]
+        assert "oracle (batch=1 bit-identical): PASS" in format_e14(res)
+        res.oracle_ok = False
+        assert "oracle (batch=1 bit-identical): FAIL" in format_e14(res)

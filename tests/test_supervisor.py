@@ -375,3 +375,20 @@ class TestCliValidation:
             cli.main(["fig3", "--quick", "--max-retries", "-1"])
         with pytest.raises(SystemExit):
             cli.main(["fig3", "--quick", "--backoff", "-0.5"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig6", "--quick", "--shards", "2"],
+             "--shards needs the pdes, chaos or resilience experiment"),
+            (["e14", "--quick", "--meanfield", "8"], "--meanfield needs the pdes experiment"),
+            (["chaos", "--quick", "--shards", "2", "--digest-out", "d.txt"],
+             "--digest-out needs the pdes experiment"),
+        ],
+    )
+    def test_flags_no_selected_experiment_reads_are_rejected(self, argv, message, capsys):
+        from repro.experiments import cli
+
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert message in capsys.readouterr().err
