@@ -52,12 +52,8 @@ def chaos_workload(quick: bool = False) -> ChaosWorkload:
     return _QUICK_WORKLOAD if quick else _FULL_WORKLOAD
 
 
-def _chaos_trial(params: dict) -> dict:
-    """One campaign trial: regenerate the seed's schedule and judge it.
-
-    Top-level and pure (all inputs in *params*), per the TrialRunner
-    contract; the returned record is plain JSON, and contains the entry
-    list so a journaled verdict can be audited without regenerating.
+def _trial_schedule(params: dict) -> tuple[ChaosWorkload, ChaosSchedule]:
+    """Regenerate a trial's workload and schedule from its *params*.
 
     ``params["policy"]`` (a ``{"name": ..., <param>: ...}`` dict), when
     present, *forces* that policy entry onto the schedule — replacing
@@ -71,15 +67,35 @@ def _chaos_trial(params: dict) -> dict:
         entries = [e for e in schedule.entries if e["kind"] != "policy"]
         entries.append({"kind": "policy", **forced})
         schedule = schedule.with_entries(entries)
-    report = judge(schedule)
+    return workload, schedule
+
+
+def _verdict(
+    seed: int, schedule: ChaosSchedule, ok: bool, failed: list, details: dict
+) -> dict:
+    """One trial's journal record: plain JSON, with the entry list so a
+    journaled verdict can be audited without regenerating."""
     return {
-        "seed": params["seed"],
-        "ok": report.ok,
-        "failed": list(report.failed),
+        "seed": seed,
+        "ok": ok,
+        "failed": failed,
         "n_entries": len(schedule.entries),
         "entries": [dict(e) for e in schedule.entries],
-        "details": report.details,
+        "details": details,
     }
+
+
+def _chaos_trial(params: dict) -> dict:
+    """One campaign trial: regenerate the seed's schedule and judge it.
+
+    Top-level and pure (all inputs in *params*), per the TrialRunner
+    contract.
+    """
+    _, schedule = _trial_schedule(params)
+    report = judge(schedule)
+    return _verdict(
+        params["seed"], schedule, report.ok, list(report.failed), report.details
+    )
 
 
 def _chaos_shard_trial(params: dict) -> dict:
@@ -105,13 +121,7 @@ def _chaos_shard_trial(params: dict) -> dict:
     from repro.chaos.oracles import build_cluster_config, liveness_bound_us
     from repro.sim.parallel import ShardFailureError, run_parallel
 
-    workload = ChaosWorkload(**params["workload"])
-    schedule = generate_schedule(params["seed"], workload)
-    forced = params.get("policy")
-    if forced:
-        entries = [e for e in schedule.entries if e["kind"] != "policy"]
-        entries.append({"kind": "policy", **forced})
-        schedule = schedule.with_entries(entries)
+    workload, schedule = _trial_schedule(params)
     shards = params["shards"]
     shard_chaos = params.get("shard_chaos")
     daemonic = multiprocessing.current_process().daemon
@@ -141,16 +151,6 @@ def _chaos_shard_trial(params: dict) -> dict:
         job_name="chaos",
     )
 
-    def record(ok: bool, failed: list, details: dict) -> dict:
-        return {
-            "seed": params["seed"],
-            "ok": ok,
-            "failed": failed,
-            "n_entries": len(schedule.entries),
-            "entries": [dict(e) for e in schedule.entries],
-            "details": details,
-        }
-
     try:
         serial = run_parallel(cfg, shards=1, use_processes=False, **kw)
         sharded = run_parallel(
@@ -166,8 +166,8 @@ def _chaos_shard_trial(params: dict) -> dict:
     except RuntimeError as exc:
         # run_parallel raises at the horizon instead of returning an
         # incomplete run — the sharded analogue of a liveness failure.
-        return record(
-            False, ["liveness"],
+        return _verdict(
+            params["seed"], schedule, False, ["liveness"],
             {"bound_us": bound, "elapsed_us": bound, "completed": False,
              "error": str(exc)},
         )
@@ -176,8 +176,8 @@ def _chaos_shard_trial(params: dict) -> dict:
         failed.append("safety")
     if sharded.digest != serial.digest or sharded.counters != serial.counters:
         failed.append("determinism")
-    return record(
-        not failed, failed,
+    return _verdict(
+        params["seed"], schedule, not failed, failed,
         {
             "bound_us": bound,
             "elapsed_us": sharded.elapsed_us,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import pickle
 import re
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -100,7 +99,7 @@ class CheckpointManager:
         Registry name and picklable kwargs that rebuild *driver* — the
         replay recipe stored in every checkpoint file.
     policy:
-        Cadence, retention, verification and monitoring knobs.
+        Cadence, retention and sanitizer knobs.
     out_dir:
         Directory for checkpoint files (created if needed).
     """
@@ -120,15 +119,10 @@ class CheckpointManager:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
-        self.monitor: Optional[InvariantMonitor] = (
-            InvariantMonitor(driver.system) if policy.check_invariants else None
-        )
+        self.monitor = InvariantMonitor(driver.system)
         if policy.sanitize:
-            if self.monitor is None:
-                self.monitor = InvariantMonitor(driver.system)
             self.monitor.install_sanitizer()
         self._last_sim = driver.system.sim.now
-        self._last_wall = time.monotonic()
 
     @property
     def system(self):
@@ -139,20 +133,8 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def due(self) -> bool:
         """Is a checkpoint due under the policy's cadence?"""
-        if not self.policy.enabled:
-            return False
         p = self.policy
-        if (
-            p.interval_sim_us is not None
-            and self.system.sim.now - self._last_sim >= p.interval_sim_us
-        ):
-            return True
-        if (
-            p.interval_wall_s is not None
-            and time.monotonic() - self._last_wall >= p.interval_wall_s
-        ):
-            return True
-        return False
+        return p.enabled and self.system.sim.now - self._last_sim >= p.interval_sim_us
 
     def tick(self) -> Optional[Path]:
         """Write a checkpoint if one is due; the driver's advance loop
@@ -167,14 +149,13 @@ class CheckpointManager:
     def write(self) -> Path:
         """Capture, fingerprint, and atomically write one checkpoint.
 
-        Runs the invariant monitor first when the policy asks for it — a
-        checkpoint of a corrupted state would replay its corruption.
+        Runs the invariant monitor first — a checkpoint of a corrupted
+        state would replay its corruption.
         """
         sim = self.system.sim
-        if self.monitor is not None and self.policy.check_invariants:
-            report = self.monitor.check()
-            if not report.ok:
-                raise InvariantError(report)
+        report = self.monitor.check()
+        if not report.ok:
+            raise InvariantError(report)
         state = capture_state(self.system)
         payload = {
             "version": FORMAT_VERSION,
@@ -194,7 +175,6 @@ class CheckpointManager:
         if final not in self.written:
             self.written.append(final)
         self._last_sim = sim.now
-        self._last_wall = time.monotonic()
         self._prune()
         return final
 
@@ -250,14 +230,13 @@ class CheckpointManager:
             policy,
             out_dir if out_dir is not None else path.parent,
         )
-        if policy.verify_on_restore:
-            state = capture_state(driver.system)
-            if state_fingerprint(state) != payload["fingerprint"]:
-                where = _first_divergence(payload["state"], state)
-                raise RestoreMismatch(
-                    f"{path}: replayed state diverges from checkpoint at "
-                    f"{where}"
-                )
+        state = capture_state(driver.system)
+        if state_fingerprint(state) != payload["fingerprint"]:
+            where = _first_divergence(payload["state"], state)
+            raise RestoreMismatch(
+                f"{path}: replayed state diverges from checkpoint at "
+                f"{where}"
+            )
         return manager
 
     @classmethod

@@ -163,15 +163,6 @@ class KernelConfig:
     global_queue_penalty: float = 0.05
 
     context_switch_us: float = us(8)
-    #: Extra cost when a thread resumes on a CPU that ran someone else in
-    #: between: cache/TLB refill.  The paper's traces show daemon
-    #: executions "often accompanied by page faults, increasing their run
-    #: time and further impacting the Allreduce performance" — this knob
-    #: models the victim-side half of that effect.  Default 0 (off) so the
-    #: calibrated headline numbers are attributable to scheduling alone;
-    #: the ablation turns it on.
-    cache_refill_us: float = 0.0
-    steal_enabled: bool = True
 
     policy: str = "aix"
     policy_params: tuple = ()
@@ -262,43 +253,9 @@ class NetworkConfig:
     #: (the paper's future-work item §7): once every rank's contribution
     #: has arrived, the fabric reduces and fans the result back out.
     hw_collective_latency_us: float = us(12)
-    #: Scheduled cross-node latency changes: ``((at_us, latency_us), ...)``,
-    #: sorted by time.  From ``at_us`` on, remote wire latency is the new
-    #: value (degraded or repaired links).  The parallel-DES coordinator
-    #: derives its per-window lookahead from this schedule, so changes must
-    #: keep latency positive.
-    latency_changes: tuple = ()
-
-    def __post_init__(self) -> None:
-        prev = -1.0
-        for entry in self.latency_changes:
-            at_us, lat = entry
-            if at_us <= prev:
-                raise ValueError(
-                    f"latency_changes must be sorted by strictly increasing time, got {self.latency_changes}"
-                )
-            if lat <= 0:
-                raise ValueError(f"latency change to {lat}us at {at_us}us: latency must stay > 0")
-            prev = at_us
-
-    def latency_at(self, t: float) -> float:
-        """Remote wire latency in force at simulated time *t*."""
-        if not self.latency_changes:
-            return self.latency_us
-        lat = self.latency_us
-        for at_us, new_lat in self.latency_changes:
-            if at_us <= t:
-                lat = new_lat
-            else:
-                break
-        return lat
 
     def p2p_time(self, nbytes: int, same_node: bool) -> float:
-        """Wire time for a message of *nbytes* (excludes CPU overheads).
-
-        Uses the *base* remote latency; time-dependent callers (the
-        fabric) go through :meth:`latency_at` instead.
-        """
+        """Wire time for a message of *nbytes* (excludes CPU overheads)."""
         lat = self.shm_latency_us if same_node else self.latency_us
         return lat + nbytes * self.per_byte_us
 
@@ -357,10 +314,9 @@ class CoschedConfig:
     recommends setting the favored priority *just above* (numerically just
     below) the key I/O daemons so GPFS can always preempt the application.
 
-    ``align_to_second`` reproduces the implementation detail that each
-    node's cycle ends exactly on a second boundary of the synchronised
-    clock, which is what makes the windows coincide cluster-wide with no
-    daemon-to-daemon communication.
+    Each node's cycle ends exactly on a second boundary of the
+    synchronised clock, which is what makes the windows coincide
+    cluster-wide with no daemon-to-daemon communication.
     """
 
     enabled: bool = False
@@ -373,11 +329,6 @@ class CoschedConfig:
     self_priority: int = 12
     #: CPU cost per priority-flip pass.
     flip_cost_us: float = us(40)
-    align_to_second: bool = True
-    #: One-way latency of the task → pmd → co-scheduler control-pipe hop.
-    #: A config knob (not a module constant) so pipe-latency/loss fault
-    #: scenarios and tests can vary it.
-    pipe_latency_us: float = 250.0
     #: Synchronise node clocks from the switch clock register at startup.
     sync_clock: bool = True
     #: Paper §7 future work: only boost tasks that have declared (via the
@@ -392,8 +343,6 @@ class CoschedConfig:
             raise ValueError("duty_cycle must be in (0, 1]")
         if self.period_us <= 0:
             raise ValueError("period_us must be positive")
-        if self.pipe_latency_us < 0:
-            raise ValueError("pipe_latency_us must be >= 0")
         if not 0 <= self.favored_priority <= 127:
             raise ValueError("favored_priority out of range")
         if not 0 <= self.unfavored_priority <= 127:
@@ -628,7 +577,6 @@ class FaultConfig:
     # -- resilience responses -------------------------------------------
     #: Sender-side point-to-point timeout + retransmit (capped exponential
     #: backoff).  Installed per job world when faults are enabled.
-    retransmit_enabled: bool = True
     retransmit_timeout_us: float = ms(10)
     retransmit_backoff: float = 2.0
     retransmit_max_timeout_us: float = ms(160)
@@ -638,15 +586,10 @@ class FaultConfig:
     retransmit_max_attempts: int = 6
     #: Per-node watchdog that restarts a dead/hung co-scheduler daemon and
     #: re-registers its tasks over the control pipe.
-    watchdog_enabled: bool = True
     watchdog_interval_us: float = s(1)
     #: Heartbeat staleness (in co-scheduler periods) past which the daemon
     #: is declared hung and restarted.
     watchdog_staleness_periods: float = 2.5
-    #: On detected timesync loss the co-scheduler degrades to free-running
-    #: windows (keeps cycling on its own drifting clock) instead of
-    #: re-aligning to a bogus grid.
-    degrade_on_timesync_loss: bool = True
 
     def __post_init__(self) -> None:
         for name in ("msg_drop_prob", "msg_dup_prob", "msg_delay_prob", "pipe_loss_prob"):
@@ -701,46 +644,33 @@ class CheckpointPolicy:
     With ``enabled=False`` (the default) nothing is installed: no manager,
     no invariant walks, no extra events — runs stay bit-identical to a
     config without this section (the same zero-overhead invariant the
-    fault layer holds).  Cadence can be driven by simulated time
-    (``interval_sim_us``), wall-clock time (``interval_wall_s``), or both;
-    whichever fires first at a checkpoint opportunity wins.  Snapshots are
-    written atomically (temp file + ``os.replace``) and pruned to the
-    newest ``keep_last``.
+    fault layer holds).  Cadence is simulated time (``interval_sim_us``).
+    Snapshots are written atomically (temp file + ``os.replace``) and
+    pruned to the newest ``keep_last``.
 
-    ``sanitize`` enables the per-event invariant sanitizer
+    The full invariant suite runs before each snapshot is written, and a
+    restore replays the run to the snapshot time and refuses to continue
+    unless the state fingerprint matches bit-for-bit.  ``sanitize``
+    enables the per-event invariant sanitizer
     (:class:`repro.checkpoint.monitor.InvariantMonitor` installed on
-    ``Simulator.on_event``) — expensive, for debugging; the default is
-    invariant checks only at checkpoint boundaries
-    (``check_invariants``).  ``verify_on_restore`` replays the restored
-    run to the snapshot time and refuses to continue unless the state
-    fingerprint matches bit-for-bit.
+    ``Simulator.on_event``) — expensive, for debugging.
     """
 
     enabled: bool = False
-    #: Checkpoint every N simulated microseconds (None = no sim cadence).
+    #: Checkpoint every N simulated microseconds (required when enabled).
     interval_sim_us: Optional[float] = None
-    #: Checkpoint every N wall-clock seconds (None = no wall cadence).
-    interval_wall_s: Optional[float] = None
     #: Number of most-recent snapshots retained on disk.
     keep_last: int = 2
-    #: Run the full invariant suite before each snapshot is written.
-    check_invariants: bool = True
     #: Per-event sanitizer mode (orders of magnitude slower; debugging).
     sanitize: bool = False
-    #: Verify the replayed state fingerprint against the snapshot's.
-    verify_on_restore: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_sim_us is not None and self.interval_sim_us <= 0:
             raise ValueError("interval_sim_us must be positive when set")
-        if self.interval_wall_s is not None and self.interval_wall_s <= 0:
-            raise ValueError("interval_wall_s must be positive when set")
         if self.keep_last < 1:
             raise ValueError("keep_last must be >= 1")
-        if self.enabled and self.interval_sim_us is None and self.interval_wall_s is None:
-            raise ValueError(
-                "enabled checkpointing needs interval_sim_us and/or interval_wall_s"
-            )
+        if self.enabled and self.interval_sim_us is None:
+            raise ValueError("enabled checkpointing needs interval_sim_us")
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,7 @@ from repro.units import SEC
 
 __all__ = ["NodeCoscheduler", "JobCoscheduler"]
 
-#: Default one-way latency of the task → pmd → co-scheduler pipe hop.
-#: The live knob is ``CoschedConfig.pipe_latency_us`` (same default); this
-#: module constant remains as the canonical number for tests and docs.
+#: One-way latency of the task → pmd → co-scheduler control-pipe hop, µs.
 PIPE_LATENCY_US = 250.0
 
 
@@ -217,11 +215,7 @@ class NodeCoscheduler:
             k = int(local // period) + 1
             return node.global_time(k * period)
 
-        if cfg.align_to_second:
-            start = grid_boundary_after(sim.now)
-        else:
-            start = sim.now + period
-        yield SleepUntil(start)
+        yield SleepUntil(grid_boundary_after(sim.now))
 
         while not self._job_done:
             yield from self._absorb_hang()
@@ -232,7 +226,7 @@ class NodeCoscheduler:
             self._set_all("favored")
             yield Compute(cfg.flip_cost_us)
             favor_end = sim.now + cfg.favored_window_us
-            if cfg.align_to_second and not self.free_running:
+            if not self.free_running:
                 # Keep the grid: unfavor at cycle_start + duty·period of
                 # the local grid, not drifted by our own costs.
                 local = node.local_time(sim.now)
@@ -249,7 +243,7 @@ class NodeCoscheduler:
             self._drain_pipe()
             self._set_all("unfavored")
             yield Compute(cfg.flip_cost_us)
-            if cfg.align_to_second and not self.free_running:
+            if not self.free_running:
                 next_cycle = grid_boundary_after(sim.now)
             else:
                 next_cycle = sim.now + cfg.unfavored_window_us
@@ -351,7 +345,7 @@ class JobCoscheduler:
         """
         if self.pipe_filter is not None and not self.pipe_filter(nc.node.id):
             return
-        self.cluster.sim.schedule(self.config.pipe_latency_us, method, task)
+        self.cluster.sim.schedule(PIPE_LATENCY_US, method, task)
 
     def _send_pipe(self, kind: str, rank: int) -> None:
         nc = self.node_coscheds[self.job.placement.node_of(rank)]

@@ -25,10 +25,12 @@ co-scheduler periods.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
+import numpy as np
+
 from repro.config import (
     ClusterConfig,
     CoschedConfig,
@@ -41,7 +43,6 @@ from repro.config import (
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
-from repro.system import System
 from repro.units import ms, s
 
 __all__ = ["ResilienceResult", "run_resilience", "format_resilience"]
@@ -87,21 +88,25 @@ class ResilienceResult:
 def _resilience_trial(params: dict) -> dict:
     """Run one named resilience scenario on its own identically seeded
     system and return the mean latency plus that scenario's resilience
-    counters (extracted here: live ``System`` objects never cross the
-    process boundary, their counters do).
+    counters.
 
+    Every scenario runs through :func:`~repro.sim.parallel.run_parallel`
+    on ``params["shards"]`` shards (default 1): sharding is an execution
+    strategy, not a model change, so means and counters do not move.
     Top-level so :class:`~repro.experiments.runner.TrialRunner` workers
     can resolve it by name; the five scenarios are independent DES runs,
     so they parallelise like any other trial list.
     """
+    # Function-level import: repro.sim.parallel imports repro.results,
+    # which imports this module back to register ResilienceResult.
+    from repro.sim.parallel import run_parallel
+
     scenario = params["scenario"]
     n_ranks = params["n_ranks"]
     tpn = params["tpn"]
     calls = params["calls"]
     seed = params["seed"]
     time_compression = params["time_compression"]
-    #: >1 routes the scenario through conservative parallel DES — same
-    #: model, sharded execution; means and counters must not move.
     shards = params.get("shards", 1)
 
     noise = scale_noise(standard_noise(include_cron=False), time_compression)
@@ -110,14 +115,18 @@ def _resilience_trial(params: dict) -> dict:
     # Watchdog cadence scaled to the compressed co-scheduler period.
     wd_interval = period / 2.0
 
-    def make_cfg(sync: bool, faults: FaultConfig) -> ClusterConfig:
+    def run(faults: FaultConfig, sync: bool = True, n_calls: int = calls):
+        """Run the scenario; returns (mean_us, counters).
+
+        The mean is rank 0's per-call mean Allreduce latency, and the
+        counters are the summed per-shard fault/resilience counters."""
         cos = CoschedConfig(enabled=True, period_us=period, duty_cycle=0.90, sync_clock=sync)
         kernel = KernelConfig.prototype(big_tick=big_tick)
         if not sync:
             # Without synchronised clocks, cluster-wide tick alignment is
             # fictional too (same rule as E4).
             kernel = kernel.with_options(align_ticks_to_global_time=False)
-        return ClusterConfig(
+        cfg = ClusterConfig(
             machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
             kernel=kernel,
             cosched=cos,
@@ -126,31 +135,6 @@ def _resilience_trial(params: dict) -> dict:
             faults=faults,
             seed=seed,
         )
-
-    def build(sync: bool, faults: FaultConfig) -> System:
-        return System(make_cfg(sync, faults))
-
-    def run(system: System, n_calls: int = calls) -> float:
-        res = run_aggregate_trace(
-            system,
-            n_ranks,
-            tpn,
-            AggregateTraceConfig(calls_per_loop=n_calls, compute_between_us=200.0),
-        )
-        return res.mean_us
-
-    def run_sharded(cfg: ClusterConfig, n_calls: int = calls):
-        """Same scenario through run_parallel; returns (mean_us, counters).
-
-        The mean is rank 0's per-call mean — exactly what the serial
-        path's ``mean_us`` is — and the counters are the summed per-shard
-        fault/resilience counters, both shard-count invariant."""
-        import multiprocessing
-
-        import numpy as np
-
-        from repro.sim.parallel import run_parallel
-
         res = run_parallel(
             cfg,
             n_ranks=n_ranks,
@@ -169,20 +153,16 @@ def _resilience_trial(params: dict) -> dict:
             job_name="resilience",
         )
         if not res.ok:
-            raise RuntimeError(f"sharded {scenario!r} run produced bad values")
+            raise RuntimeError(f"resilience {scenario!r} run produced bad values")
         return float(np.mean(res.ranks["0"])), res.counters
 
     if scenario == "healthy":
         # Healthy co-scheduled run (no faults installed at all).
-        if shards > 1:
-            return {"mean_us": run_sharded(make_cfg(True, FaultConfig()))[0]}
-        return {"mean_us": run(build(sync=True, faults=FaultConfig()))}
+        return {"mean_us": run(FaultConfig())[0]}
 
     if scenario == "uncoordinated":
         # Uncoordinated baseline: windows never aligned (E4's pathology).
-        if shards > 1:
-            return {"mean_us": run_sharded(make_cfg(False, FaultConfig()))[0]}
-        return {"mean_us": run(build(sync=False, faults=FaultConfig()))}
+        return {"mean_us": run(FaultConfig(), sync=False)[0]}
 
     if scenario == "degraded":
         # Timesync loss mid-run: clocks jump up to a full period apart and
@@ -190,76 +170,48 @@ def _resilience_trial(params: dict) -> dict:
         # daemon computes exactly one boundary from the broken grid (the
         # scatter) before detecting the loss at its next cycle start and
         # locking into free-running windows at its scattered phase.
-        faults = FaultConfig(
+        mean, counters = run(FaultConfig(
             enabled=True,
             timesync_loss_at_us=1.25 * period,
             clock_jump_us=period,
             clock_drift_rate=1e-4,
             watchdog_interval_us=wd_interval,
-        )
-        if shards > 1:
-            mean, counters = run_sharded(make_cfg(True, faults))
-            return {
-                "mean_us": mean,
-                "degradation_events": counters["degradation_events"],
-            }
-        system = build(sync=True, faults=faults)
-        mean = run(system)
-        degradations = sum(
-            1 for ev in system.injector.events if ev.kind == "timesync_degraded"
-        )
-        return {"mean_us": mean, "degradation_events": degradations}
+        ))
+        return {"mean_us": mean, "degradation_events": counters["degradation_events"]}
 
     if scenario == "drop":
         # Message loss with retransmit: must complete (no deadlock).
-        faults = FaultConfig(
-            enabled=True,
-            msg_drop_prob=DROP_PROB,
-            retransmit_timeout_us=ms(2),
-            retransmit_max_timeout_us=ms(16),
-            watchdog_interval_us=wd_interval,
+        mean, counters = run(
+            FaultConfig(
+                enabled=True,
+                msg_drop_prob=DROP_PROB,
+                retransmit_timeout_us=ms(2),
+                retransmit_max_timeout_us=ms(16),
+                watchdog_interval_us=wd_interval,
+            ),
+            n_calls=max(100, calls // 3),
         )
-        if shards > 1:
-            mean, counters = run_sharded(
-                make_cfg(True, faults), n_calls=max(100, calls // 3)
-            )
-            return {
-                "mean_us": mean,
-                "retransmits": counters["retransmits"],
-                "forced": counters["forced"],
-                "duplicates_dropped": counters["duplicates_dropped"],
-                "net_drops": counters["net_drops"],
-            }
-        system = build(sync=True, faults=faults)
-        mean = run(system, n_calls=max(100, calls // 3))
-        transport = system.coscheds[0].job.world.reliability
         return {
             "mean_us": mean,
-            "retransmits": transport.retransmits,
-            "forced": transport.forced,
-            "duplicates_dropped": transport.duplicates_dropped,
-            "net_drops": system.injector.net_plane.drops,
+            "retransmits": counters["retransmits"],
+            "forced": counters["forced"],
+            "duplicates_dropped": counters["duplicates_dropped"],
+            "net_drops": counters["net_drops"],
         }
 
     if scenario == "death":
         # Daemon death on every job node, timed just after the unfavor
         # flip — the worst case: tasks stuck at the unfavored priority
         # until the watchdog restarts the daemon.
-        faults = FaultConfig(
+        mean, counters = run(FaultConfig(
             enabled=True,
             cosched_faults=tuple(
                 CoschedFaultSpec(node=n, at_us=1.95 * period, kind="die")
                 for n in range(-(-n_ranks // tpn))
             ),
             watchdog_interval_us=wd_interval,
-        )
-        if shards > 1:
-            mean, counters = run_sharded(make_cfg(True, faults))
-            return {"mean_us": mean, "restarts": counters["watchdog_restarts"]}
-        system = build(sync=True, faults=faults)
-        mean = run(system)
-        restarts = sum(wd.restarts for wd in system.injector.watchdogs)
-        return {"mean_us": mean, "restarts": restarts}
+        ))
+        return {"mean_us": mean, "restarts": counters["watchdog_restarts"]}
 
     raise ValueError(f"unknown resilience scenario {scenario!r}")
 
@@ -288,10 +240,11 @@ def run_resilience(
     Each scenario is one :class:`~repro.experiments.runner.TrialSpec`, so
     ``jobs=5`` runs them concurrently with identical results.
 
-    ``shards > 1`` runs every scenario under conservative parallel DES —
-    the whole E8 fault/resilience suite with one flag.  Sharding is an
-    execution strategy, not a model change, so the table must not move;
-    journal keys carry ``-sh<N>`` so serial and sharded records coexist.
+    Every scenario runs through conservative parallel DES on *shards*
+    shards (1 by default) — the whole E8 fault/resilience suite with one
+    flag.  Sharding is an execution strategy, not a model change, so the
+    table must not move; journal keys carry ``-sh<N>`` so serial and
+    sharded records coexist.
     """
     runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
     specs = [
@@ -334,7 +287,7 @@ def run_resilience(
 
 
 def format_resilience(res: ResilienceResult) -> str:
-    """Render the E5 table."""
+    """Render the E8 table."""
     rows = [
         ("healthy cosched", res.healthy_us, ""),
         ("timesync lost mid-run", res.degraded_us,

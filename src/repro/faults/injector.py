@@ -239,22 +239,22 @@ class FaultInjector:
         from repro.faults.watchdog import CoschedWatchdog
 
         cfg = self.config
-        if cfg.retransmit_enabled:
-            job.world.install_reliability(cfg)
+        job.world.install_reliability(cfg)
         if job_cosched is None:
             return
-        if cfg.degrade_on_timesync_loss:
-            for nc in job_cosched.node_coscheds.values():
-                nc.sync_check = self.monitor.ok
-                nc.on_degrade = self._on_degrade
+        # On detected timesync loss a co-scheduler degrades to free-running
+        # windows on its own drifting clock instead of re-aligning to a
+        # bogus grid.
+        for nc in job_cosched.node_coscheds.values():
+            nc.sync_check = self.monitor.ok
+            nc.on_degrade = self._on_degrade
         for spec in cfg.cosched_faults:
             if self.cluster.owns_node(spec.node):
                 self.cluster.sim.schedule_at(
                     spec.at_us, self._fire_cosched_fault, job_cosched, spec
                 )
-        if cfg.watchdog_enabled:
-            for node_id in job_cosched.node_coscheds:
-                self.watchdogs.append(CoschedWatchdog(self, job_cosched, node_id))
+        for node_id in job_cosched.node_coscheds:
+            self.watchdogs.append(CoschedWatchdog(self, job_cosched, node_id))
 
     def _on_degrade(self, node_cosched) -> None:
         self.record("timesync_degraded", node_cosched.node.id)

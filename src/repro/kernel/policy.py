@@ -180,9 +180,7 @@ class SchedPolicy:
             return lq.pop()
         if gp is not None:
             return gq.pop()
-        if sched.config.steal_enabled:
-            return self.steal_from(cpu_idx)
-        return None
+        return self.steal_from(cpu_idx)
 
     def steal_from(self, cpu_idx: int) -> Optional[Thread]:
         """Steal the best migratable thread from a sibling local queue."""
@@ -294,7 +292,7 @@ class AixPolicy(SchedPolicy):
             sched._dispatch(home)
             if thread.state is not ThreadState.READY:
                 return
-        if thread.allow_steal and sched.config.steal_enabled:
+        if thread.allow_steal:
             idle = sched._find_idle_cpu()
             if idle is not None:
                 sched._dispatch(idle)
@@ -372,7 +370,7 @@ class _RotatingPolicy(SchedPolicy):
             sched._dispatch(home)
             if thread.state is not ThreadState.READY:
                 return
-        if glob or (thread.allow_steal and sched.config.steal_enabled):
+        if glob or thread.allow_steal:
             if self._fill_idle(thread):
                 return
         # Every CPU busy: arm the rotation check where this thread can
@@ -436,9 +434,7 @@ class QuantumPolicy(_RotatingPolicy):
             return lq.pop()
         if gr is not None:
             return gq.pop()
-        if sched.config.steal_enabled:
-            return self.steal_from(cpu_idx)
-        return None
+        return self.steal_from(cpu_idx)
 
 
 @register_policy
@@ -488,9 +484,7 @@ class LotteryPolicy(_RotatingPolicy):
         cands = list(sched.local_queues[cpu_idx].threads())
         cands.extend(sched.global_queue.threads())
         if not cands:
-            if sched.config.steal_enabled:
-                return self.steal_from(cpu_idx)
-            return None
+            return self.steal_from(cpu_idx)
         if len(cands) == 1:
             # No contention, no draw: keeps stream consumption (and thus
             # cross-seed variance) proportional to actual contention.
@@ -596,7 +590,7 @@ class FairPolicy(SchedPolicy):
             sched._dispatch(home)
             if thread.state is not ThreadState.READY:
                 return
-        if glob or (thread.allow_steal and sched.config.steal_enabled):
+        if glob or thread.allow_steal:
             if self._fill_idle(thread):
                 return
         # Preempt where the incumbent is furthest ahead in vruntime —

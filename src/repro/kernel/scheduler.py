@@ -99,7 +99,7 @@ class CpuState:
         self.check_ev = None
         #: Accumulated busy wall time (utilisation accounting).
         self.busy_us: float = 0.0
-        #: tid of the previous occupant (cache-pollution accounting).
+        #: tid of the most recent occupant (kept in the checkpoint snapshot).
         self.last_tid: Optional[int] = None
 
     @property
@@ -480,13 +480,6 @@ class NodeScheduler:
         thread.stats.dispatches += 1
         thread.stats.ready_wait_us += now - thread.stats.last_ready_at
         thread.cs_due = self.config.context_switch_us
-        if (
-            self.config.cache_refill_us > 0.0
-            and cpu.last_tid is not None
-            and cpu.last_tid != thread.tid
-        ):
-            # Someone else's working set evicted ours: pay the refill.
-            thread.cs_due += self.config.cache_refill_us
         cpu.last_tid = thread.tid
 
         if thread.resume_advance:

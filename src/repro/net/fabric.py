@@ -104,19 +104,12 @@ class Fabric:
         return arrival
 
     def wire_time(self, nbytes: int, same_node: bool) -> float:
-        """Wire time at the *current* simulated instant.
+        """Wire time of one message: ``NetworkConfig.p2p_time``.
 
-        Same LogP expression as ``NetworkConfig.p2p_time``, except the
-        remote latency honours ``NetworkConfig.latency_changes`` — the
-        time-dependent schedule the parallel-DES adaptive lookahead also
-        reads, keeping window safety and actual arrivals consistent.
+        A remote message never takes less than ``NetworkConfig.latency_us``,
+        the constant lookahead of :mod:`repro.sim.parallel`.
         """
-        lat = (
-            self.config.shm_latency_us
-            if same_node
-            else self.config.latency_at(self.sim.now)
-        )
-        return lat + nbytes * self.config.per_byte_us
+        return self.config.p2p_time(nbytes, same_node)
 
     def remote_arrivals(
         self, src_node: int, dst_node: int, nbytes: int, faultable: bool = True
@@ -128,7 +121,7 @@ class Fabric:
         the caller wraps each returned arrival in a router envelope and
         the owning shard schedules delivery there.  ``()`` means the
         message was dropped.  Since ``dst_node`` is remote, every arrival
-        is ``>= now + latency_at(now)`` — the conservative lookahead
+        is ``>= now + latency_us`` — the constant lookahead
         :mod:`repro.sim.parallel` relies on.
         """
         if src_node == dst_node:

@@ -225,28 +225,6 @@ class Simulator:
                 return ev
         return None
 
-    def _pop_due(self, bound: float) -> Optional[Event]:
-        """Pop the next live event with ``time <= bound`` in one heap walk.
-
-        Dead (cancelled) entries met on the way are discarded.  A live head
-        beyond *bound* is left in place, so "looking" costs no re-sift —
-        this is the fused replacement for the ``peek_time()`` + ``step()``
-        pair that used to pay two O(log n) traversals per event in
-        :meth:`run_until`.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._cancelled:
-                heapq.heappop(heap)
-                continue
-            if entry[0] > bound:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            return entry[3]
-        return None
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is drained.
 
@@ -291,7 +269,9 @@ class Simulator:
         # The pop/fire pair is inlined below: at profile scale the two
         # method calls per event are a measurable slice of the engine's
         # per-event budget.  step()/run() keep the readable methods; this
-        # loop must stay behaviourally identical to _pop_due + _fire.
+        # loop must fire the same events as peek_time() + step() would,
+        # but walks the heap once per event: dead entries on the way are
+        # discarded and a live head beyond *time* is left in place.
         heap = self._heap
         heappop = heapq.heappop
         while True:

@@ -20,20 +20,16 @@ The coordinator repeats:
 
 1. collect each shard's next-event time and undelivered envelopes;
 2. ``N  = min(next-event times ∪ pending envelope arrivals)``
-   ``H' = N + L``  where ``L`` is the fabric's minimum cross-node wire
-   latency over the window — ``NetworkConfig.latency_at(N)``, further
-   clamped by any scheduled latency change that takes effect inside the
-   window (adaptive lookahead: degraded links shrink the window);
+   ``H' = N + L``  where the lookahead ``L = NetworkConfig.latency_us``
+   is the fabric's cross-node wire latency, a constant;
 3. deliver pending envelopes (sorted canonically by
    ``(arrival, src_node, link_seq)``) and let every shard run events
    strictly ``< H'`` in parallel (:meth:`Simulator.run_until_before`).
 
-Safety: every event fired in the window has ``t ≥ N``.  A message sent
-at ``t`` before a latency change at ``C`` pays the pre-change latency
-``l_old ≥ L`` so arrives ``≥ N + L = H'``; one sent at ``t ≥ C`` pays
-``l_new``, and if ``C ≤ H' = N + min(l_old, l_new, …)`` then
-``t + l_new ≥ C + l_new > H'`` — either way outside the window, hence no
-shard can receive a message from the past.  Envelope arrivals are
+Safety: every event fired in the window has ``t ≥ N``, and a message
+sent at ``t`` to another node pays at least ``L`` on the wire, so it
+arrives ``≥ N + L = H'`` — outside the window, hence no shard can
+receive a message from the past.  Envelope arrivals are
 likewise ``≥ H'``, so delivering them at the barrier (``now = H'``)
 never schedules into the past.
 
@@ -572,7 +568,6 @@ def run_parallel(
     plan = ShardPlan.for_placement(
         n_nodes, shards, job_nodes=job_nodes, tasks_per_node=tasks_per_node
     )
-    net = config.network
     app_params = app_params or {}
     specs = [
         ShardSpec(
@@ -682,8 +677,10 @@ def run_parallel(
             kills_done[sid] += 1
             os.kill(hosts[sid].proc.pid, signal.SIGKILL)
 
+    # Safe by the argument in the module docstring: no cross-node
+    # message arrives sooner than the wire latency after it is sent.
+    lookahead = config.network.latency_us
     ok_exit = False
-    lookahead_min: Optional[float] = None
     try:
         for sid in range(shards):
             hosts.append(_spawn(sid))
@@ -710,16 +707,6 @@ def run_parallel(
                     f"job {job_name!r} incomplete at horizon {horizon_us}: "
                     f"{sum(done)}/{n_ranks} ranks finished"
                 )
-            # Adaptive lookahead: the latency in force at the frontier,
-            # clamped by any scheduled change landing inside the window
-            # (see the safety argument in the module docstring).
-            lookahead = net.latency_at(frontier)
-            for at_us, lat in net.latency_changes:
-                if frontier < at_us <= frontier + net.latency_at(frontier):
-                    lookahead = min(lookahead, lat)
-            lookahead_min = (
-                lookahead if lookahead_min is None else min(lookahead_min, lookahead)
-            )
             window = frontier + lookahead
             if _superstep_hook is not None:
                 _superstep_hook(len(history), hosts)
@@ -786,7 +773,7 @@ def run_parallel(
         events_per_shard=events,
         messages_crossed=crossed,
         supersteps=len(history),
-        lookahead_us=lookahead_min if lookahead_min is not None else net.latency_at(0.0),
+        lookahead_us=lookahead,
         wall_s=_time.perf_counter() - wall0,
         counters=counters,
         recoveries=recoveries,

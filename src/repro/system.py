@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.config import ClusterConfig, NoiseConfig, PRIO_NORMAL
+from repro.config import ClusterConfig, PRIO_NORMAL
 from repro.cosched.coscheduler import JobCoscheduler
 from repro.daemons.engine import DaemonHandle, install_noise
 from repro.daemons.io import IoService
@@ -36,9 +36,6 @@ class System:
     ----------
     config:
         Full cluster description (machine/kernel/network/mpi/cosched/noise).
-    noise:
-        Override the config's noise ecology (ablations); ``None`` uses
-        ``config.noise``.
     trace:
         Optional recorder wired into every node's dispatcher.
     with_io:
@@ -57,7 +54,6 @@ class System:
     def __init__(
         self,
         config: ClusterConfig,
-        noise: Optional[NoiseConfig] = None,
         trace: Optional[TraceRecorder] = None,
         with_io: bool = False,
         io_priority: int = 40,
@@ -67,9 +63,7 @@ class System:
         self.config = config
         self.cluster = Cluster(config, trace=trace, shard=shard)
         self.daemons: list[DaemonHandle] = install_noise(
-            self.cluster,
-            noise if noise is not None else config.noise,
-            meanfield=meanfield,
+            self.cluster, config.noise, meanfield=meanfield
         )
         self.io_services: list[Optional[IoService]] = []
         if with_io:

@@ -88,7 +88,6 @@ class TestCheckpointPolicy:
         [
             {"interval_sim_us": 0.0},
             {"interval_sim_us": -1.0},
-            {"interval_wall_s": 0.0},
             {"keep_last": 0},
         ],
     )

@@ -221,8 +221,6 @@ class TestShardEquivalence:
                 cosched_faults=(
                     CoschedFaultSpec(node=3, at_us=ms(1), kind="die"),
                 ),
-                retransmit_enabled=False,
-                watchdog_enabled=False,
             ),
         )
         self._digests(cfg, shard_counts=(1, 4))
@@ -261,10 +259,8 @@ def chaos_faults(**overrides):
         msg_delay_us=200.0,
         pipe_loss_prob=0.3,
         timesync_loss_at_us=ms(6),
-        retransmit_enabled=True,
         retransmit_timeout_us=ms(1),
         retransmit_max_timeout_us=ms(8),
-        watchdog_enabled=True,
         watchdog_interval_us=ms(5),
     )
     kw.update(overrides)
@@ -327,37 +323,6 @@ class TestFaultEquivalence:
         b = run_shards(cfg, 2, params=params)
         assert a.digest == b.digest
         assert a.counters == b.counters
-
-
-# ---------------------------------------------------------------------------
-# Adaptive lookahead: window tracks the current minimum cross-node latency
-# ---------------------------------------------------------------------------
-
-class TestAdaptiveLookahead:
-    def test_latency_change_mid_run(self):
-        """Dropping the wire latency mid-run shrinks the conservative
-        window (more supersteps, smaller reported lookahead) without
-        moving the result — and genuinely changes the model vs. the base
-        latency, so the adaptation is observable on both axes."""
-        import dataclasses
-
-        from repro.units import us
-
-        base_cfg = small_config()
-        cfg = base_cfg.replace(
-            network=dataclasses.replace(
-                base_cfg.network, latency_changes=((ms(3), us(6)),)
-            )
-        )
-        runs = [run_shards(cfg, n) for n in (1, 2, 4)]
-        assert runs[0].ok
-        for r in runs[1:]:
-            assert r.digest == runs[0].digest
-        # Post-change latency governs the floor the coordinator reports.
-        assert runs[1].lookahead_us == us(6)
-        plain = run_shards(base_cfg, 2)
-        assert runs[1].supersteps > plain.supersteps
-        assert runs[1].digest != plain.digest  # the change is a model change
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +404,7 @@ class TestValidation:
     def test_retransmit_accepted(self):
         """Acks ride the envelope router now, so retransmit shards."""
         cfg = small_config(
-            faults=FaultConfig(enabled=True, retransmit_enabled=True)
+            faults=FaultConfig(enabled=True)
         )
         validate_sharded_config(cfg, 2)
 

@@ -167,7 +167,6 @@ thread_spec = st.tuples(
 routing_options = st.fixed_dictionaries(
     {
         "daemons_global_queue": st.booleans(),
-        "steal_enabled": st.booleans(),
     }
 )
 
@@ -264,7 +263,7 @@ class TestPolicyInvariants:
             q = sched.policy.queue_for(t)
             if q is sched.global_queue or q is sched.local_queues[cpu_idx]:
                 return True
-            return h.config.steal_enabled and t.allow_steal
+            return t.allow_steal
 
         def confirm(cpu_idx, t):
             if (

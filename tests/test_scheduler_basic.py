@@ -172,13 +172,6 @@ class TestStealing:
         harness.run(5_000.0)
         assert harness.times("bound") == [1_050.0]
 
-    def test_steal_disabled_by_config(self):
-        h = make_harness(kernel=KernelConfig(steal_enabled=False, context_switch_us=0.0))
-        h.spawn(h.worker("busy", [1_000.0]), cpu=0)
-        h.spawn(h.worker("d", [50.0]), cpu=0, allow_steal=True)
-        h.run(5_000.0)
-        assert h.times("d") == [1_050.0]
-
 
 class TestYield:
     def test_yield_rotates_equals(self, harness):

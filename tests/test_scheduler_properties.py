@@ -38,7 +38,6 @@ kernel_options = st.fixed_dictionaries(
         "big_tick_multiplier": st.sampled_from([1, 5, 25]),
         "tick_phase": st.sampled_from(["staggered", "aligned"]),
         "daemons_global_queue": st.booleans(),
-        "steal_enabled": st.booleans(),
     }
 )
 

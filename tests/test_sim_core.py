@@ -257,7 +257,7 @@ class TestStep:
 def _reference_run_until(sim, time, max_events=None):
     """The pre-fusion ``run_until`` loop: peek_time() then step(), two heap
     walks per event.  Kept here as the semantic reference for the fused
-    ``_pop_due`` implementation."""
+    single-walk loop inside :meth:`Simulator.run_until`."""
     if time < sim.now:
         raise SimulationError(f"run_until({time!r}) is in the past")
     processed = 0
@@ -324,7 +324,7 @@ class TestFusedPopMatchesReference:
     def test_identical_without_rescheduling(self):
         self._compare(reschedule=False, cancel_every=3)
 
-    def test_pop_due_skips_dead_entries_without_firing(self):
+    def test_run_until_skips_dead_entries_without_firing(self):
         sim = Simulator()
         live = []
         e1 = sim.schedule(1.0, live.append, 1)
@@ -334,7 +334,7 @@ class TestFusedPopMatchesReference:
         assert sim.run_until(2.5) == 1
         assert live == [2]
 
-    def test_pop_due_leaves_future_head_in_place(self):
+    def test_run_until_leaves_future_head_in_place(self):
         sim = Simulator()
         sim.schedule(10.0, lambda: None)
         assert sim.run_until(5.0) == 0
