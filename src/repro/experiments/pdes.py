@@ -6,7 +6,7 @@ N``, print the run's result digest, and optionally write the digest to a
 file.  The digest covers exactly the rank-visible outcome (per-call
 durations of the recorded ranks, reduction integrity, makespan), which
 the engine guarantees is shard-count invariant — so
-``tests/test_contract.py`` runs it at 1, 2 and worker-killed shards and
+``tests/test_contract.py`` runs it at 1, 2, 4 and worker-killed shards and
 compares each digest file with one golden.
 A human debugging a determinism regression does the same by hand.
 """
@@ -156,7 +156,7 @@ def format_pdes(res: PdesResult) -> str:
         + (f", mean-field batch {res.meanfield_batch}" if res.meanfield_batch > 1 else "")
         + "\n"
         f"  events/shard : {res.events_per_shard}\n"
-        f"  supersteps   : {res.supersteps} "
+        f"  supersteps   : {res.supersteps} earliest-output windows "
         f"(lookahead {res.lookahead_us:g} us, "
         f"{res.messages_crossed} cross-shard messages)\n"
         + (

@@ -78,7 +78,9 @@ class Cluster:
             self.router = ShardRouter(plan, shard_id)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.switch = SwitchClock(self.rngf.stream("switch.clock"))
-        self.fabric = Fabric(self.sim, config.network)
+        self.fabric = Fabric(
+            self.sim, config.network, track_arrivals=self.router is not None
+        )
 
         clock_rng = self.rngf.stream("machine.clock")
         phase_rng = self.rngf.stream("machine.tickphase")

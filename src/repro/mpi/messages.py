@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Optional
 
 from repro.sim.core import EventPriority
 
@@ -138,6 +138,17 @@ class ReliableTransport:
                 for key, e in sorted(self._inflight.items())
             ],
         }
+
+    def next_timeout(self) -> Optional[float]:
+        """Earliest armed retransmit timer, or None.
+
+        Read-only view for the parallel-DES earliest-output bound: a
+        timeout resends at once, with no CPU overhead in between.
+        """
+        return min(
+            (e[5].time for e in self._inflight.values() if e[5] is not None),
+            default=None,
+        )
 
     def send(self, src_node: int, dst_node: int, msg: Message) -> None:
         """Launch *msg* with retransmit protection."""

@@ -206,6 +206,14 @@ class MpiWorld:
 
         return register
 
+    def message_waiters(self) -> set:
+        """Threads spinning or blocked on a message that has not arrived.
+
+        Read-only view for the parallel-DES earliest-output bound: such a
+        thread cannot send before one of the pending deliveries lands.
+        """
+        return {*self._spin_waiters.values(), *self._block_waiters.values()}
+
     def _on_arrive(self, msg: Message) -> None:
         if self.arrival_listener is not None:
             self.arrival_listener(msg)

@@ -16,7 +16,8 @@ interference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from heapq import heappop, heappush
+from typing import Any, Callable, Optional
 
 from repro.config import NetworkConfig
 from repro.sim.core import EventPriority, Simulator
@@ -45,13 +46,21 @@ class Fabric:
     the list of extra latencies at which copies should arrive — ``[0.0]``
     means clean delivery, ``[]`` a drop, two entries a duplication.  When it
     is ``None`` (every non-fault run) the path is a single ``is None`` test.
+
+    With ``track_arrivals`` (every shard of a parallel-DES run) the fabric
+    also keeps a heap of the arrival times it has scheduled, so
+    :meth:`next_arrival` can tell the shard's earliest-output bound when
+    the next pending delivery lands without scanning the event heap.
     """
 
-    def __init__(self, sim: Simulator, config: NetworkConfig) -> None:
+    def __init__(
+        self, sim: Simulator, config: NetworkConfig, track_arrivals: bool = False
+    ) -> None:
         self.sim = sim
         self.config = config
         self.stats = MessageStats()
         self.fault_plane = None
+        self._arrivals: Optional[list[float]] = [] if track_arrivals else None
 
     def snapshot_state(self, desc) -> dict:
         """Checkpoint view: cumulative message counters."""
@@ -96,12 +105,36 @@ class Fabric:
         arrival = self.sim.now + wire
         if self.fault_plane is not None and faultable:
             for extra in self.fault_plane.plan(src_node, dst_node, nbytes):
-                self.sim.schedule_at(
-                    arrival + extra, on_arrive, payload, priority=_PRIO_MESSAGE
-                )
+                self.deliver_at(arrival + extra, on_arrive, payload)
             return arrival
         self.sim.schedule_at(arrival, on_arrive, payload, priority=_PRIO_MESSAGE)
+        if self._arrivals is not None:
+            heappush(self._arrivals, arrival)
         return arrival
+
+    def deliver_at(self, time: float, on_arrive: Callable[[Any], None], payload: Any) -> None:
+        """Schedule one delivery of *payload* at *time* (message priority).
+
+        The parallel-DES shard host delivers incoming cross-shard
+        envelopes through here, so they count as pending arrivals too.
+        """
+        self.sim.schedule_at(time, on_arrive, payload, priority=_PRIO_MESSAGE)
+        if self._arrivals is not None:
+            heappush(self._arrivals, time)
+
+    def next_arrival(self) -> Optional[float]:
+        """Earliest scheduled delivery that has not fired yet, or None.
+
+        Only meaningful with ``track_arrivals``.  Deliveries are never
+        cancelled, so every entry before ``now`` has fired; read at a
+        superstep barrier (where ``now`` is the window bound and nothing
+        at ``now`` has run) the head is exactly the next pending arrival.
+        """
+        arrivals = self._arrivals
+        now = self.sim.now
+        while arrivals and arrivals[0] < now:
+            heappop(arrivals)
+        return arrivals[0] if arrivals else None
 
     def wire_time(self, nbytes: int, same_node: bool) -> float:
         """Wire time of one message: ``NetworkConfig.p2p_time``.

@@ -3,10 +3,9 @@
 The serial engine (:mod:`repro.sim.core`) stays the bit-identical
 reference oracle; this module adds a **conservative synchronous-window**
 parallel mode on top of it, in the classic null-message family (CMB):
-instead of per-channel null messages, a coordinator broadcasts the global
-lower bound every superstep — equivalent to each shard sending a null
-message carrying ``next_event_time + lookahead`` to every peer, with the
-coordinator folding the min.
+instead of per-channel null messages, a coordinator folds every shard's
+next-event time and earliest output time into one global window bound
+each superstep, and broadcasts it.
 
 How a superstep works
 ---------------------
@@ -18,23 +17,52 @@ they are inert).  Cross-shard MPI sends become timestamped envelopes in a
 :class:`~repro.sim.shard.ShardRouter` outbox instead of local schedules.
 The coordinator repeats:
 
-1. collect each shard's next-event time and undelivered envelopes;
-2. ``N  = min(next-event times ∪ pending envelope arrivals)``
-   ``H' = N + L``  where the lookahead ``L = NetworkConfig.latency_us``
-   is the fabric's cross-node wire latency, a constant;
+1. collect each shard's next-event time, its earliest-output bound and
+   its undelivered envelopes;
+2. ``N  = min(next-event times ∪ pending envelope arrivals)``  (frontier)
+   ``B  = min(output bounds ∪ pending envelope arrivals)``
+   ``H' = min(max(N, B), horizon) + L``  where the lookahead
+   ``L = NetworkConfig.latency_us`` is the fabric's cross-node wire
+   latency, a constant;
 3. deliver pending envelopes (sorted canonically by
    ``(arrival, src_node, link_seq)``) and let every shard run events
    strictly ``< H'`` in parallel (:meth:`Simulator.run_until_before`).
 
-Safety: every event fired in the window has ``t ≥ N``, and a message
-sent at ``t`` to another node pays at least ``L`` on the wire, so it
-arrives ``≥ N + L = H'`` — outside the window, hence no shard can
-receive a message from the past.  Envelope arrivals are
-likewise ``≥ H'``, so delivering them at the barrier (``now = H'``)
-never schedules into the past.
+``B`` is the earliest-output-time (EOT) refinement of CMB: the earliest
+instant any shard could emit a cross-shard envelope
+(:meth:`ShardHost.earliest_output`).  Only rank threads send, each send
+right after the ``Compute`` of its send overhead ends, and the reliable
+transport also acks on a delivery and resends on a timer.  So ``B`` is
+the minimum of: for each owned rank, ``run_start + run_work`` while it
+is in a Compute, ``now + work_remaining`` while it waits for a CPU with
+work left, its wake time while asleep, nothing of its own while it
+waits on an MPI message, and the barrier time in any other state; every
+scheduled message delivery (the fabric's arrival heap, plus the
+coordinator's pending envelopes); every armed retransmit timer.  While
+ranks compute for milliseconds the tick, interrupt and daemon events
+that hold ``N`` back no longer shrink the window.
+
+Safety: every event fired in the window has ``t ≥ N``.  Suppose no
+envelope lands inside the window; then each shard evolves from its own
+state alone, and no owned rank can advance its body before its term:
+a Compute cannot end before its unstretched work is done (tick
+inflation only delays it), a waiter only wakes at a delivery, and any
+delivery or timer created in the window comes from a send at ``t ≥ B``.
+So every envelope emitted in the window leaves at ``t ≥ max(N, B)``,
+pays at least ``L`` on the wire, and arrives ``≥ H'`` — outside the
+window, which closes the induction.  Envelope arrivals are likewise
+``≥ H'``, so delivering them at the barrier (``now = H'``) never
+schedules into the past.  :meth:`ShardHost.step_send` checks the
+conclusion after every window and raises :class:`WindowViolation`
+naming the envelope if a bound was ever unsound.  The ``horizon`` clamp
+keeps a job that cannot finish (``B = inf``: every rank waits on a
+message that will never come) from running one unbounded window; the
+run still stops with the horizon error once ``N`` passes it.
 
 Determinism: the window boundary sequence is a pure function of the
-global event stream, per-shard event order is the serial engine's total
+global simulator state — every rank, delivery and timer belongs to
+exactly one shard, so the minimum over shards is the 1-shard value —
+per-shard event order is the serial engine's total
 ``(time, priority, seq)`` order, cross-shard deliveries are sorted
 canonically before scheduling, and all runtime randomness comes from
 shard-stable named streams — including per-link message-fault draws,
@@ -72,6 +100,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import math
 import multiprocessing
 import os
 import signal
@@ -82,7 +111,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.config import ClusterConfig
-from repro.results import canonical_dumps
+from repro.kernel.thread import ThreadState
 from repro.sim.meanfield import MeanFieldConfig
 from repro.sim.shard import ShardPlan, ShardRouter
 from repro.units import s
@@ -95,9 +124,22 @@ __all__ = [
     "ShardSpec",
     "ShardWorkerDied",
     "ShardWorkerHung",
+    "WindowViolation",
     "run_parallel",
     "validate_sharded_config",
 ]
+
+
+_RUNNING = ThreadState.RUNNING
+_READY = ThreadState.READY
+_SLEEPING = ThreadState.SLEEPING
+_FINISHED = ThreadState.FINISHED
+
+
+class WindowViolation(RuntimeError):
+    """A shard emitted an envelope that lands inside the window that
+    produced it: the window bound was unsound.  Not recoverable by a
+    respawn, since the replay would reach the same state."""
 
 
 class ShardWorkerDied(RuntimeError):
@@ -240,38 +282,86 @@ class ShardHost:
         self._pending = None
 
     # -- superstep protocol -------------------------------------------
+    def earliest_output(self) -> float:
+        """This shard's part of the earliest-output bound ``B``.
+
+        A lower bound on the time of any cross-shard envelope this shard
+        can emit from now on, given that no envelope reaches it before
+        the next window bound (the module docstring has the argument).
+        Only rank threads send, and always after a ``Compute`` of send
+        overhead; the reliable transport resends on a timer and acks on
+        a delivery.  So the bound is the earliest of: each owned rank's
+        next chance to advance its body, each pending delivery, each
+        armed retransmit timer.  ``inf`` means nothing here can send.
+        """
+        now = self.system.sim.now
+        bound = math.inf
+        waiters = None
+        for th in self.job.tasks:
+            state = th.state
+            if state is _RUNNING and th.run_work > 0.0:
+                # In a Compute: it cannot end before the unstretched work
+                # is done.  (Not completion_ev.time: tick inflation is
+                # per CPU, and a migrated thread may finish sooner.)
+                t = th.run_start + th.run_work
+            elif state is _READY and th.work_remaining > 0.0:
+                t = now + th.work_remaining
+            elif state is _SLEEPING:
+                t = th.wake_ev.time
+            elif state is _FINISHED:
+                continue
+            else:
+                if waiters is None:
+                    waiters = self.job.world.message_waiters()
+                if th in waiters:
+                    continue  # covered by the pending-delivery terms
+                return now  # NEW, resuming, blocked on I/O: could send now
+            if t < bound:
+                bound = t
+        arrival = self.system.cluster.fabric.next_arrival()
+        if arrival is not None and arrival < bound:
+            bound = arrival
+        rel = self.job.world.reliability
+        timer = rel.next_timeout() if rel is not None else None
+        if timer is not None and timer < bound:
+            bound = timer
+        return bound
+
     def ready(self) -> tuple:
-        """Initial report: ``(next_event_time, local_done, events)``."""
-        return (self.system.sim.peek_time(), self.job.local_done, 0)
+        """Initial report: ``(next_event_time, output_bound, local_done, events)``."""
+        return (self.system.sim.peek_time(), self.earliest_output(), self.job.local_done, 0)
 
     def step_send(self, horizon: float, incoming: list[tuple]) -> None:
         """Deliver *incoming* envelopes, then run the window ``[now, horizon)``."""
-        from repro.sim.core import EventPriority
-
         sim = self.system.sim
         router = self.router
+        deliver_at = self.system.cluster.fabric.deliver_at
         # Canonical delivery order: (arrival, src_node, link_seq) is
         # globally unique, so the schedule (and hence heap seq) order of
         # same-instant cross-shard arrivals is shard-count independent.
         for env in sorted(incoming, key=lambda e: e[:3]):
             arrival, _src, _seq, world_uid, _dst, payload = env
             router.received += 1
-            sim.schedule_at(
-                arrival,
-                router.deliver_target(world_uid),
-                payload,
-                priority=EventPriority.MESSAGE,
-            )
+            deliver_at(arrival, router.deliver_target(world_uid), payload)
         processed = sim.run_until_before(horizon)
+        outbox = router.drain()
+        for arrival, src, _seq, _uid, dst, _payload in outbox:
+            if not arrival >= horizon:
+                raise WindowViolation(
+                    f"shard {self.spec.shard_id}: envelope node {src} -> node {dst} "
+                    f"arrives at {arrival!r}, inside the window ending at "
+                    f"{horizon!r}; the earliest-output bound is unsound"
+                )
         self._pending = (
             sim.peek_time(),
-            router.drain(),
+            self.earliest_output(),
+            outbox,
             self.job.local_done,
             processed,
         )
 
     def step_recv(self) -> tuple:
-        """``(next_event_time, outbox, local_done, events_processed)``."""
+        """``(next_event_time, output_bound, outbox, local_done, events_processed)``."""
         out, self._pending = self._pending, None
         return out
 
@@ -521,6 +611,10 @@ class ParallelRunResult:
 
     @property
     def digest(self) -> str:
+        # Deferred: repro.results imports the experiments, one of which
+        # imports this module.
+        from repro.results import canonical_dumps
+
         return hashlib.sha256(
             canonical_dumps(self.digest_payload()).encode()
         ).hexdigest()
@@ -685,17 +779,19 @@ def run_parallel(
         for sid in range(shards):
             hosts.append(_spawn(sid))
         next_ts: list[Optional[float]] = []
+        bounds: list[float] = []
         done = []
         events = [0] * shards
         for h in hosts:
-            nt, dn, ev = h.ready()
+            nt, bound, dn, _ev = h.ready()
             next_ts.append(nt)
+            bounds.append(bound)
             done.append(dn)
         pending: list[list[tuple]] = [[] for _ in range(shards)]
         crossed = 0
         while sum(done) < n_ranks:
-            candidates = [t for t in next_ts if t is not None]
-            candidates += [env[0] for envs in pending for env in envs]
+            arrivals = [env[0] for envs in pending for env in envs]
+            candidates = [t for t in next_ts if t is not None] + arrivals
             if not candidates:
                 raise RuntimeError(
                     f"parallel deadlock: {sum(done)}/{n_ranks} ranks finished "
@@ -707,7 +803,8 @@ def run_parallel(
                     f"job {job_name!r} incomplete at horizon {horizon_us}: "
                     f"{sum(done)}/{n_ranks} ranks finished"
                 )
-            window = frontier + lookahead
+            output = min(bounds + arrivals)
+            window = min(max(frontier, output), horizon_us) + lookahead
             if _superstep_hook is not None:
                 _superstep_hook(len(history), hosts)
             snapshot = [list(p) for p in pending]
@@ -727,8 +824,9 @@ def run_parallel(
                         replies[sid] = hosts[sid].step_recv()
                     except (ShardWorkerDied, ShardWorkerHung) as exc:
                         replies[sid] = _recover(sid, window, snapshot[sid], exc)
-                nt, outbox, dn, _proc = replies[sid]
+                nt, bound, outbox, dn, _proc = replies[sid]
                 next_ts[sid] = nt
+                bounds[sid] = bound
                 done[sid] = dn
                 for env in outbox:
                     pending[plan.shard_of(env[4])].append(env)

@@ -2,7 +2,7 @@
 
 Each reference scenario runs through every execution mode that applies
 to it — serial, ``--jobs 2``, harness chaos, store cold/warm/repaired,
-journal resume, 1/2/killed shards, checkpoint resume — and every mode
+journal resume, 1/2/4/killed shards, checkpoint resume — and every mode
 must land on the one digest committed for that scenario in
 ``tests/golden_contract.json`` (keyed by the scenario's command line).
 Modes run in-process through :func:`repro.experiments.cli.main`, so the
@@ -163,6 +163,7 @@ def test_fig6_store_cold_warm_then_repaired(tmp_path, executed):
 PDES_MODES = {
     "1-shard": ("--shards", 1),
     "2-shards": ("--shards", 2),
+    "4-shards": ("--shards", 4),
     "2-shards-killed": ("--shards", 2, "--harness-chaos", CHAOS_SEED),
 }
 

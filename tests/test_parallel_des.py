@@ -12,6 +12,11 @@ the half-open ``run_until_before`` window, the block partition, and the
 creation-order independence of named RNG streams.
 """
 
+import math
+import pkgutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +30,14 @@ from repro.config import (
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.rng import StreamFactory
+import repro.sim
 from repro.sim.core import Simulator
-from repro.sim.parallel import run_parallel, validate_sharded_config
+from repro.sim.parallel import (
+    ShardHost,
+    WindowViolation,
+    run_parallel,
+    validate_sharded_config,
+)
 from repro.sim.shard import ShardPlan
 from repro.units import ms, s
 
@@ -323,6 +334,102 @@ class TestFaultEquivalence:
         b = run_shards(cfg, 2, params=params)
         assert a.digest == b.digest
         assert a.counters == b.counters
+
+
+# ---------------------------------------------------------------------------
+# Earliest-output-time windows
+# ---------------------------------------------------------------------------
+
+#: Two Allreduce calls: about 1.5 ms of simulated time when nothing breaks.
+QUICK_APP = dict(loops=1, calls_per_loop=2, trace_block=64,
+                 compute_between_us=500.0, payload_bytes=8, record_nodes=(0,))
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Every window bound a shard is stepped to, in order."""
+    seen = []
+    real = ShardHost.step_send
+
+    def step_send(host, horizon, incoming):
+        seen.append(horizon)
+        real(host, horizon, incoming)
+
+    monkeypatch.setattr(ShardHost, "step_send", step_send)
+    return seen
+
+
+class TestEarliestOutputWindows:
+    def test_window_sequence_is_shard_count_invariant(self, windows):
+        """Every term of the bound is simulator state with one owner, so
+        1, 2 and 4 shards step through the same windows and fire the
+        same events in total."""
+        cfg = small_config()
+        runs, sequences = [], []
+        for n in (1, 2, 4):
+            windows.clear()
+            runs.append(run_shards(cfg, n))
+            sequences.append(windows[::n])
+        assert {r.supersteps for r in runs} == {runs[0].supersteps}
+        assert {sum(r.events_per_shard) for r in runs} == {sum(runs[0].events_per_shard)}
+        assert sequences[1] == sequences[0] and sequences[2] == sequences[0]
+
+    def test_windows_outgrow_the_lookahead_while_ranks_compute(self, windows):
+        """With 2 ms of compute between calls (and noise compressed only
+        50-fold), a window spans most of a compute phase instead of one
+        lookahead past the frontier."""
+        params = dict(loops=1, calls_per_loop=2, trace_block=64,
+                      compute_between_us=2000.0, payload_bytes=8, record_nodes=(0,))
+        res = run_shards(small_config(time_factor=50), 2, params=params)
+        steps = np.diff(windows[::2])
+        assert steps.max() > 1500.0 > 20 * res.lookahead_us
+
+    def test_unsound_bound_trips_the_guard(self, monkeypatch):
+        """A bound that ignores every rank lets the first window run far
+        past the first cross-shard send; the barrier check must name it."""
+        monkeypatch.setattr(ShardHost, "earliest_output", lambda self: math.inf)
+        with pytest.raises(WindowViolation, match=r"shard \d: envelope node \d+ -> node \d+ arrives at"):
+            run_parallel(
+                small_config(), n_ranks=64, tasks_per_node=16, app=APP,
+                app_params=QUICK_APP, shards=2, horizon_us=ms(20),
+                use_processes=False,
+            )
+
+    def test_stuck_job_stops_at_the_horizon(self, windows, monkeypatch):
+        """Every rank blocks on a message the planted give-up bug lost,
+        so the bound is infinite: the window is clamped to the horizon
+        and the run ends with the same horizon error at any shard count."""
+        monkeypatch.setenv("REPRO_CHAOS_BUG", "retransmit_giveup")
+        cfg = small_config(faults=FaultConfig(
+            enabled=True, msg_drop_prob=1.0,
+            retransmit_timeout_us=100.0, retransmit_max_attempts=2,
+        ))
+        cfg = cfg.replace(mpi=cfg.mpi.__class__(wait_mode="block"))
+        horizon = ms(20)
+        errors = []
+        for n in (1, 2):
+            windows.clear()
+            with pytest.raises(RuntimeError, match="incomplete at horizon") as exc:
+                run_parallel(
+                    cfg, n_ranks=64, tasks_per_node=16, app=APP,
+                    app_params=QUICK_APP, shards=n, horizon_us=horizon,
+                    use_processes=False,
+                )
+            errors.append(str(exc.value))
+            assert max(windows) == horizon + cfg.network.latency_us
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(repro.sim.__path__))
+)
+def test_sim_module_imports_first(module):
+    """Each ``repro.sim`` module imports cleanly as the first ``repro``
+    import of a fresh interpreter (no import cycle through it)."""
+    subprocess.run(
+        [sys.executable, "-c", f"import repro.sim.{module}"],
+        check=True, capture_output=True,
+    )
 
 
 # ---------------------------------------------------------------------------

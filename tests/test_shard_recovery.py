@@ -34,7 +34,10 @@ fork_only = pytest.mark.skipif(
 #: the recovery test vacuously clean.
 CHAOS_SEED = 0
 
-#: Small app so each run is a few hundred supersteps, not thousands.
+#: Small app so each run is a few hundred supersteps, not thousands:
+#: 751 earliest-output windows (845 when every window was the frontier
+#: plus one lookahead; pinned below).  Kills land in supersteps 1-3.
+QUICK_SUPERSTEPS = 751
 QUICK_PARAMS = dict(
     loops=1, calls_per_loop=2, trace_block=64,
     compute_between_us=300.0, payload_bytes=8, record_nodes=(0,),
@@ -82,6 +85,14 @@ class TestShardKillPlan:
             ShardKillFault("kill", 2, 1, "mid"),
             ShardKillFault("kill", 1, 1, "pre"),
         ]
+
+
+def test_quick_run_superstep_count_is_pinned():
+    """The window sequence is a pure function of simulator state; a
+    change to the earliest-output bound shows up here first."""
+    res = quick_run(use_processes=False)
+    assert res.supersteps == QUICK_SUPERSTEPS
+    assert res.messages_crossed == 128
 
 
 @fork_only
