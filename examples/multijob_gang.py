@@ -24,7 +24,7 @@ from repro import ClusterConfig, KernelConfig, MachineConfig, MpiConfig
 from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_body
 from repro.cosched.gang import GangConfig, GangScheduler
 from repro.machine import Cluster
-from repro.mpi.world import MpiJob
+from repro.mpi.world import MpiJob, run_jobs
 from repro.units import format_time, ms, s
 
 N_RANKS, TPN, CALLS = 16, 8, 200
@@ -52,9 +52,7 @@ def run_pair(label: str, gang: GangConfig | None) -> None:
         jobs.append(MpiJob(cluster, placement, body, config=cluster.config.mpi, name=f"job{j}"))
     if gang is not None:
         GangScheduler(cluster, jobs, gang)
-    sim = cluster.sim
-    while not all(job.done for job in jobs) and sim.now < s(300):
-        sim.run_until(sim.now + s(1))
+    run_jobs(jobs, horizon_us=s(300))
     per_op = float(np.mean([np.mean(sink[0][0]) for sink in sinks]))
     makespan = max(job.finish_time for job in jobs)
     print(

@@ -39,7 +39,7 @@ from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.reporting import text_table
 from repro.machine import Cluster
-from repro.mpi.world import MpiJob
+from repro.mpi.world import MpiJob, run_jobs
 from repro.system import System
 from repro.units import ms, s
 
@@ -117,12 +117,7 @@ def _run_pair(cluster: Cluster, n_ranks: int, tpn: int, calls: int, mode: str, s
     elif mode == "demand":
         for job in jobs:
             DemandCoscheduler(cluster, job, DemandConfig())
-    horizon = s(600)
-    sim = cluster.sim
-    while not all(job.done for job in jobs) and sim.now < horizon:
-        sim.run_until(min(horizon, sim.now + s(1)))
-    if not all(job.done for job in jobs):
-        raise RuntimeError("co-located jobs did not finish")
+    run_jobs(jobs, horizon_us=s(600))
     means = [float(np.mean(sink[0][0])) for sink in sinks]
     finishes = [job.finish_time for job in jobs]
     return float(np.mean(means)), max(finishes), max(finishes) - min(finishes)

@@ -32,9 +32,8 @@ from repro.machine.cluster import Cluster, Placement
 from repro.mpi import collectives
 from repro.mpi.messages import Message, ReliableTransport
 from repro.sim.core import EventPriority
-from repro.units import s
 
-__all__ = ["MpiWorld", "MpiApi", "MpiJob"]
+__all__ = ["MpiWorld", "MpiApi", "MpiJob", "run_jobs"]
 
 
 class MpiWorld:
@@ -469,6 +468,9 @@ class MpiJob:
         self.timer_threads: list[Thread] = []
         self._done = 0
         self._finish_times: dict[int, float] = {}
+        #: Set while :func:`run_jobs` drives the simulator: the last rank
+        #: to finish then stops the run at its own event.
+        self._stop_on_done = False
         self.start_time = cluster.sim.now
         #: Ranks this cluster instance simulates (all of them serially;
         #: the owned shard block under parallel DES).
@@ -536,6 +538,8 @@ class MpiJob:
         yield from gen
         self._done += 1
         self._finish_times[rank] = self.cluster.sim.now
+        if self._stop_on_done and self.done:
+            self.cluster.sim.stop()
 
     def _timer_body(self) -> Generator:
         # The progress engine runs for the life of the job.
@@ -587,19 +591,43 @@ class MpiJob:
     def elapsed_us(self) -> float:
         return self.finish_time - self.start_time
 
-    def run(self, horizon_us: float, chunk_us: float = s(1.0)) -> float:
+    def run(self, horizon_us: float) -> float:
         """Drive the simulator until the job completes; returns elapsed µs.
+
+        The run stops at the event where the last rank finishes, so
+        afterwards ``cluster.sim.now == finish_time``: daemons, ticks and
+        dispatches after the job are not simulated.  A later
+        ``sim.run_until`` resumes from there.
 
         Raises if the job has not finished by ``horizon_us`` — a run that
         needs more time is almost always a deadlock or a starved I/O
         daemon, and failing fast beats simulating silence.
         """
-        sim = self.cluster.sim
-        while not self.done and sim.now < horizon_us:
-            sim.run_until(min(horizon_us, sim.now + chunk_us))
-        if not self.done:
-            raise RuntimeError(
-                f"job {self.name!r} incomplete at horizon {horizon_us}: "
-                f"{self._done}/{self.placement.n_ranks} ranks finished"
-            )
+        run_jobs([self], horizon_us)
         return self.elapsed_us
+
+
+def run_jobs(jobs: list[MpiJob], horizon_us: float) -> None:
+    """Drive one simulator until every job in *jobs* completes.
+
+    Each job's last rank stops the run at its own event (see
+    :meth:`Simulator.stop`); the loop re-enters ``run_until`` until every
+    job is done, so the simulator ends at the latest finish time.  Raises
+    :class:`RuntimeError` for the first job not finished by
+    ``horizon_us``.
+    """
+    sim = jobs[0].cluster.sim
+    for job in jobs:
+        job._stop_on_done = True
+    try:
+        while sim.now < horizon_us and not all(job.done for job in jobs):
+            sim.run_until(horizon_us)
+    finally:
+        for job in jobs:
+            job._stop_on_done = False
+    for job in jobs:
+        if not job.done:
+            raise RuntimeError(
+                f"job {job.name!r} incomplete at horizon {horizon_us}: "
+                f"{job._done}/{job.placement.n_ranks} ranks finished"
+            )

@@ -159,7 +159,9 @@ class Simulator:
         #: Live (non-cancelled) entries currently queued; maintained by
         #: schedule/pop/cancel so :attr:`pending` is O(1).
         self._live = 0
-        self._running = False
+        #: Set by :meth:`stop`; read by :meth:`run_until`, which clears it
+        #: on entry.
+        self._stop_requested = False
         #: Optional sanitizer hook invoked (with no arguments) after every
         #: processed event.  Installed by
         #: :class:`repro.checkpoint.monitor.InvariantMonitor` in sanitizer
@@ -256,8 +258,27 @@ class Simulator:
         self._fire(ev)
         return True
 
+    def stop(self) -> None:
+        """Ask the running :meth:`run_until` to return after the current event.
+
+        Meant to be called from inside a callback: ``run_until`` finishes
+        the event being fired (including the ``on_event`` hook), then
+        returns with ``now`` at that event's time instead of at its
+        target.  The events fired are a prefix of what the full call would
+        have fired, and a later ``run_until`` resumes exactly where this
+        one stopped.  The request never outlives the run it was made in:
+        ``run_until`` clears it on entry, so a stop requested between runs,
+        or during :meth:`run_until_before` / :meth:`run` (which ignore
+        it), cannot cut a later ``run_until`` short.
+        """
+        self._stop_requested = True
+
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run events with timestamps ``<= time``; leave ``now`` at *time*.
+
+        If a callback calls :meth:`stop`, return right after that event
+        instead, with ``now`` at the event's time.  Checking for the
+        request costs one attribute test per event.
 
         Returns the number of events processed.  ``max_events`` is a safety
         valve for tests (raises :class:`SimulationError` when exceeded, which
@@ -265,6 +286,7 @@ class Simulator:
         """
         if not time >= self.now:
             raise SimulationError(f"run_until({time!r}) is in the past or NaN (now={self.now!r})")
+        self._stop_requested = False
         processed = 0
         # The pop/fire pair is inlined below: at profile scale the two
         # method calls per event are a measurable slice of the engine's
@@ -306,6 +328,8 @@ class Simulator:
             if self.on_event is not None:
                 self.on_event()
             processed += 1
+            if self._stop_requested:
+                return processed
         self.now = time
         return processed
 

@@ -5,7 +5,8 @@ The one-stop assembly used by examples, experiments and integration tests::
     from repro.system import System
     sys_ = System(config)                       # cluster + daemon ecology
     job = sys_.launch(n_ranks=64, tasks_per_node=16, body_factory=body)
-    elapsed = job.run(horizon_us=s(60))
+    elapsed = job.run(horizon_us=s(60))       # stops at the last rank's finish
+    assert sys_.sim.now == job.finish_time
 
 ``System`` owns everything long-lived (cluster, daemons, per-node I/O
 services); ``launch`` starts a parallel job and — when the config enables

@@ -375,6 +375,9 @@ class TestReliableTransport:
         sysm = build_system(faults=faults)
         job = sysm.launch(8, 4, lambda rank, api: api.allreduce(1))
         job.run(horizon_us=s(60))
+        # The run stops at the last rank's finish; duplicate copies still
+        # in flight land afterwards.
+        sysm.cluster.run_for(ms(1))
         assert job.world.reliability.duplicates_dropped > 0
         assert sysm.injector.net_plane.dups > 0
 

@@ -241,6 +241,80 @@ class TestRunUntil:
         assert sim.events_processed == 3
 
 
+class TestStop:
+    @staticmethod
+    def _log_events(sim, stop_at=None):
+        """Schedule 10 events at t = 0..9, the one at *stop_at* calling
+        ``stop()``; return the list the events append to."""
+        hits = []
+
+        def hit(i):
+            hits.append((i, sim.now))
+            if i == stop_at:
+                sim.stop()
+
+        for i in range(10):
+            sim.schedule(float(i), hit, i)
+        return hits
+
+    def test_returns_after_the_stopping_event_with_now_at_it(self):
+        sim = Simulator()
+        hits = self._log_events(sim, stop_at=3)
+        assert sim.run_until(100.0) == 4
+        assert [i for i, _ in hits] == [0, 1, 2, 3]
+        assert sim.now == 3.0
+        assert sim.pending == 6
+
+    def test_resume_fires_the_rest_in_order(self):
+        full = Simulator()
+        full_hits = self._log_events(full)
+        full.run_until(100.0)
+
+        sim = Simulator()
+        hits = self._log_events(sim, stop_at=3)
+        sim.run_until(100.0)
+        assert sim.run_until(100.0) == 6
+        assert hits == full_hits
+        assert sim.now == full.now == 100.0
+        assert sim.events_processed == full.events_processed
+
+    def test_stop_in_the_last_due_event_leaves_now_at_that_event(self):
+        sim = Simulator()
+        self._log_events(sim, stop_at=5)
+        sim.run_until(5.0)
+        assert sim.now == 5.0
+        sim.run_until(7.0)
+        assert sim.now == 7.0
+
+    def test_stop_between_runs_does_not_shorten_the_next(self):
+        sim = Simulator()
+        hits = self._log_events(sim)
+        sim.stop()
+        assert sim.run_until(100.0) == 10
+        assert len(hits) == 10
+        assert sim.now == 100.0
+
+    def test_run_until_before_and_run_ignore_stop(self):
+        for drive in (lambda sim: sim.run_until_before(100.0), lambda sim: sim.run()):
+            sim = Simulator()
+            hits = self._log_events(sim, stop_at=3)
+            assert drive(sim) == 10
+            assert len(hits) == 10
+            # The request made during that run is stale: it cannot cut a
+            # later run_until short.
+            sim.schedule(1.0, hits.append, "late")
+            sim.schedule(2.0, hits.append, "later")
+            assert sim.run_until(sim.now + 5.0) == 2
+
+    def test_on_event_hook_sees_the_stopping_event(self):
+        sim = Simulator()
+        self._log_events(sim, stop_at=2)
+        seen = []
+        sim.on_event = lambda: seen.append(sim.now)
+        sim.run_until(100.0)
+        assert seen == [0.0, 1.0, 2.0]
+
+
 class TestStep:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
