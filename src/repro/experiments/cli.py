@@ -101,6 +101,20 @@ def _quick_kwargs(quick: bool) -> dict:
     return {"n_calls": 150, "n_seeds": 2, "proc_counts": (128, 512, 944, 1728)}
 
 
+#: Experiment-specific flags (by argparse dest) and the experiments that
+#: read them.  A flag set away from its default is an error unless one of
+#: its readers is selected.
+FLAG_READERS = {
+    "policy": ("policy", "chaos"),
+    **dict.fromkeys(
+        ("seeds", "seed_base", "no_shrink", "shrink_budget", "corpus_out"), ("chaos",)
+    ),
+    "shards": ("pdes", "chaos", "resilience"),
+    "meanfield": ("pdes",),
+    "digest_out": ("pdes",),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse arguments, run the requested experiments, print reports."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -240,11 +254,12 @@ def main(argv: list[str] | None = None) -> int:
         wanted = ["multijob", "hw", "finegrain", "misalign", "resilience",
                   "waitmode", "sensitivity", "granularity"]
 
-    if args.shards is not None and not {"pdes", "chaos", "resilience"} & set(wanted):
-        parser.error("--shards needs the pdes, chaos or resilience experiment")
-    for flag, given in (("--meanfield", args.meanfield), ("--digest-out", args.digest_out)):
-        if given and "pdes" not in wanted:
-            parser.error(f"{flag} needs the pdes experiment")
+    for dest, readers in FLAG_READERS.items():
+        if getattr(args, dest) != parser.get_default(dest) and not set(readers) & set(wanted):
+            names = readers[0] if len(readers) == 1 else (
+                f"{', '.join(readers[:-1])} or {readers[-1]}"
+            )
+            parser.error(f"--{dest.replace('_', '-')} needs the {names} experiment")
     if args.policy:
         from repro.kernel.policy import policy_names
 
@@ -252,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.policy:
             if name not in known:
                 parser.error(f"--policy {name!r}: not registered; known: {known}")
-        if "chaos" in args.experiments and len(args.policy) > 1:
+        if "chaos" in wanted and len(args.policy) > 1:
             parser.error("chaos accepts a single --policy to pin the campaign to")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -269,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.harness_chaos is not None and args.jobs < 2 and not (
         args.shards is not None
         and args.shards >= 1
-        and any(e in ("chaos", "pdes") for e in args.experiments)
+        and any(e in ("chaos", "pdes") for e in wanted)
     ):
         parser.error(
             "--harness-chaos needs --jobs >= 2 (only supervised workers "

@@ -31,7 +31,7 @@ Policies are registered by name (``@register_policy``) and selected via
 ``KernelConfig.policy`` / ``policy_params``; unknown names or params fail
 loudly at config construction.  The ``aix`` policy is the pre-refactor
 dispatcher extracted verbatim and is covered by a bit-identical contract
-(``benchmarks/golden_perf_smoke.json``).
+(the ``engine`` entries of ``tests/golden_contract.json``).
 
 Design constraints every policy must respect:
 
@@ -250,10 +250,10 @@ class AixPolicy(SchedPolicy):
     """The paper's AIX dispatcher, extracted verbatim from NodeScheduler.
 
     **Bit-identical contract:** this class is the pre-refactor behaviour
-    move-only.  `perf_smoke.py` digests against
-    ``benchmarks/golden_perf_smoke.json`` hold it to the seed schedule
-    event-for-event; change it only together with a deliberate golden
-    regeneration.
+    move-only.  The engine runs of ``tests/test_contract.py`` hold it to
+    the seed schedule event-for-event (the ``engine`` entries of
+    ``tests/golden_contract.json``); change it only together with a
+    deliberate, hand-edited golden change.
     """
 
     name = "aix"

@@ -6,11 +6,14 @@ journal resume, 1/2/4/killed shards, checkpoint resume — and every mode
 must land on the one digest committed for that scenario in
 ``tests/golden_contract.json`` (keyed by the scenario's command line).
 Modes run in-process through :func:`repro.experiments.cli.main`, so the
-CLI wiring is covered too.
+CLI wiring is covered too.  Below the CLI, four small engine runs (the
+cluster DES, Figure 4, the analytic sweep and the co-scheduled DES) pin
+their event counts, digests and named culprit under ``engine <run>``
+keys.
 
-A mismatch prints the observed digest.  Only a deliberate model change
-re-records a golden, by hand-editing the JSON; an engine, harness or
-refactoring change must leave every digest alone.
+A mismatch prints the observed value.  Only a deliberate model change
+re-records a golden, by hand-editing the JSON and saying why; an engine,
+harness or refactoring change must leave every value alone.
 """
 
 import contextlib
@@ -24,12 +27,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.analytic.model import AllreduceSeriesModel
+from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.chaos.harness_faults import plan_for, shard_kill_plan
 from repro.checkpoint import SweepJournal
-from repro.experiments import run_fig6
+from repro.config import ClusterConfig, CoschedConfig, KernelConfig, MachineConfig, MpiConfig
+from repro.daemons.catalog import scale_noise, standard_noise
+from repro.experiments import run_fig4, run_fig6
 from repro.experiments.cli import _quick_kwargs, main as cli_main
+from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.runner import TrialRunner, set_execution_defaults
 from repro.results import save_result
+from repro.system import System
+from repro.units import s
 from tests.test_supervisor import fast_config
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_contract.json").read_text())
@@ -57,9 +67,9 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def expect(scenario: str, digest: str) -> None:
-    assert digest == GOLDEN[scenario], (
-        f"{scenario!r}: observed digest {digest}, golden {GOLDEN[scenario]}"
+def expect(scenario: str, observed) -> None:
+    assert observed == GOLDEN[scenario], (
+        f"{scenario!r}: observed {observed}, golden {GOLDEN[scenario]}"
     )
 
 
@@ -261,3 +271,113 @@ def test_e14(tmp_path):
     out = cli("e14", "--quick", "--results", tmp_path)
     assert "oracle (batch=1 bit-identical): PASS" in out
     expect("e14 --quick", e14_digest(tmp_path))
+
+
+# ---- engine runs: the DES, Figure 4 and the analytic model --------------
+
+def sha(payload) -> str:
+    """SHA-256 of the ``repr`` of plain Python data (no NumPy scalars,
+    whose ``repr`` differs between NumPy 1.x and 2.x)."""
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def des_counts(system: System) -> dict:
+    """Event counts of a run that stopped at its job's finish.
+
+    The run then resumes to t = 1 s: the lifetime count there is the one
+    the runs had when ``MpiJob.run`` advanced in 1-s chunks, so the
+    events fired up to the finish are pinned as a prefix of that longer
+    sequence.
+    """
+    (job,) = system.jobs
+    assert system.sim.now == job.finish_time
+    events = system.sim.events_processed
+    system.sim.run_until(s(1))
+    return {"events_processed": events, "events_to_1s": system.sim.events_processed}
+
+
+def engine_cluster_des() -> dict:
+    """Full-stack DES under x30 daemon noise: 32 ranks on 2 nodes, 80 calls."""
+    system = System(ClusterConfig(
+        machine=MachineConfig(n_nodes=2, cpus_per_node=16),
+        mpi=MpiConfig(progress_threads_enabled=False),
+        noise=scale_noise(standard_noise(include_cron=False), 30.0),
+        seed=1,
+    ))
+    result = run_aggregate_trace(
+        system, 32, 16, AggregateTraceConfig(calls_per_loop=80, compute_between_us=200.0)
+    )
+    assert result.values_ok
+    durations = result.node0_durations_us
+    return {
+        **des_counts(system),
+        "result_digest": sha(
+            [sorted(durations), [round(d, 9) for d in durations[0].tolist()]]
+        ),
+    }
+
+
+def engine_fig4_quick() -> dict:
+    """Figure 4 at quick scale: 236-rank model, 112 calls, 16-rank DES."""
+    res = run_fig4(n_ranks=236, n_calls=112, des_ranks=16, des_calls=112)
+    return {
+        "result_digest": hashlib.sha256(res.sorted_durations_us.tobytes()).hexdigest(),
+        "slowest_culprit": res.slowest_culprit,
+        "n_outliers": len(res.outlier_attribution),
+        # The DES side: which daemon delayed which call, and by how much.
+        "attribution_digest": sha([
+            (int(i), float(dur), [(name, float(cpu_us)) for name, cpu_us in top])
+            for i, dur, top in res.outlier_attribution
+        ]),
+    }
+
+
+def engine_analytic_sweep() -> dict:
+    """The analytic model at sweep settings: proto16 (co-scheduled) and
+    vanilla16 at 128 and 944 ranks, one seed, 100 calls each."""
+    digest = hashlib.sha256()
+    for scenario in (PROTO16, VANILLA16):
+        for n in (128, 944):
+            cfg = make_config(scenario, n, seed=1000)
+            model = AllreduceSeriesModel(cfg, n, scenario.tasks_per_node, seed=1000 + n)
+            digest.update(model.run_series(100, compute_between_us=200.0).durations_us.tobytes())
+    return {"result_digest": digest.hexdigest()}
+
+
+def engine_cosched_quick() -> dict:
+    """Co-scheduled serial DES: 16 ranks on 1x16 CPUs, prototype kernel,
+    co-scheduler at period s(5)/50 and 90 % duty, long polling, noise x50."""
+    system = System(ClusterConfig(
+        machine=MachineConfig(n_nodes=1, cpus_per_node=16),
+        kernel=KernelConfig.prototype(big_tick=1),
+        cosched=CoschedConfig(enabled=True, period_us=s(5) / 50, duty_cycle=0.9),
+        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
+        noise=scale_noise(standard_noise(include_cron=False), 50.0),
+        seed=7,
+    ))
+    result = run_aggregate_trace(
+        system, 16, 16, AggregateTraceConfig(calls_per_loop=150, compute_between_us=200.0)
+    )
+    return {
+        **des_counts(system),
+        "result_digest": sha([
+            [(r, d.tolist()) for r, d in sorted(result.node0_durations_us.items())],
+            result.elapsed_us,
+        ]),
+        "cosched_cycles": sum(
+            nc.cycles for jc in system.coscheds for nc in jc.node_coscheds.values()
+        ),
+    }
+
+
+ENGINE_RUNS = {
+    "cluster_des": engine_cluster_des,
+    "fig4_quick": engine_fig4_quick,
+    "analytic_sweep": engine_analytic_sweep,
+    "cosched_quick": engine_cosched_quick,
+}
+
+
+@pytest.mark.parametrize("run", ENGINE_RUNS)
+def test_engine(run):
+    expect(f"engine {run}", ENGINE_RUNS[run]())

@@ -2,7 +2,7 @@
 
 The dispatch-core extraction promises two things at once: the ``aix``
 default is bit-identical to the pre-refactor scheduler (held elsewhere by
-the golden perf_smoke digests), and *every* zoo member — however exotic
+the engine runs of ``tests/test_contract.py``), and *every* zoo member — however exotic
 its dispatch order — still satisfies the properties any policy must:
 threads are never lost or duplicated across place/steal/rotate, no CPU
 idles while dispatchable work waits, and every run is seed-deterministic.

@@ -384,6 +384,12 @@ class TestCliValidation:
             (["e14", "--quick", "--meanfield", "8"], "--meanfield needs the pdes experiment"),
             (["chaos", "--quick", "--shards", "2", "--digest-out", "d.txt"],
              "--digest-out needs the pdes experiment"),
+            (["fig1", "--policy", "fair"], "--policy needs the policy or chaos experiment"),
+            (["fig1", "--seeds", "3"], "--seeds needs the chaos experiment"),
+            (["fig1", "--seed-base", "4"], "--seed-base needs the chaos experiment"),
+            (["fig1", "--corpus-out", "DIR"], "--corpus-out needs the chaos experiment"),
+            (["fig1", "--no-shrink"], "--no-shrink needs the chaos experiment"),
+            (["fig1", "--shrink-budget", "5"], "--shrink-budget needs the chaos experiment"),
         ],
     )
     def test_flags_no_selected_experiment_reads_are_rejected(self, argv, message, capsys):
