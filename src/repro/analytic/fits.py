@@ -5,11 +5,13 @@ The paper fits straight lines to Allreduce time vs processor count —
 and reads the ~3× improvement off the slope ratio.  It also contrasts the
 measured *linear* scaling against the *logarithmic* scaling the tree
 algorithm predicts.  This module provides both fits plus a comparison that
-says which one explains the data better.
+says which one explains the data better.  Failed sweep points (NaN holes)
+are left out of a fit; with fewer than two finite points no fit is made.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,12 @@ class FitResult:
     kind: str     # "linear" (f=x) or "log" (f=log2 x)
     slope: float  # a
     intercept: float  # b
-    r2: float
+    r2: float     # NaN when no fit was made (fewer than 2 finite points)
+
+    @property
+    def fitted(self) -> bool:
+        """Whether there were enough finite points to fit at all."""
+        return not math.isnan(self.r2)
 
     def predict(self, x) -> np.ndarray:
         """Evaluate the fitted curve at *x* (scalar or array)."""
@@ -33,6 +40,8 @@ class FitResult:
         return self.slope * fx + self.intercept
 
     def __str__(self) -> str:
+        if not self.fitted:
+            return "no fit (fewer than 2 finite points)"
         f = "log2(x)" if self.kind == "log" else "x"
         return f"y = {self.slope:.3g}·{f} + {self.intercept:.4g}  (R²={self.r2:.3f})"
 
@@ -42,6 +51,10 @@ def _fit(x: np.ndarray, y: np.ndarray, kind: str) -> FitResult:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need >= 2 points with matching shapes")
+    finite = np.isfinite(x) & np.isfinite(y)
+    if finite.sum() < 2:
+        return FitResult(kind, math.nan, math.nan, math.nan)
+    x, y = x[finite], y[finite]
     fx = np.log2(x) if kind == "log" else x
     a, b = np.polyfit(fx, y, 1)
     resid = y - (a * fx + b)
@@ -64,6 +77,8 @@ def fit_log(x, y) -> FitResult:
 def compare_fits(x, y) -> tuple[FitResult, FitResult, str]:
     """Fit both forms; returns (linear, log, winner) by R².
 
+    The winner is ``"none"`` when there were too few finite points to fit.
+
     The paper's diagnosis — "the performance is linear and exhibits
     extreme variability … rather than logarithmically" — corresponds to
     the linear fit winning on noisy configurations and the log fit
@@ -71,5 +86,7 @@ def compare_fits(x, y) -> tuple[FitResult, FitResult, str]:
     """
     lin = fit_linear(x, y)
     log = fit_log(x, y)
+    if not lin.fitted:
+        return lin, log, "none"
     winner = "linear" if lin.r2 >= log.r2 else "log"
     return lin, log, winner

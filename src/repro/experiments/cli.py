@@ -2,21 +2,14 @@
 
 ::
 
-    repro-experiments fig1 fig3 fig4 fig5 fig6 tpn15 speedup timers ale3d ablation
-    repro-experiments extensions          # E1-E6
-    repro-experiments all --quick
-    repro-experiments fig6 --jobs 4       # trials across 4 worker processes
-    repro-experiments fig3 fig6 --csv results/   # also dump CSV series
-    repro-experiments fig6 --results results/run1         # JSON + journal
-    repro-experiments fig6 --results results/run1 --resume  # skip done trials
-    repro-experiments e9 --quick          # crash/restart round-trip check
-    repro-experiments chaos --quick --seeds 8 --jobs 2   # fault fuzzing
-    repro-experiments chaos --quick --policy quantum     # pin the campaign
-    repro-experiments chaos --quick --seeds 4 --shards 2 # sharded-vs-serial digests
-    repro-experiments chaos --quick --shards 2 --harness-chaos 7  # + worker kills
-    repro-experiments resilience --shards 2              # E8 under parallel DES
-    repro-experiments policy --quick --jobs 4            # E13 policy ablation
-    repro-experiments policy --policy aix --policy fair  # subset of the zoo
+    repro-experiments NAME... [--quick] [--csv DIR] [--results DIR] [--jobs N]
+
+Every experiment is one row of :data:`EXPERIMENTS`: what it runs, how it
+prints and archives its result, its ``--quick`` arguments, the
+experiment-specific flags it reads and the groups (``all``,
+``extensions``) it belongs to.  ``--help`` lists the names in table
+order; a group name expands in place to its members in that order, and an
+experiment named twice runs once, at its first position.
 
 Parallelism: ``--jobs N`` fans the independent (scenario, count, seed)
 trials of every campaign out over N supervised worker processes via
@@ -52,67 +45,223 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
+from repro import chaos
 from repro.experiments import (
-    run_ablation,
-    run_ale3d_io,
-    run_fig1,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_speedup154,
-    run_timer_threads,
-    run_tpn15,
+    ablation, ale3d_io, e9_resume, e14_meanfield, extensions, fig1, fig4, fig6, pdes,
+    policyzoo, resilience, speedup, timer_threads, validate, workloads,
 )
-from repro.experiments.ablation import format_ablation
-from repro.experiments.ale3d_io import format_ale3d_io
-from repro.experiments.extensions import (
-    format_fine_grain,
-    format_hw_collectives,
-    format_misalignment,
-    format_multijob,
-    run_fine_grain,
-    run_hw_collectives,
-    run_misalignment,
-    run_multijob,
-)
-from repro.experiments.resilience import format_resilience, run_resilience
-from repro.experiments.workloads import (
-    format_granularity,
-    format_sensitivity,
-    format_waitmode,
-    run_granularity,
-    run_sensitivity,
-    run_waitmode,
-)
-from repro.experiments.fig1 import format_fig1
-from repro.experiments.fig4 import format_fig4
-from repro.experiments.fig6 import format_fig6, format_sweep
-from repro.experiments.speedup import format_speedup
-from repro.experiments.timer_threads import format_timer_threads
+from repro.experiments.common import SweepResult
 
-__all__ = ["main"]
+__all__ = ["EXPERIMENTS", "GROUPS", "QUICK_SWEEP", "Experiment", "expand", "main"]
 
 
-def _quick_kwargs(quick: bool) -> dict:
-    if not quick:
-        return {}
-    return {"n_calls": 150, "n_seeds": 2, "proc_counts": (128, 512, 944, 1728)}
+@dataclass(frozen=True)
+class Experiment:
+    """One row of :data:`EXPERIMENTS`: how to run, report and archive it.
+
+    The CLI calls ``run(args, **kwargs)`` with the parsed arguments, the
+    :attr:`quick` arguments under ``--quick`` and, if :attr:`harness`, the
+    campaign keywords ``journal``, ``trial_timeout_s`` and ``jobs``.  It
+    prints ``text(result)``, writes :attr:`csv` under ``--csv DIR`` and
+    :attr:`json` under ``--results DIR`` (named after the row unless
+    :attr:`stem` is set), calls :attr:`then`, and ends the run with exit
+    code 1 if ``ok(result)`` is false.  Unset hooks are skipped.
+    """
+
+    run: Callable[..., Any]
+    text: Callable[[Any], str]
+    quick: dict = field(default_factory=dict)
+    harness: bool = False
+    #: ``(headers, result -> rows)``, written as ``<stem>.csv``.
+    csv: tuple[tuple[str, ...], Callable[[Any], Iterable]] | None = None
+    #: ``result -> {suffix: result dataclass}``, each ``<stem><suffix>.json``.
+    json: Callable[[Any], dict] | None = None
+    stem: str | None = None
+    then: Callable[[argparse.Namespace, Any], None] | None = None
+    ok: Callable[[Any], bool] | None = None
+    #: Experiment-specific flags (argparse dests) the row reads.  A flag
+    #: set away from its default is an error unless a reader is selected.
+    flags: tuple[str, ...] = ()
+    #: ``--harness-chaos`` with ``--shards`` kills this row's shard workers.
+    shard_chaos: bool = False
+    #: ``args -> error message or None``, checked before anything runs.
+    check: Callable[[argparse.Namespace], str | None] | None = None
+    groups: tuple[str, ...] = ()
 
 
-#: Experiment-specific flags (by argparse dest) and the experiments that
-#: read them.  A flag set away from its default is an error unless one of
-#: its readers is selected.
-FLAG_READERS = {
-    "policy": ("policy", "chaos"),
-    **dict.fromkeys(
-        ("seeds", "seed_base", "no_shrink", "shrink_budget", "corpus_out"), ("chaos",)
+ALL = ("all",)
+EXTENSIONS = ("all", "extensions")
+
+#: ``--quick`` sizes of the Figure-3-shaped sweeps (fig3, fig5, fig6, tpn15).
+QUICK_SWEEP = {"n_calls": 150, "n_seeds": 2, "proc_counts": (128, 512, 944, 1728)}
+
+
+def _whole(res) -> dict:
+    return {"": res}
+
+
+def _printed(run, text, *, harness: bool = False, groups=ALL) -> Experiment:
+    """A row that only prints its report."""
+    return Experiment(lambda args, **kw: run(**kw), text, harness=harness, groups=groups)
+
+
+def _sweep(run, title: str) -> Experiment:
+    """A Figure-3-shaped sweep: table with fits, CSV series, JSON result."""
+    return Experiment(
+        lambda args, **kw: run(**kw), lambda res: fig6.format_sweep(res, title),
+        quick=QUICK_SWEEP, harness=True, json=_whole, groups=ALL,
+        csv=(("procs", "mean_us", "run_std_us", "call_std_us"), SweepResult.rows),
+    )
+
+
+def _run_chaos(args, **kw):
+    return chaos.run_chaos(
+        seeds=args.seeds, seed_base=args.seed_base, shrink=not args.no_shrink,
+        shrink_budget=args.shrink_budget, corpus_out=args.corpus_out,
+        policy=args.policy[0] if args.policy else None, shards=args.shards,
+        shard_chaos=args.harness_chaos if args.shards is not None else None, **kw,
+    )
+
+
+def _run_pdes(args, **kw):
+    return pdes.run_pdes(
+        shards=args.shards or 1, meanfield_batch=args.meanfield,
+        shard_chaos_seed=args.harness_chaos if args.shards is not None else None, **kw,
+    )
+
+
+def _write_digest(args, res) -> None:
+    """``--digest-out PATH``: the run's result digest as one hex line."""
+    if args.digest_out:
+        os.makedirs(os.path.dirname(args.digest_out) or ".", exist_ok=True)
+        with open(args.digest_out, "w", encoding="utf-8") as fh:
+            fh.write(res.digest + "\n")
+        print(f"[digest: {args.digest_out}]")
+
+
+def _policyzoo_rows(res):
+    return [
+        (p, n, res.mean_us[p][i], res.median_us[p][i], res.max_us[p][i],
+         res.mean_us[p][i] / res.reference_us[i])
+        for p in res.policies
+        for i, n in enumerate(res.sizes)
+    ]
+
+
+#: Every experiment, in ``--help`` and ``all`` order.
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig1": _printed(fig1.run_fig1, fig1.format_fig1),
+    "fig3": _sweep(fig6.run_fig3, "Figure 3: vanilla kernel, 16 tasks/node"),
+    "fig4": Experiment(
+        lambda args: fig4.run_fig4(), fig4.format_fig4, groups=ALL,
+        csv=(("index", "sorted_allreduce_us"), lambda res: enumerate(res.sorted_durations_us)),
     ),
-    "shards": ("pdes", "chaos", "resilience"),
-    "meanfield": ("pdes",),
-    "digest_out": ("pdes",),
+    "fig5": _sweep(fig6.run_fig5, "Figure 5: prototype kernel + co-scheduler"),
+    "fig6": Experiment(
+        lambda args, **kw: fig6.run_fig6(**kw), fig6.format_fig6,
+        quick=QUICK_SWEEP, harness=True, groups=ALL,
+        csv=(
+            ("procs", "vanilla_us", "prototype_us"),
+            lambda res: zip(res.vanilla.proc_counts, res.vanilla.mean_us, res.prototype.mean_us),
+        ),
+        json=lambda res: {"_vanilla": res.vanilla, "_prototype": res.prototype},
+    ),
+    "tpn15": _sweep(fig6.run_tpn15, "T1: vanilla kernel, 15 tasks/node"),
+    "speedup": _printed(speedup.run_speedup154, speedup.format_speedup, harness=True),
+    "timers": _printed(timer_threads.run_timer_threads, timer_threads.format_timer_threads),
+    "ale3d": _printed(ale3d_io.run_ale3d_io, ale3d_io.format_ale3d_io),
+    "ablation": _printed(ablation.run_ablation, ablation.format_ablation, harness=True),
+    "multijob": _printed(
+        extensions.run_multijob, extensions.format_multijob, groups=EXTENSIONS
+    ),
+    "hw": _printed(
+        extensions.run_hw_collectives, extensions.format_hw_collectives, groups=EXTENSIONS
+    ),
+    "finegrain": _printed(
+        extensions.run_fine_grain, extensions.format_fine_grain, groups=EXTENSIONS
+    ),
+    "misalign": _printed(
+        extensions.run_misalignment, extensions.format_misalignment, groups=EXTENSIONS
+    ),
+    "resilience": Experiment(
+        lambda args, **kw: resilience.run_resilience(shards=args.shards or 1, **kw),
+        resilience.format_resilience, quick={"n_ranks": 16, "calls": 1000}, harness=True,
+        json=_whole, flags=("shards",), groups=EXTENSIONS,
+    ),
+    "waitmode": _printed(workloads.run_waitmode, workloads.format_waitmode, groups=EXTENSIONS),
+    "sensitivity": _printed(
+        workloads.run_sensitivity, workloads.format_sensitivity, groups=EXTENSIONS
+    ),
+    "granularity": Experiment(
+        lambda args: workloads.run_granularity(), workloads.format_granularity,
+        groups=EXTENSIONS,
+        csv=(
+            ("compute_us", "vanilla_eff", "prototype_eff"),
+            lambda res: zip(res.compute_us, res.vanilla_efficiency, res.prototype_efficiency),
+        ),
+    ),
+    "validate": Experiment(
+        lambda args: validate.run_validation(jobs=args.jobs), validate.format_validation,
+        ok=lambda checks: all(c.passed for c in checks),
+    ),
+    "e9": Experiment(
+        lambda args, **kw: e9_resume.run_e9(
+            workdir=os.path.join(args.results, "e9") if args.results else None, **kw
+        ),
+        e9_resume.format_e9, quick={"quick": True}, json=_whole, groups=ALL,
+        ok=lambda res: res.fingerprint_match and res.journal_match,
+    ),
+    "chaos": Experiment(
+        _run_chaos, chaos.format_chaos, quick={"quick": True}, harness=True,
+        ok=lambda res: not res.failures, shard_chaos=True,
+        flags=("policy", "seeds", "seed_base", "no_shrink", "shrink_budget", "corpus_out",
+               "shards"),
+        check=lambda args: (
+            "chaos accepts a single --policy to pin the campaign to"
+            if args.policy and len(args.policy) > 1 else None
+        ),
+    ),
+    "policy": Experiment(
+        lambda args, **kw: policyzoo.run_policyzoo(policies=args.policy, **kw),
+        policyzoo.format_policyzoo, quick={"quick": True}, harness=True,
+        csv=(("policy", "n_ranks", "mean_us", "median_us", "max_us", "slowdown"),
+             _policyzoo_rows),
+        json=_whole, stem="policyzoo", flags=("policy",),
+        ok=lambda res: all(all(v) for v in res.values_ok.values()),
+    ),
+    "e14": Experiment(
+        lambda args, **kw: e14_meanfield.run_e14(**kw), e14_meanfield.format_e14,
+        quick={"grid": "quick"}, json=_whole, ok=lambda res: res.oracle_ok,
+        csv=(
+            ("batch", "events", "event_reduction", "wall_speedup", "elapsed_dev_pct",
+             "mean_dev_pct", "curve_err_p50_pct", "curve_err_p90_pct", "curve_err_max_abs_us"),
+            lambda res: zip(
+                res.batches, res.events, res.event_reduction, res.wall_speedup,
+                res.elapsed_dev_pct, res.mean_dev_pct, res.curve_err_p50_pct,
+                res.curve_err_p90_pct, res.curve_err_max_abs_us,
+            ),
+        ),
+    ),
+    "pdes": Experiment(
+        _run_pdes, pdes.format_pdes, quick={"quick": True}, json=_whole, then=_write_digest,
+        ok=lambda res: res.ok, flags=("shards", "meanfield", "digest_out"), shard_chaos=True,
+    ),
 }
+
+#: Group name -> its members, in table order.
+GROUPS: dict[str, list[str]] = {
+    group: [name for name, row in EXPERIMENTS.items() if group in row.groups]
+    for group in dict.fromkeys(g for row in EXPERIMENTS.values() for g in row.groups)
+}
+
+
+def expand(names: Iterable[str]) -> list[str]:
+    """The experiments *names* select: groups expanded in place, each
+    experiment once, at its first position."""
+    return list(dict.fromkeys(n for name in names for n in GROUPS.get(name, (name,))))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,13 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=[
-            "fig1", "fig3", "fig4", "fig5", "fig6",
-            "tpn15", "speedup", "timers", "ale3d", "ablation",
-            "multijob", "hw", "finegrain", "misalign", "resilience",
-            "waitmode", "sensitivity", "granularity", "validate", "e9",
-            "chaos", "policy", "e14", "pdes", "all", "extensions",
-        ],
+        choices=[*EXPERIMENTS, *GROUPS],
     )
     parser.add_argument("--quick", action="store_true", help="smaller sweeps for a fast pass")
     parser.add_argument("--csv", metavar="DIR", help="also write CSV series to DIR")
@@ -244,18 +387,14 @@ def main(argv: list[str] | None = None) -> int:
              " instead of letting the chaos.policy axis draw one",
     )
     args = parser.parse_args(argv)
-    wanted = list(args.experiments)
-    if "all" in wanted:
-        wanted = ["fig1", "fig3", "fig4", "fig5", "fig6", "tpn15",
-                  "speedup", "timers", "ale3d", "ablation",
-                  "multijob", "hw", "finegrain", "misalign", "resilience",
-                  "waitmode", "sensitivity", "granularity", "e9"]
-    elif "extensions" in wanted:
-        wanted = ["multijob", "hw", "finegrain", "misalign", "resilience",
-                  "waitmode", "sensitivity", "granularity"]
-
-    for dest, readers in FLAG_READERS.items():
-        if getattr(args, dest) != parser.get_default(dest) and not set(readers) & set(wanted):
+    wanted = expand(args.experiments)
+    rows = [EXPERIMENTS[name] for name in wanted]
+    read = {flag for row in rows for flag in row.flags}
+    for dest in dict.fromkeys(f for row in EXPERIMENTS.values() for f in row.flags):
+        if dest not in read and getattr(args, dest) != parser.get_default(dest):
+            # Named from the table's end, where the experiment built
+            # around a flag sits, back to the ones that also read it.
+            readers = [n for n, row in reversed(EXPERIMENTS.items()) if dest in row.flags]
             names = readers[0] if len(readers) == 1 else (
                 f"{', '.join(readers[:-1])} or {readers[-1]}"
             )
@@ -267,10 +406,16 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.policy:
             if name not in known:
                 parser.error(f"--policy {name!r}: not registered; known: {known}")
-        if "chaos" in wanted and len(args.policy) > 1:
-            parser.error("chaos accepts a single --policy to pin the campaign to")
+    for row in rows:
+        error = row.check and row.check(args)
+        if error:
+            parser.error(error)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.trial_timeout is not None and args.trial_timeout <= 0:
+        parser.error("--trial-timeout must be > 0")
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be >= 1")
     if args.meanfield < 0:
@@ -282,14 +427,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.backoff < 0:
         parser.error("--backoff must be >= 0")
     if args.harness_chaos is not None and args.jobs < 2 and not (
-        args.shards is not None
-        and args.shards >= 1
-        and any(e in ("chaos", "pdes") for e in wanted)
+        args.shards is not None and any(row.shard_chaos for row in rows)
     ):
+        killers = "/".join(n for n, row in EXPERIMENTS.items() if row.shard_chaos)
         parser.error(
             "--harness-chaos needs --jobs >= 2 (only supervised workers "
             "can be killed and retried), or --shards with the "
-            "chaos/pdes experiments (where it SIGKILLs shard workers and "
+            f"{killers} experiments (where it SIGKILLs shard workers and "
             "the parallel-DES supervisor must recover them)"
         )
 
@@ -303,28 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     elif args.resume:
         parser.error("--resume requires --results DIR (the journal to resume from)")
 
-    def csv_out(name: str, headers, rows) -> None:
-        if not args.csv:
-            return
-        from repro.experiments.reporting import write_csv
-
-        os.makedirs(args.csv, exist_ok=True)
-        path = os.path.join(args.csv, f"{name}.csv")
-        write_csv(path, headers, rows)
-        print(f"[csv: {path}]")
-
-    def save_json(name: str, result) -> None:
-        """Archive one experiment's result dataclass (atomic write)."""
-        if not args.results:
-            return
-        from repro.results import save_result
-
-        os.makedirs(args.results, exist_ok=True)
-        path = os.path.join(args.results, f"{name}.json")
-        save_result(path, result)
-        print(f"[json: {path}]")
-
-    qa = _quick_kwargs(args.quick)
     harness = {
         "journal": journal,
         "trial_timeout_s": args.trial_timeout,
@@ -356,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
         use_cache=not args.no_cache,
     )
     try:
-        rc = _run_selected(wanted, args, qa, harness, csv_out, save_json)
+        rc = _run_selected(wanted, args, harness)
         if store is not None:
             print(
                 f"[store: hits={store.hits} misses={store.misses} puts={store.puts}]"
@@ -376,183 +498,38 @@ def main(argv: list[str] | None = None) -> int:
         set_execution_defaults(*previous_defaults)
 
 
-def _run_selected(wanted, args, qa, harness, csv_out, save_json) -> int:
-    """Run the selected experiments in order (the body of :func:`main`)."""
+def _run_selected(wanted, args, harness) -> int:
+    """Run the selected experiments in order; 1 at the first that fails."""
     for name in wanted:
+        row = EXPERIMENTS[name]
         t0 = time.time()
         print(f"=== {name} " + "=" * (60 - len(name)))
-        sweep_headers = ("procs", "mean_us", "run_std_us", "call_std_us")
-        if name == "fig1":
-            print(format_fig1(run_fig1()))
-        elif name == "fig3":
-            res = run_fig3(**qa, **harness)
-            print(format_sweep(res, "Figure 3: vanilla kernel, 16 tasks/node"))
-            csv_out("fig3", sweep_headers, res.rows())
-            save_json("fig3", res)
-        elif name == "fig4":
-            res = run_fig4()
-            print(format_fig4(res))
-            csv_out(
-                "fig4",
-                ("index", "sorted_allreduce_us"),
-                enumerate(res.sorted_durations_us),
-            )
-        elif name == "fig5":
-            res = run_fig5(**qa, **harness)
-            print(format_sweep(res, "Figure 5: prototype kernel + co-scheduler"))
-            csv_out("fig5", sweep_headers, res.rows())
-            save_json("fig5", res)
-        elif name == "fig6":
-            res = run_fig6(**qa, **harness)
-            print(format_fig6(res))
-            csv_out(
-                "fig6",
-                ("procs", "vanilla_us", "prototype_us"),
-                zip(res.vanilla.proc_counts, res.vanilla.mean_us, res.prototype.mean_us),
-            )
-            save_json("fig6_vanilla", res.vanilla)
-            save_json("fig6_prototype", res.prototype)
-        elif name == "tpn15":
-            res = run_tpn15(**qa, **harness)
-            print(format_sweep(res, "T1: vanilla kernel, 15 tasks/node"))
-            csv_out("tpn15", sweep_headers, res.rows())
-            save_json("tpn15", res)
-        elif name == "speedup":
-            print(format_speedup(run_speedup154(**harness)))
-        elif name == "timers":
-            print(format_timer_threads(run_timer_threads()))
-        elif name == "ale3d":
-            print(format_ale3d_io(run_ale3d_io()))
-        elif name == "ablation":
-            print(format_ablation(run_ablation(**harness)))
-        elif name == "multijob":
-            print(format_multijob(run_multijob()))
-        elif name == "hw":
-            print(format_hw_collectives(run_hw_collectives()))
-        elif name == "finegrain":
-            print(format_fine_grain(run_fine_grain()))
-        elif name == "misalign":
-            print(format_misalignment(run_misalignment()))
-        elif name == "resilience":
-            rqa = {"n_ranks": 16, "calls": 1000} if args.quick else {}
-            if args.shards is not None:
-                rqa["shards"] = args.shards
-            res = run_resilience(**rqa, **harness)
-            print(format_resilience(res))
-            save_json("resilience", res)
-        elif name == "e9":
-            from repro.experiments.e9_resume import format_e9, run_e9
+        kwargs = dict(row.quick) if args.quick else {}
+        if row.harness:
+            kwargs.update(harness)
+        res = row.run(args, **kwargs)
+        print(row.text(res))
+        stem = row.stem or name
+        if row.csv and args.csv:
+            from repro.experiments.reporting import write_csv
 
-            res = run_e9(
-                quick=args.quick,
-                workdir=os.path.join(args.results, "e9") if args.results else None,
-            )
-            print(format_e9(res))
-            save_json("e9", res)
-            if not (res.fingerprint_match and res.journal_match):
-                return 1
-        elif name == "waitmode":
-            print(format_waitmode(run_waitmode()))
-        elif name == "sensitivity":
-            print(format_sensitivity(run_sensitivity()))
-        elif name == "granularity":
-            res = run_granularity()
-            print(format_granularity(res))
-            csv_out(
-                "granularity",
-                ("compute_us", "vanilla_eff", "prototype_eff"),
-                zip(res.compute_us, res.vanilla_efficiency, res.prototype_efficiency),
-            )
-        elif name == "chaos":
-            from repro.chaos import format_chaos, run_chaos
+            headers, rows = row.csv
+            os.makedirs(args.csv, exist_ok=True)
+            path = os.path.join(args.csv, f"{stem}.csv")
+            write_csv(path, headers, rows(res))
+            print(f"[csv: {path}]")
+        if row.json and args.results:
+            from repro.results import save_result
 
-            res = run_chaos(
-                seeds=args.seeds,
-                seed_base=args.seed_base,
-                quick=args.quick,
-                shrink=not args.no_shrink,
-                shrink_budget=args.shrink_budget,
-                corpus_out=args.corpus_out,
-                policy=args.policy[0] if args.policy else None,
-                shards=args.shards,
-                shard_chaos=(
-                    args.harness_chaos if args.shards is not None else None
-                ),
-                **harness,
-            )
-            print(format_chaos(res))
-            if res.failures:
-                return 1
-        elif name == "policy":
-            from repro.experiments.policyzoo import format_policyzoo, run_policyzoo
-
-            res = run_policyzoo(
-                policies=args.policy, quick=args.quick, **harness
-            )
-            print(format_policyzoo(res))
-            csv_out(
-                "policyzoo",
-                ("policy", "n_ranks", "mean_us", "median_us", "max_us", "slowdown"),
-                [
-                    (p, n, res.mean_us[p][i], res.median_us[p][i],
-                     res.max_us[p][i], res.mean_us[p][i] / res.reference_us[i])
-                    for p in res.policies
-                    for i, n in enumerate(res.sizes)
-                ],
-            )
-            save_json("policyzoo", res)
-            if not all(all(v) for v in res.values_ok.values()):
-                return 1
-        elif name == "e14":
-            from repro.experiments.e14_meanfield import format_e14, run_e14
-
-            res = run_e14("quick" if args.quick else "full")
-            print(format_e14(res))
-            csv_out(
-                "e14",
-                ("batch", "events", "event_reduction", "wall_speedup",
-                 "elapsed_dev_pct", "mean_dev_pct",
-                 "curve_err_p50_pct", "curve_err_p90_pct", "curve_err_max_abs_us"),
-                [
-                    (res.batches[i], res.events[i], res.event_reduction[i],
-                     res.wall_speedup[i], res.elapsed_dev_pct[i],
-                     res.mean_dev_pct[i], res.curve_err_p50_pct[i],
-                     res.curve_err_p90_pct[i], res.curve_err_max_abs_us[i])
-                    for i in range(len(res.batches))
-                ],
-            )
-            save_json("e14", res)
-            if not res.oracle_ok:
-                return 1
-        elif name == "pdes":
-            from repro.experiments.pdes import format_pdes, run_pdes
-
-            res = run_pdes(
-                shards=args.shards or 1,
-                quick=args.quick,
-                meanfield_batch=args.meanfield,
-                shard_chaos_seed=(
-                    args.harness_chaos if args.shards is not None else None
-                ),
-            )
-            print(format_pdes(res))
-            save_json("pdes", res)
-            if args.digest_out:
-                d = os.path.dirname(args.digest_out)
-                if d:
-                    os.makedirs(d, exist_ok=True)
-                with open(args.digest_out, "w", encoding="utf-8") as fh:
-                    fh.write(res.digest + "\n")
-                print(f"[digest: {args.digest_out}]")
-            if not res.ok:
-                return 1
-        elif name == "validate":
-            from repro.experiments.validate import format_validation, run_validation
-
-            checks = run_validation(jobs=args.jobs)
-            print(format_validation(checks))
-            if any(not c.passed for c in checks):
-                return 1
+            for suffix, obj in row.json(res).items():
+                os.makedirs(args.results, exist_ok=True)
+                path = os.path.join(args.results, f"{stem}{suffix}.json")
+                save_result(path, obj)
+                print(f"[json: {path}]")
+        if row.then:
+            row.then(args, res)
+        if row.ok and not row.ok(res):
+            return 1
         print(f"[{name}: {time.time() - t0:.1f}s]\n")
     return 0
 

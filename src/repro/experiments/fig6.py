@@ -86,7 +86,7 @@ class Fig6Result:
     prototype: SweepResult
     vanilla_fit: FitResult
     prototype_fit: FitResult
-    vanilla_winner: str   # "linear" or "log"
+    vanilla_winner: str   # "linear", "log" or "none" (too few finite points)
     prototype_winner: str
 
     @property
@@ -124,6 +124,8 @@ def format_sweep(res: SweepResult, title: str) -> str:
             f"failed points: {len(res.failed_points)} "
             f"({format_taxonomy(res.failure_taxonomy)})\n"
         )
+    if not lin.fitted:
+        return table + failed + f"fits       : {lin}\n"
     return (
         table
         + failed

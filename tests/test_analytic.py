@@ -286,6 +286,34 @@ class TestFits:
         s = str(fit_linear([1, 2, 3], [2, 4, 6]))
         assert "R²" in s and "y =" in s
 
+    def test_nan_holes_are_left_out_of_the_fit(self):
+        x = np.array([128, 512, 944, 1728.0])
+        y = 0.7 * x + 166
+        y[2] = np.nan
+        for fit in (fit_linear, fit_log):
+            assert fit(x, y) == fit(np.delete(x, 2), np.delete(y, 2))
+        lin, log, winner = compare_fits(x, y)
+        assert lin.slope == pytest.approx(0.7) and winner == "linear"
+
+    @pytest.mark.parametrize("n_finite", [0, 1])
+    def test_too_few_finite_points_make_no_fit_and_no_winner(self, n_finite):
+        x = np.array([128, 512, 944, 1728.0])
+        y = np.full(4, np.nan)
+        y[:n_finite] = 300.0
+        lin, log, winner = compare_fits(x, y)
+        assert not lin.fitted and not log.fitted and winner == "none"
+        assert str(lin) == "no fit (fewer than 2 finite points)"
+
+    def test_sweep_report_without_finite_points_claims_no_fit(self):
+        from repro.experiments.common import SweepResult
+        from repro.experiments.fig6 import format_sweep
+
+        nan4 = np.full(4, np.nan)
+        res = SweepResult("vanilla16", np.array([128, 512, 944, 1728]), nan4, nan4, nan4, 2, 150)
+        text = format_sweep(res, "all points failed")
+        assert "R²=1.000" not in text and "linear" not in text
+        assert "fits       : no fit (fewer than 2 finite points)" in text
+
     @settings(max_examples=50)
     @given(
         slope=st.floats(min_value=-10, max_value=10, allow_nan=False),

@@ -34,7 +34,7 @@ from repro.checkpoint import SweepJournal
 from repro.config import ClusterConfig, CoschedConfig, KernelConfig, MachineConfig, MpiConfig
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments import run_fig4, run_fig6
-from repro.experiments.cli import _quick_kwargs, main as cli_main
+from repro.experiments.cli import QUICK_SWEEP, main as cli_main
 from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.runner import TrialRunner, set_execution_defaults
 from repro.results import save_result
@@ -130,7 +130,7 @@ def test_fig6_jobs2_harness_chaos(tmp_path, caplog):
     )
     try:
         with caplog.at_level(logging.INFO, logger="repro.harness"):
-            res = run_fig6(**_quick_kwargs(True), journal=SweepJournal(tmp_path), jobs=2)
+            res = run_fig6(**QUICK_SWEEP, journal=SweepJournal(tmp_path), jobs=2)
     finally:
         set_execution_defaults(*previous)
     save_result(tmp_path / "fig6_vanilla.json", res.vanilla)

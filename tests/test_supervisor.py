@@ -398,3 +398,49 @@ class TestCliValidation:
         with pytest.raises(SystemExit):
             cli.main(argv)
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig3", "--quick", "--trial-timeout", "-1"], "--trial-timeout must be > 0"),
+            (["fig3", "--quick", "--trial-timeout", "0"], "--trial-timeout must be > 0"),
+            (["chaos", "--quick", "--seeds", "0"], "--seeds must be >= 1"),
+            (["chaos", "--quick", "--seeds", "-3"], "--seeds must be >= 1"),
+        ],
+    )
+    def test_out_of_range_values_are_rejected(self, argv, message, capsys):
+        from repro.experiments import cli
+
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert message in capsys.readouterr().err
+
+    ALL = ["fig1", "fig3", "fig4", "fig5", "fig6", "tpn15", "speedup", "timers",
+           "ale3d", "ablation", "multijob", "hw", "finegrain", "misalign",
+           "resilience", "waitmode", "sensitivity", "granularity", "e9"]
+    EXTENSIONS = ["multijob", "hw", "finegrain", "misalign", "resilience",
+                  "waitmode", "sensitivity", "granularity"]
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["all"], ALL),
+            (["extensions"], EXTENSIONS),
+            (["all", "extensions"], ALL),
+            (["all", "--quick"], ALL),
+            (["chaos", "all"], ["chaos", *ALL]),
+            (["validate", "all", "--quick"], ["validate", *ALL]),
+            (["pdes", "extensions"], ["pdes", *EXTENSIONS]),
+            (["chaos", "all", "--seeds", "3"], ["chaos", *ALL]),
+            (["all", "validate"], [*ALL, "validate"]),
+            (["hw", "extensions", "fig1", "hw"], ["hw", "multijob", *EXTENSIONS[2:], "fig1"]),
+            (["fig6", "fig3", "fig6"], ["fig6", "fig3"]),
+        ],
+    )
+    def test_groups_expand_in_place(self, argv, expected, monkeypatch):
+        from repro.experiments import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "_run_selected", lambda wanted, *_: ran.append(wanted) or 0)
+        assert cli.main(argv) == 0
+        assert ran == [expected]
