@@ -87,6 +87,18 @@ class AggregateTraceResult:
     def min_us(self) -> float:
         return float(np.min(self.durations_us))
 
+    @property
+    def digest(self) -> str:
+        """The rank-visible outcome's digest (:func:`repro.results.rank_digest`
+        over node 0's ranks, rank 0 among them), equal to the sharded
+        engine's for the same run."""
+        # Deferred: repro.results imports the experiments, which import
+        # this module.
+        from repro.results import rank_digest
+
+        ranks = {str(r): d.tolist() for r, d in self.node0_durations_us.items()}
+        return rank_digest(self.n_ranks, ranks, self.values_ok, self.elapsed_us)
+
     def sorted_node0_sample(self) -> np.ndarray:
         """All node-0 per-call durations, sorted ascending — the Figure 4
         presentation (448 sorted Allreduce times from one node)."""

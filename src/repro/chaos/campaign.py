@@ -98,100 +98,6 @@ def _chaos_trial(params: dict) -> dict:
     )
 
 
-def _chaos_shard_trial(params: dict) -> dict:
-    """One *sharded* campaign trial: judge the seed's schedule under
-    conservative parallel DES against the serial engine.
-
-    The full randomized fault schedule — stochastic drop/dup/delay, pipe
-    loss, timesync loss, node/co-scheduler faults, retransmit, watchdog,
-    policy swaps — runs at ``params["shards"]`` shards (forked workers)
-    and at 1 shard in-process; the **determinism** oracle is digest (and
-    summed-counter) equality between the two.  **liveness** reuses the
-    analytic bound as the parallel run's horizon, and **safety** is
-    reduction correctness.  ``params["shard_chaos"]``, when present,
-    additionally SIGKILLs shard workers on their deterministic
-    :func:`~repro.chaos.harness_faults.shard_kill_plan` schedules — the
-    recovered run must still match the serial digest byte-for-byte.
-    An unrecoverable shard (respawn budget exhausted) surfaces as a
-    :class:`~repro.sim.parallel.ShardFailureError` trial error, which the
-    campaign journals as a failed seed instead of hanging.
-    """
-    import multiprocessing
-
-    from repro.chaos.oracles import build_cluster_config, liveness_bound_us
-    from repro.sim.parallel import ShardFailureError, run_parallel
-
-    workload, schedule = _trial_schedule(params)
-    shards = params["shards"]
-    shard_chaos = params.get("shard_chaos")
-    daemonic = multiprocessing.current_process().daemon
-    if shard_chaos is not None and daemonic:
-        raise RuntimeError(
-            "sharded chaos with worker kills needs non-daemonic trial "
-            "execution (forked shard workers); rerun with --jobs 1"
-        )
-    cfg = build_cluster_config(
-        workload, schedule.fault_config(), schedule.seed,
-        policy=schedule.policy_spec(),
-    )
-    bound = liveness_bound_us(schedule)
-    kw = dict(
-        n_ranks=workload.n_ranks,
-        tasks_per_node=workload.tasks_per_node,
-        app="repro.apps.aggregate_trace:sharded_app",
-        app_params=dict(
-            loops=1,
-            calls_per_loop=workload.calls,
-            trace_block=32,
-            compute_between_us=workload.compute_between_us,
-            payload_bytes=8,
-            record_nodes=(0,),
-        ),
-        horizon_us=bound,
-        job_name="chaos",
-    )
-
-    try:
-        serial = run_parallel(cfg, shards=1, use_processes=False, **kw)
-        sharded = run_parallel(
-            cfg,
-            shards=shards,
-            use_processes=False if daemonic else True,
-            shard_chaos_seed=shard_chaos,
-            respawn_backoff_s=0.01,
-            **kw,
-        )
-    except ShardFailureError:
-        raise  # unrecoverable shard: journaled as a trial error, not a hang
-    except RuntimeError as exc:
-        # run_parallel raises at the horizon instead of returning an
-        # incomplete run — the sharded analogue of a liveness failure.
-        return _verdict(
-            params["seed"], schedule, False, ["liveness"],
-            {"bound_us": bound, "elapsed_us": bound, "completed": False,
-             "error": str(exc)},
-        )
-    failed = []
-    if not (serial.ok and sharded.ok):
-        failed.append("safety")
-    if sharded.digest != serial.digest or sharded.counters != serial.counters:
-        failed.append("determinism")
-    return _verdict(
-        params["seed"], schedule, not failed, failed,
-        {
-            "bound_us": bound,
-            "elapsed_us": sharded.elapsed_us,
-            "completed": True,
-            "values_ok": serial.ok and sharded.ok,
-            "digest": sharded.digest,
-            "serial_digest": serial.digest,
-            "supersteps": sharded.supersteps,
-            "counters": dict(sharded.counters),
-            "recoveries": sharded.recoveries,
-        },
-    )
-
-
 @dataclass
 class ChaosCampaignResult:
     """Verdicts for every seed, plus the minimized counterexamples."""
@@ -218,8 +124,6 @@ def run_chaos(
     corpus_out: Optional[str] = None,
     policy: Optional[str] = None,
     policy_params: tuple = (),
-    shards: Optional[int] = None,
-    shard_chaos: Optional[int] = None,
 ) -> ChaosCampaignResult:
     """Judge ``seed_base .. seed_base+seeds-1``; shrink and save failures.
 
@@ -229,26 +133,8 @@ def run_chaos(
     wall clock.  ``policy`` pins every seed's schedule to that dispatch
     policy (overriding the ``chaos.policy`` axis); journal keys carry the
     policy name so pinned and unpinned campaigns never collide.
-
-    *shards* switches every seed to the **sharded** trial
-    (:func:`_chaos_shard_trial`): the schedule runs under conservative
-    parallel DES and is judged by digest equality against the serial
-    engine; *shard_chaos* additionally kills shard workers on their
-    deterministic plans.  Sharded records are digest verdicts, not oracle
-    replays, so shrinking is disabled and journal keys carry ``-sh<N>``
-    (and ``-hc<SEED>``).
     """
     workload = chaos_workload(quick)
-    sharded = shards is not None
-    if sharded:
-        if shards > workload.n_nodes:
-            raise ValueError(
-                f"shards ({shards}) cannot exceed the chaos workload's "
-                f"{workload.n_nodes} nodes"
-            )
-        shrink = False
-    elif shard_chaos is not None:
-        raise ValueError("shard_chaos requires shards (the sharded campaign)")
     wl_params = {
         "n_ranks": workload.n_ranks,
         "tasks_per_node": workload.tasks_per_node,
@@ -257,26 +143,13 @@ def run_chaos(
         "time_compression": workload.time_compression,
     }
     forced = dict((("name", policy),) + tuple(policy_params)) if policy else None
-    suffix = (
-        ("-quick" if quick else "")
-        + (f"-p{policy}" if policy else "")
-        + (f"-sh{shards}" if sharded else "")
-        + (f"-hc{shard_chaos}" if shard_chaos is not None else "")
-    )
+    suffix = ("-quick" if quick else "") + (f"-p{policy}" if policy else "")
     extra: dict = {"policy": forced} if forced else {}
-    if sharded:
-        extra["shards"] = shards
-        if shard_chaos is not None:
-            extra["shard_chaos"] = shard_chaos
     seed_list = tuple(range(seed_base, seed_base + seeds))
     specs = [
         TrialSpec(
             key=f"chaos-s{seed}{suffix}",
-            fn=(
-                "repro.chaos.campaign:_chaos_shard_trial"
-                if sharded
-                else "repro.chaos.campaign:_chaos_trial"
-            ),
+            fn="repro.chaos.campaign:_chaos_trial",
             params={"seed": seed, "workload": wl_params} | extra,
         )
         for seed in seed_list

@@ -35,7 +35,9 @@ SIGINT/SIGTERM drain (in-flight trials finish and are journaled, no
 orphaned workers; exit code 130 with a resumable journal).
 ``--harness-chaos SEED`` deliberately kills/hangs workers on a
 deterministic schedule to prove all of that: the run must still converge
-to results byte-identical to a clean serial run.
+to results byte-identical to a clean serial run.  It needs ``--jobs 2``
+or more and a selected experiment that runs supervised trials (a
+campaign row, or ``validate``); anywhere else it would inject nothing.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ class Experiment:
     #: Experiment-specific flags (argparse dests) the row reads.  A flag
     #: set away from its default is an error unless a reader is selected.
     flags: tuple[str, ...] = ()
-    #: ``--harness-chaos`` with ``--shards`` kills this row's shard workers.
-    shard_chaos: bool = False
     #: ``args -> error message or None``, checked before anything runs.
     check: Callable[[argparse.Namespace], str | None] | None = None
     groups: tuple[str, ...] = ()
@@ -121,15 +121,7 @@ def _run_chaos(args, **kw):
     return chaos.run_chaos(
         seeds=args.seeds, seed_base=args.seed_base, shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget, corpus_out=args.corpus_out,
-        policy=args.policy[0] if args.policy else None, shards=args.shards,
-        shard_chaos=args.harness_chaos if args.shards is not None else None, **kw,
-    )
-
-
-def _run_pdes(args, **kw):
-    return pdes.run_pdes(
-        shards=args.shards or 1, meanfield_batch=args.meanfield,
-        shard_chaos_seed=args.harness_chaos if args.shards is not None else None, **kw,
+        policy=args.policy[0] if args.policy else None, **kw,
     )
 
 
@@ -187,9 +179,9 @@ EXPERIMENTS: dict[str, Experiment] = {
         extensions.run_misalignment, extensions.format_misalignment, groups=EXTENSIONS
     ),
     "resilience": Experiment(
-        lambda args, **kw: resilience.run_resilience(shards=args.shards or 1, **kw),
+        lambda args, **kw: resilience.run_resilience(**kw),
         resilience.format_resilience, quick={"n_ranks": 16, "calls": 1000}, harness=True,
-        json=_whole, flags=("shards",), groups=EXTENSIONS,
+        json=_whole, groups=EXTENSIONS,
     ),
     "waitmode": _printed(workloads.run_waitmode, workloads.format_waitmode, groups=EXTENSIONS),
     "sensitivity": _printed(
@@ -216,9 +208,8 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "chaos": Experiment(
         _run_chaos, chaos.format_chaos, quick={"quick": True}, harness=True,
-        ok=lambda res: not res.failures, shard_chaos=True,
-        flags=("policy", "seeds", "seed_base", "no_shrink", "shrink_budget", "corpus_out",
-               "shards"),
+        ok=lambda res: not res.failures,
+        flags=("policy", "seeds", "seed_base", "no_shrink", "shrink_budget", "corpus_out"),
         check=lambda args: (
             "chaos accepts a single --policy to pin the campaign to"
             if args.policy and len(args.policy) > 1 else None
@@ -236,18 +227,19 @@ EXPERIMENTS: dict[str, Experiment] = {
         lambda args, **kw: e14_meanfield.run_e14(**kw), e14_meanfield.format_e14,
         quick={"grid": "quick"}, json=_whole, ok=lambda res: res.oracle_ok,
         csv=(
-            ("batch", "events", "event_reduction", "wall_speedup", "elapsed_dev_pct",
-             "mean_dev_pct", "curve_err_p50_pct", "curve_err_p90_pct", "curve_err_max_abs_us"),
+            ("batch", "events", "event_reduction", "elapsed_dev_pct", "mean_dev_pct",
+             "curve_err_p50_pct", "curve_err_p90_pct", "curve_err_max_abs_us"),
             lambda res: zip(
-                res.batches, res.events, res.event_reduction, res.wall_speedup,
-                res.elapsed_dev_pct, res.mean_dev_pct, res.curve_err_p50_pct,
-                res.curve_err_p90_pct, res.curve_err_max_abs_us,
+                res.batches, res.events, res.event_reduction, res.elapsed_dev_pct,
+                res.mean_dev_pct, res.curve_err_p50_pct, res.curve_err_p90_pct,
+                res.curve_err_max_abs_us,
             ),
         ),
     ),
     "pdes": Experiment(
-        _run_pdes, pdes.format_pdes, quick={"quick": True}, json=_whole, then=_write_digest,
-        ok=lambda res: res.ok, flags=("shards", "meanfield", "digest_out"), shard_chaos=True,
+        lambda args, **kw: pdes.run_pdes(meanfield_batch=args.meanfield, **kw),
+        pdes.format_pdes, quick={"quick": True}, json=_whole, then=_write_digest,
+        ok=lambda res: res.ok, flags=("meanfield", "digest_out"),
     ),
 }
 
@@ -358,16 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         "--corpus-out", metavar="DIR",
         help="chaos: write minimized failing schedules to DIR as corpus JSON",
     )
-    pdes_group = parser.add_argument_group("parallel DES (pdes / chaos / resilience)")
-    pdes_group.add_argument(
-        "--shards", type=int, metavar="N", default=None,
-        help="partition the cluster's nodes across N shard processes "
-             "synchronized by conservative null-message windows "
-             "(default: serial); the result digest is shard-count "
-             "invariant by construction.  'pdes': run sharded; 'chaos': "
-             "judge every seed by sharded-vs-serial digest equality; "
-             "'resilience': run the whole E8 suite under parallelism",
-    )
+    pdes_group = parser.add_argument_group("digest run (pdes)")
     pdes_group.add_argument(
         "--meanfield", type=int, metavar="B", default=0,
         help="pdes: batch B daemon activations per wakeup on untraced "
@@ -376,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     pdes_group.add_argument(
         "--digest-out", metavar="PATH",
         help="pdes: write the run's result digest to PATH (one hex line; "
-             "tests/test_contract.py compares these across shard counts)",
+             "tests/test_contract.py compares it with the golden)",
     )
     policy_group = parser.add_argument_group("dispatch policy (E13 / chaos)")
     policy_group.add_argument(
@@ -416,8 +399,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trial-timeout must be > 0")
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.meanfield < 0:
         parser.error("--meanfield must be >= 0")
     if args.no_cache and not args.store:
@@ -426,16 +407,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-retries must be >= 0")
     if args.backoff < 0:
         parser.error("--backoff must be >= 0")
-    if args.harness_chaos is not None and args.jobs < 2 and not (
-        args.shards is not None and any(row.shard_chaos for row in rows)
-    ):
-        killers = "/".join(n for n, row in EXPERIMENTS.items() if row.shard_chaos)
-        parser.error(
-            "--harness-chaos needs --jobs >= 2 (only supervised workers "
-            "can be killed and retried), or --shards with the "
-            f"{killers} experiments (where it SIGKILLs shard workers and "
-            "the parallel-DES supervisor must recover them)"
-        )
+    if args.harness_chaos is not None:
+        if args.jobs < 2:
+            parser.error(
+                "--harness-chaos needs --jobs >= 2 (only supervised workers "
+                "can be killed and retried)"
+            )
+        # The campaign rows, and validate, which builds its own
+        # TrialRunner with --jobs.
+        supervised = [n for n, row in EXPERIMENTS.items() if row.harness or n == "validate"]
+        if not set(supervised) & set(wanted):
+            parser.error(
+                "--harness-chaos needs an experiment that runs supervised "
+                f"trials: {', '.join(supervised)}"
+            )
 
     journal = None
     if args.results:

@@ -1,8 +1,6 @@
 """E14: mean-field fast path — accuracy/speed trade-off curve.
 
-The parallel-DES work (:mod:`repro.sim.parallel`) ships two speed levers.
-Sharding buys wall-clock from extra cores without changing a single
-event.  The mean-field path (:mod:`repro.sim.meanfield`) buys speed from
+The mean-field path (:mod:`repro.sim.meanfield`) buys speed from
 *approximation*: on nodes no trace consumer is watching, B consecutive
 activations of a daemon instance fold into one wakeup+compute pair.  That
 is a modelling decision, so its cost must be measured, not asserted —
@@ -13,8 +11,9 @@ batch factor, all on the identical config/seed.  ``batch=1`` must
 reproduce the exact run's result digest bit-for-bit (the oracle
 discipline: the fast path degenerates to the reference, not to an
 approximation of it); the experiment *fails* if it doesn't.  For each
-batch we report the event-count reduction and wall speedup against
-exact, and three accuracy views:
+batch we report the event-count reduction against exact (the
+deterministic speed column; ``perfbench`` is the only timer), and three
+accuracy views:
 
 * ``elapsed_dev`` — relative makespan deviation;
 * ``mean_dev`` — relative deviation of the mean Allreduce duration;
@@ -35,7 +34,8 @@ exempt from batching, as a real measurement would keep it; its share of
 the event budget shrinks as 1/n_nodes, so the reductions of the ``full``
 grid (16 nodes) *understate* White scale (512 nodes).  The ``white`` grid
 measures White scale itself: exact against batch 32 only, in minutes of
-wall (``benchmarks/bench_engine.py --white``).
+wall (``benchmarks/bench_engine.py --white``).  Every run goes through
+:func:`repro.experiments.pdes.run_trace`, the serial recipe ``pdes`` uses.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.pdes import TIME_COMPRESSION, run_sharded_trace
+from repro.experiments.pdes import TIME_COMPRESSION, run_trace
 from repro.experiments.reporting import text_table
 from repro.results import register_result
 from repro.sim.meanfield import MeanFieldConfig
@@ -74,14 +74,11 @@ class E14Result:
     seed: int
     exact_digest: str
     exact_events: int
-    exact_wall_s: float
     exact_elapsed_us: float
     batches: list = field(default_factory=list)
     #: Per-batch rows, parallel to ``batches``.
     events: list = field(default_factory=list)
     event_reduction: list = field(default_factory=list)
-    wall_s: list = field(default_factory=list)
-    wall_speedup: list = field(default_factory=list)
     elapsed_dev_pct: list = field(default_factory=list)
     mean_dev_pct: list = field(default_factory=list)
     curve_err_p50_pct: list = field(default_factory=list)
@@ -99,7 +96,6 @@ class E14Result:
                 self.batches[i],
                 self.events[i],
                 self.event_reduction[i],
-                self.wall_speedup[i],
                 self.elapsed_dev_pct[i],
                 self.mean_dev_pct[i],
                 self.curve_err_p50_pct[i],
@@ -110,10 +106,6 @@ class E14Result:
         ]
 
 
-def _sorted_series(ranks: dict) -> np.ndarray:
-    return np.sort(np.concatenate([np.asarray(v, dtype=float) for v in ranks.values()]))
-
-
 def run_e14(grid: str = "full", seed: int = 1234) -> E14Result:
     """Run the exact reference and the batch sweep of one :data:`GRIDS`
     entry; never raises on accuracy — the numbers *are* the result — but
@@ -122,36 +114,31 @@ def run_e14(grid: str = "full", seed: int = 1234) -> E14Result:
     n_ranks, calls, compute_between, batches = GRIDS[grid]
 
     def one(meanfield):
-        return run_sharded_trace(
-            n_ranks, calls, compute_between, meanfield=meanfield, seed=seed
-        )
+        return run_trace(n_ranks, calls, compute_between, meanfield=meanfield, seed=seed)
 
-    config, exact = one(None)
-    exact_sorted = _sorted_series(exact.ranks)
+    system, exact = one(None)
+    exact_sorted = exact.sorted_node0_sample()
     exact_mean = float(exact_sorted.mean())
     res = E14Result(
         n_ranks=n_ranks,
-        n_nodes=config.machine.n_nodes,
+        n_nodes=system.config.machine.n_nodes,
         calls=calls,
         compute_between_us=compute_between,
         time_compression=TIME_COMPRESSION,
         seed=seed,
         exact_digest=exact.digest,
-        exact_events=sum(exact.events_per_shard),
-        exact_wall_s=exact.wall_s,
+        exact_events=system.sim.events_processed,
         exact_elapsed_us=exact.elapsed_us,
     )
     for b in batches:
-        _, r = one(MeanFieldConfig(batch=b, exempt_nodes=(0,)))
-        srt = _sorted_series(r.ranks)
+        system, r = one(MeanFieldConfig(batch=b, exempt_nodes=(0,)))
+        srt = r.sorted_node0_sample()
         gap = np.abs(srt - exact_sorted)
         rel = gap / exact_sorted * 100.0
-        ev = sum(r.events_per_shard)
+        ev = system.sim.events_processed
         res.batches.append(b)
         res.events.append(ev)
         res.event_reduction.append(res.exact_events / ev)
-        res.wall_s.append(r.wall_s)
-        res.wall_speedup.append(exact.wall_s / r.wall_s)
         res.elapsed_dev_pct.append(
             (r.elapsed_us - exact.elapsed_us) / exact.elapsed_us * 100.0
         )
@@ -176,13 +163,12 @@ def format_e14(res: E14Result) -> str:
         f"E14: mean-field accuracy/speed curve — {res.n_ranks} ranks on "
         f"{res.n_nodes} nodes, {res.calls} Allreduce calls, time "
         f"compression {res.time_compression:g}\n"
-        f"exact: {res.exact_events} events, {res.exact_wall_s:.1f}s wall, "
-        f"digest {res.exact_digest[:12]}\n"
+        f"exact: {res.exact_events} events, digest {res.exact_digest[:12]}\n"
         f"oracle (batch=1 bit-identical): {oracle}"
     )
     table = text_table(
         (
-            "batch", "events", "ev_x", "wall_x",
+            "batch", "events", "ev_x",
             "elapsed%", "mean%", "curve_p50%", "curve_p90%", "max_abs_ms",
         ),
         res.rows(),

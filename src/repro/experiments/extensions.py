@@ -25,11 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analytic.model import AllreduceSeriesModel
-from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_body
+from repro.apps.aggregate_trace import (
+    AggregateTraceConfig,
+    aggregate_trace_body,
+    run_aggregate_trace,
+)
 from repro.apps.ale3d import Ale3dConfig, run_ale3d
 from repro.config import (
     ClusterConfig,
     CoschedConfig,
+    FaultConfig,
     KernelConfig,
     MachineConfig,
     MpiConfig,
@@ -54,6 +59,7 @@ __all__ = [
     "run_fine_grain",
     "format_fine_grain",
     "MisalignmentResult",
+    "compressed_cosched_config",
     "run_misalignment",
     "format_misalignment",
 ]
@@ -321,6 +327,40 @@ class MisalignmentResult:
         return self.unsynced_us / self.synced_us
 
 
+def compressed_cosched_config(
+    n_ranks: int,
+    tpn: int,
+    seed: int,
+    time_compression: float,
+    sync: bool = True,
+    faults: FaultConfig = FaultConfig(),
+) -> ClusterConfig:
+    """The co-scheduled machine of E4 and E8, in compressed time.
+
+    Prototype kernel with the big tick, co-scheduler period and daemon
+    noise all compressed *time_compression*-fold (period ``s(5)`` and
+    big tick 25 at 1x), 90 % duty, long polling without progress
+    threads, *tpn* CPUs per node.  *sync* is the co-scheduler's switch
+    clock; *faults* is E8's fault plane.
+    """
+    kernel = KernelConfig.prototype(big_tick=max(1, int(round(25 / time_compression))))
+    if not sync:
+        # Without synchronised clocks, cluster-wide tick alignment is
+        # fictional too.
+        kernel = kernel.with_options(align_ticks_to_global_time=False)
+    return ClusterConfig(
+        machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
+        kernel=kernel,
+        cosched=CoschedConfig(
+            enabled=True, period_us=s(5) / time_compression, duty_cycle=0.90, sync_clock=sync
+        ),
+        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
+        noise=scale_noise(standard_noise(include_cron=False), time_compression),
+        faults=faults,
+        seed=seed,
+    )
+
+
 def run_misalignment(
     n_ranks: int = 32,
     tpn: int = 8,
@@ -332,34 +372,13 @@ def run_misalignment(
     """Runs must span several co-scheduler periods, or the comparison just
     samples where one window happened to land; with the compression below,
     each run covers ~5 periods and results are averaged over seeds."""
-    from repro.apps.aggregate_trace import run_aggregate_trace
-
-    noise = scale_noise(standard_noise(include_cron=False), time_compression)
-    period = s(5) / time_compression
-    big_tick = max(1, int(round(25 / time_compression)))
 
     def run(sync: bool) -> float:
         means = []
         for k in range(n_seeds):
-            cos = CoschedConfig(
-                enabled=True, period_us=period, duty_cycle=0.90, sync_clock=sync
-            )
-            kernel = KernelConfig.prototype(big_tick=big_tick)
-            if not sync:
-                # Without synchronised clocks, cluster-wide tick alignment
-                # is fictional too.
-                kernel = kernel.with_options(align_ticks_to_global_time=False)
-            cfg = ClusterConfig(
-                machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
-                kernel=kernel,
-                cosched=cos,
-                mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
-                noise=noise,
-                seed=seed + k,
-            )
-            system = System(cfg)
+            cfg = compressed_cosched_config(n_ranks, tpn, seed + k, time_compression, sync)
             res = run_aggregate_trace(
-                system, n_ranks, tpn,
+                System(cfg), n_ranks, tpn,
                 AggregateTraceConfig(calls_per_loop=calls, compute_between_us=200.0),
             )
             means.append(res.mean_us)

@@ -25,24 +25,15 @@ co-scheduler periods.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.config import (
-    ClusterConfig,
-    CoschedConfig,
-    CoschedFaultSpec,
-    FaultConfig,
-    KernelConfig,
-    MachineConfig,
-    MpiConfig,
-)
-from repro.daemons.catalog import scale_noise, standard_noise
+from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
+from repro.config import CoschedFaultSpec, FaultConfig
+from repro.experiments.extensions import compressed_cosched_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.system import System
 from repro.units import ms, s
 
 __all__ = ["ResilienceResult", "run_resilience", "format_resilience"]
@@ -90,71 +81,39 @@ def _resilience_trial(params: dict) -> dict:
     system and return the mean latency plus that scenario's resilience
     counters.
 
-    Every scenario runs through :func:`~repro.sim.parallel.run_parallel`
-    on ``params["shards"]`` shards (default 1): sharding is an execution
-    strategy, not a model change, so means and counters do not move.
-    Top-level so :class:`~repro.experiments.runner.TrialRunner` workers
-    can resolve it by name; the five scenarios are independent DES runs,
-    so they parallelise like any other trial list.
+    Each scenario is one serial DES run of E4's co-scheduled machine
+    (:func:`~repro.experiments.extensions.compressed_cosched_config`)
+    with the scenario's fault plane.  Top-level so
+    :class:`~repro.experiments.runner.TrialRunner` workers can resolve it
+    by name; the five scenarios are independent DES runs, so they
+    parallelise like any other trial list.
     """
-    # Function-level import: repro.sim.parallel imports repro.results,
-    # which imports this module back to register ResilienceResult.
-    from repro.sim.parallel import run_parallel
-
     scenario = params["scenario"]
     n_ranks = params["n_ranks"]
     tpn = params["tpn"]
     calls = params["calls"]
     seed = params["seed"]
     time_compression = params["time_compression"]
-    shards = params.get("shards", 1)
 
-    noise = scale_noise(standard_noise(include_cron=False), time_compression)
     period = s(5) / time_compression
-    big_tick = max(1, int(round(25 / time_compression)))
     # Watchdog cadence scaled to the compressed co-scheduler period.
     wd_interval = period / 2.0
 
     def run(faults: FaultConfig, sync: bool = True, n_calls: int = calls):
-        """Run the scenario; returns (mean_us, counters).
-
-        The mean is rank 0's per-call mean Allreduce latency, and the
-        counters are the summed per-shard fault/resilience counters."""
-        cos = CoschedConfig(enabled=True, period_us=period, duty_cycle=0.90, sync_clock=sync)
-        kernel = KernelConfig.prototype(big_tick=big_tick)
-        if not sync:
-            # Without synchronised clocks, cluster-wide tick alignment is
-            # fictional too (same rule as E4).
-            kernel = kernel.with_options(align_ticks_to_global_time=False)
-        cfg = ClusterConfig(
-            machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
-            kernel=kernel,
-            cosched=cos,
-            mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
-            noise=noise,
-            faults=faults,
-            seed=seed,
+        """Run the scenario; returns (mean_us, counters): rank 0's mean
+        Allreduce latency and :meth:`~repro.system.System.fault_counters`."""
+        system = System(
+            compressed_cosched_config(n_ranks, tpn, seed, time_compression, sync, faults)
         )
-        res = run_parallel(
-            cfg,
-            n_ranks=n_ranks,
-            tasks_per_node=tpn,
-            app="repro.apps.aggregate_trace:sharded_app",
-            app_params=dict(
-                loops=1, calls_per_loop=n_calls, trace_block=32,
-                compute_between_us=200.0, payload_bytes=8, record_nodes=(0,),
+        res = run_aggregate_trace(
+            system, n_ranks, tpn,
+            AggregateTraceConfig(
+                calls_per_loop=n_calls, trace_block=32, compute_between_us=200.0
             ),
-            shards=shards,
-            # Inside a daemonic trial worker, drive shards in-process
-            # (identical event semantics; forking is a wall-clock lever).
-            use_processes=(
-                False if multiprocessing.current_process().daemon else None
-            ),
-            job_name="resilience",
         )
-        if not res.ok:
+        if not res.values_ok:
             raise RuntimeError(f"resilience {scenario!r} run produced bad values")
-        return float(np.mean(res.ranks["0"])), res.counters
+        return res.mean_us, system.fault_counters(system.jobs[0])
 
     if scenario == "healthy":
         # Healthy co-scheduled run (no faults installed at all).
@@ -229,7 +188,6 @@ def run_resilience(
     journal=None,
     trial_timeout_s: Optional[float] = None,
     jobs: int = 1,
-    shards: int = 1,
 ) -> ResilienceResult:
     """Run the five scenarios (healthy, timesync loss, uncoordinated
     baseline, message loss, daemon death) on identically seeded systems.
@@ -239,18 +197,11 @@ def run_resilience(
     comparison measures tick-phase artifacts instead of coordination.
     Each scenario is one :class:`~repro.experiments.runner.TrialSpec`, so
     ``jobs=5`` runs them concurrently with identical results.
-
-    Every scenario runs through conservative parallel DES on *shards*
-    shards (1 by default) — the whole E8 fault/resilience suite with one
-    flag.  Sharding is an execution strategy, not a model change, so the
-    table must not move; journal keys carry ``-sh<N>`` so serial and
-    sharded records coexist.
     """
     runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
     specs = [
         TrialSpec(
-            key=f"resilience-{name}-n{n_ranks}-s{seed}"
-            + (f"-sh{shards}" if shards > 1 else ""),
+            key=f"resilience-{name}-n{n_ranks}-s{seed}",
             fn="repro.experiments.resilience:_resilience_trial",
             params=dict(
                 scenario=name,
@@ -259,7 +210,6 @@ def run_resilience(
                 calls=calls,
                 seed=seed,
                 time_compression=time_compression,
-                **({"shards": shards} if shards > 1 else {}),
             ),
         )
         for name in _SCENARIOS

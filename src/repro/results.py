@@ -14,6 +14,7 @@ loading should never silently produce a half-typed dict.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from typing import Any, Type
 
@@ -27,6 +28,7 @@ __all__ = [
     "load_result",
     "to_jsonable",
     "canonical_dumps",
+    "rank_digest",
     "REGISTRY",
 ]
 
@@ -99,6 +101,17 @@ def canonical_dumps(obj: Any) -> str:
             "canonical JSON cannot encode NaN/Infinity (or other "
             f"out-of-range floats): {exc}"
         ) from exc
+
+
+def rank_digest(n_ranks: int, ranks: dict, ok: bool, elapsed_us: float) -> str:
+    """SHA-256 of a run's rank-visible outcome: the recorded ranks'
+    per-call durations (*ranks*, ``{str(rank): [us, ...]}``), whether
+    every reduction returned the right value, and the makespan.
+
+    Event counts stay out: they are work done, not a result.
+    """
+    payload = {"n_ranks": n_ranks, "ranks": ranks, "ok": ok, "elapsed_us": elapsed_us}
+    return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
 
 
 def _from_jsonable(value: Any) -> Any:

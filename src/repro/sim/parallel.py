@@ -69,7 +69,9 @@ shard-stable named streams — including per-link message-fault draws,
 per-node pipe-loss draws, and the retransmit layer's ack traffic (see
 :mod:`repro.sim.shard`).  Sharded runs therefore reproduce the serial
 oracle's **result digest byte-for-byte** — enforced by
-``tests/test_parallel_des.py`` and ``tests/test_contract.py``.
+``tests/test_parallel_des.py`` and by the benchmark's ``pdes_2``
+workload, which must give ``pdes_1``'s digest.  No experiment runs this
+engine any more; the benchmark alone does.
 
 What sharded mode rejects (:func:`validate_sharded_config`): hardware
 collectives only — the switch-combine path schedules cross-node arrivals
@@ -93,12 +95,12 @@ window is reissued.  Retries are bounded (``max_respawns``, exponential
 :class:`ShardFailureError` with structured ``details`` instead of
 hanging.  The ``harness.shard.kill.<shard>`` chaos axis
 (:func:`repro.chaos.harness_faults.shard_kill_plan`) drives exactly this
-path in CI, asserting chaos-run digests equal clean-run digests.
+path in ``tests/test_shard_recovery.py``, asserting chaos-run digests
+equal clean-run digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import math
 import multiprocessing
@@ -367,26 +369,6 @@ class ShardHost:
 
     def collect(self) -> dict:
         """Local results after the job's owned ranks all finished."""
-        inj = self.system.injector
-        rel = self.job.world.reliability
-        counters = {
-            "retransmits": rel.retransmits if rel else 0,
-            "forced": rel.forced if rel else 0,
-            "gaveup": rel.gaveup if rel else 0,
-            "duplicates_dropped": rel.duplicates_dropped if rel else 0,
-            "net_drops": inj.net_plane.drops if inj and inj.net_plane else 0,
-            "net_dups": inj.net_plane.dups if inj and inj.net_plane else 0,
-            "net_delays": inj.net_plane.delays if inj and inj.net_plane else 0,
-            "pipe_losses": inj.pipe_losses if inj else 0,
-            "watchdog_restarts": (
-                sum(w.restarts for w in inj.watchdogs) if inj else 0
-            ),
-            "degradation_events": (
-                sum(1 for e in inj.events if e.kind == "timesync_degraded")
-                if inj
-                else 0
-            ),
-        }
         return {
             "app": self.app.collect(),
             "finish_times": {str(r): t for r, t in sorted(self.job._finish_times.items())},
@@ -394,7 +376,7 @@ class ShardHost:
             "events": self.system.sim.events_processed,
             "sent": self.router.sent,
             "received": self.router.received,
-            "counters": counters,
+            "counters": self.system.fault_counters(self.job),
         }
 
     def close(self) -> None:
@@ -597,27 +579,15 @@ class ParallelRunResult:
     counters: dict = field(default_factory=dict)
     recoveries: int = 0
 
-    def digest_payload(self) -> dict:
-        """The rank-visible outcome — the part that is shard-count
-        invariant by construction (per-shard event counts are not:
-        shard-local job completion retires background threads on a
-        different schedule than the serial global-done order)."""
-        return {
-            "n_ranks": self.n_ranks,
-            "ranks": self.ranks,
-            "ok": self.ok,
-            "elapsed_us": self.elapsed_us,
-        }
-
     @property
     def digest(self) -> str:
-        # Deferred: repro.results imports the experiments, one of which
-        # imports this module.
-        from repro.results import canonical_dumps
+        """The rank-visible outcome's digest (:func:`repro.results.rank_digest`),
+        the one a serial run of the same app reports too."""
+        # Deferred: repro.results imports the experiments, which import
+        # the apps, which import the system.
+        from repro.results import rank_digest
 
-        return hashlib.sha256(
-            canonical_dumps(self.digest_payload()).encode()
-        ).hexdigest()
+        return rank_digest(self.n_ranks, self.ranks, self.ok, self.elapsed_us)
 
 
 def run_parallel(

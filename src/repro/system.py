@@ -124,6 +124,27 @@ class System:
         self.jobs.append(job)
         return job
 
+    def fault_counters(self, job: MpiJob) -> dict:
+        """What the fault plane and *job*'s retransmit layer did: the
+        resilience counters E8 reports (all 0 without faults)."""
+        inj = self.injector
+        rel = job.world.reliability
+        net = inj.net_plane if inj else None
+        return {
+            "retransmits": rel.retransmits if rel else 0,
+            "forced": rel.forced if rel else 0,
+            "gaveup": rel.gaveup if rel else 0,
+            "duplicates_dropped": rel.duplicates_dropped if rel else 0,
+            "net_drops": net.drops if net else 0,
+            "net_dups": net.dups if net else 0,
+            "net_delays": net.delays if net else 0,
+            "pipe_losses": inj.pipe_losses if inj else 0,
+            "watchdog_restarts": sum(w.restarts for w in inj.watchdogs) if inj else 0,
+            "degradation_events": (
+                sum(1 for e in inj.events if e.kind == "timesync_degraded") if inj else 0
+            ),
+        }
+
     def snapshot_state(self, desc) -> dict:
         """Full-system checkpoint view: every mutable layer, one dict.
 

@@ -10,54 +10,45 @@ changes *how many* activations happen — only how they are delivered.
 
 import pytest
 
+from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.config import DaemonSpec
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.rng import Constant, Exponential
 from repro.sim.meanfield import MeanFieldConfig
-from repro.sim.parallel import run_parallel
+from repro.system import System
 from repro.units import ms, s, us
-
-APP = "repro.apps.aggregate_trace:sharded_app"
 
 
 def run_one(meanfield, seed=11):
+    """One serial run; returns ``(result, events processed)``."""
     noise = scale_noise(standard_noise(include_cron=False), 400)
     config = make_config(VANILLA16, n_ranks=64, noise=noise, seed=seed)
-    return run_parallel(
-        config,
-        n_ranks=64,
-        tasks_per_node=16,
-        app=APP,
-        app_params=dict(
-            loops=1, calls_per_loop=4, trace_block=64,
-            compute_between_us=500.0, payload_bytes=8, record_nodes=(0,),
-        ),
-        shards=1,
-        horizon_us=s(600),
-        meanfield=meanfield,
-        use_processes=False,
+    system = System(config, meanfield=meanfield)
+    result = run_aggregate_trace(
+        system, 64, 16, AggregateTraceConfig(calls_per_loop=4, compute_between_us=500.0)
     )
+    return result, system.sim.events_processed
 
 
 class TestOracle:
     def test_batch_1_is_bit_identical(self):
-        exact = run_one(None)
-        batch1 = run_one(MeanFieldConfig(batch=1))
+        exact, exact_events = run_one(None)
+        batch1, batch1_events = run_one(MeanFieldConfig(batch=1))
         assert batch1.digest == exact.digest
-        assert batch1.events_per_shard == exact.events_per_shard
+        assert batch1_events == exact_events
 
     def test_batch_1_with_exempt_nodes_is_bit_identical(self):
-        exact = run_one(None)
-        mf = run_one(MeanFieldConfig(batch=1, exempt_nodes=(0, 2)))
+        exact, _ = run_one(None)
+        mf, _ = run_one(MeanFieldConfig(batch=1, exempt_nodes=(0, 2)))
         assert mf.digest == exact.digest
 
     def test_batching_changes_results_but_not_integrity(self):
-        exact = run_one(None)
-        mf = run_one(MeanFieldConfig(batch=16, exempt_nodes=(0,)))
-        assert mf.ok
+        exact, exact_events = run_one(None)
+        mf, mf_events = run_one(MeanFieldConfig(batch=16, exempt_nodes=(0,)))
+        assert mf.values_ok
         assert mf.digest != exact.digest  # approximation, by design
-        assert sum(mf.events_per_shard) < sum(exact.events_per_shard)
+        assert mf_events < exact_events
 
 
 class TestConfig:
@@ -138,9 +129,9 @@ class TestE14Report:
         res = E14Result(
             n_ranks=8192, n_nodes=512, calls=4, compute_between_us=40000.0,
             time_compression=50.0, seed=1234, exact_digest="ab" * 32,
-            exact_events=1000, exact_wall_s=2.0, exact_elapsed_us=1e6,
-            batches=[32], events=[250], event_reduction=[4.0], wall_s=[1.0],
-            wall_speedup=[2.0], elapsed_dev_pct=[1.0], mean_dev_pct=[0.5],
+            exact_events=1000, exact_elapsed_us=1e6,
+            batches=[32], events=[250], event_reduction=[4.0],
+            elapsed_dev_pct=[1.0], mean_dev_pct=[0.5],
             curve_err_p50_pct=[1.0], curve_err_p90_pct=[2.0],
             curve_err_max_abs_us=[100.0], digests=["cd" * 32], oracle_ok=True,
         )

@@ -364,9 +364,35 @@ class TestCliValidation:
     def test_backend_option_is_gone(self, capsys):
         from repro.experiments import cli
 
+        for option in (["--backend", "pool"], ["--shards", "2"]):
+            with pytest.raises(SystemExit):
+                cli.main(["fig3", "--quick", "--jobs", "2", *option])
+            assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pdes", "--quick"], ["fig1", "--trial-timeout", "5"]],
+        ids=["pdes", "fig1"],
+    )
+    def test_harness_chaos_without_supervised_trials_is_rejected(self, argv, capsys):
+        from repro.experiments import cli
+
         with pytest.raises(SystemExit):
-            cli.main(["fig3", "--quick", "--jobs", "2", "--backend", "pool"])
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+            cli.main([*argv, "--jobs", "2", "--harness-chaos", "7"])
+        assert "--harness-chaos needs an experiment that runs supervised trials" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["fig3", "--quick"], ["validate"]], ids=["fig3", "validate"]
+    )
+    def test_harness_chaos_with_supervised_trials_is_accepted(self, argv, monkeypatch):
+        from repro.experiments import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "_run_selected", lambda wanted, *_: ran.append(wanted) or 0)
+        assert cli.main([*argv, "--jobs", "2", "--harness-chaos", "7"]) == 0
+        assert ran == [argv[:1]]
 
     def test_retry_knobs_validated(self, capsys):
         from repro.experiments import cli
@@ -379,10 +405,10 @@ class TestCliValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["fig6", "--quick", "--shards", "2"],
-             "--shards needs the pdes, chaos or resilience experiment"),
+            (["resilience", "--quick", "--meanfield", "8"],
+             "--meanfield needs the pdes experiment"),
             (["e14", "--quick", "--meanfield", "8"], "--meanfield needs the pdes experiment"),
-            (["chaos", "--quick", "--shards", "2", "--digest-out", "d.txt"],
+            (["chaos", "--quick", "--digest-out", "d.txt"],
              "--digest-out needs the pdes experiment"),
             (["fig1", "--policy", "fair"], "--policy needs the policy or chaos experiment"),
             (["fig1", "--seeds", "3"], "--seeds needs the chaos experiment"),
