@@ -22,6 +22,14 @@ verdict has to come from properties any correct run must satisfy:
   :func:`~repro.checkpoint.snapshot.state_fingerprint` (which folds in
   the trace digests and every RNG stream) and the same event count.
 
+The run is E8's: the machine
+:func:`~repro.experiments.common.compressed_cosched_config` builds, with
+the schedule's faults and policy, driven by
+:func:`~repro.apps.aggregate_trace.run_aggregate_trace` with the
+liveness bound as its horizon.  It stops at the job's finish (or at the
+bound), so the counters and the fingerprint describe the job, not a
+post-finish tail.
+
 Oracles never mutate the run and draw no randomness, so judging a
 schedule is itself deterministic — the property the campaign's
 byte-identical-journal contract rests on.
@@ -31,22 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analytic.model import AllreduceSeriesModel
-from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_body
+from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.checkpoint.monitor import InvariantMonitor
 from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.chaos.schedule import ChaosSchedule, ChaosWorkload
-from repro.config import (
-    ClusterConfig,
-    CoschedConfig,
-    FaultConfig,
-    KernelConfig,
-    MachineConfig,
-    MpiConfig,
-)
-from repro.daemons.catalog import scale_noise, standard_noise
+from repro.experiments.common import compressed_cosched_config
+from repro.mpi.world import JobIncompleteError
 from repro.system import System
 from repro.trace.recorder import TraceRecorder
 
@@ -54,7 +54,6 @@ __all__ = [
     "ORACLES",
     "OracleReport",
     "ChaosRunResult",
-    "build_cluster_config",
     "analytic_call_us",
     "liveness_bound_us",
     "run_schedule",
@@ -70,40 +69,13 @@ ORACLES = ("liveness", "safety", "determinism")
 _SLACK = 6.0
 
 
-def build_cluster_config(
-    workload: ChaosWorkload,
-    faults: FaultConfig,
-    seed: int,
-    policy: tuple = ("aix", ()),
-) -> ClusterConfig:
-    """The system under test: prototype kernel + co-scheduler + standard
-    daemon ecology at compressed time, faults as given (E8's build rule —
-    chaos runs must exercise the same machine the experiments measure).
-    *policy* is a ``(name, params)`` pair selecting the dispatch policy
-    (the chaos ``policy`` axis / the policy-ablation experiment)."""
-    w = workload
-    name, params = policy
-    return ClusterConfig(
-        machine=MachineConfig(n_nodes=w.n_nodes, cpus_per_node=w.tasks_per_node),
-        kernel=KernelConfig.prototype(
-            big_tick=max(1, int(round(25 / w.time_compression)))
-        ).with_options(policy=name, policy_params=params),
-        cosched=CoschedConfig(enabled=True, period_us=w.period_us, duty_cycle=0.90),
-        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
-        noise=scale_noise(standard_noise(include_cron=False), w.time_compression),
-        faults=faults,
-        seed=seed,
-    )
-
-
 def analytic_call_us(workload: ChaosWorkload, seed: int = 0) -> float:
     """Model-predicted mean Allreduce latency (µs) for the fault-free
     system — the anchor every liveness bound is derived from."""
-    cfg = build_cluster_config(workload, FaultConfig(), seed)
-    model = AllreduceSeriesModel(cfg, workload.n_ranks, workload.tasks_per_node, seed)
-    series = model.run_series(
-        min(workload.calls, 64), compute_between_us=workload.compute_between_us
-    )
+    w = workload
+    cfg = compressed_cosched_config(w.n_ranks, w.tasks_per_node, seed, w.time_compression)
+    model = AllreduceSeriesModel(cfg, w.n_ranks, w.tasks_per_node, seed)
+    series = model.run_series(min(w.calls, 64), compute_between_us=w.compute_between_us)
     return series.mean_us
 
 
@@ -179,14 +151,14 @@ class ChaosRunResult:
 
 
 def run_schedule(schedule: ChaosSchedule) -> ChaosRunResult:
-    """Build the system, drive the workload to completion or to the
-    liveness bound, and collect the oracle inputs."""
+    """Build the system, run the workload until the job finishes or the
+    liveness bound passes, and collect the oracle inputs."""
     w = schedule.workload
     bound = liveness_bound_us(schedule)
     system = System(
-        build_cluster_config(
-            w, schedule.fault_config(), schedule.seed,
-            policy=schedule.policy_spec(),
+        compressed_cosched_config(
+            w.n_ranks, w.tasks_per_node, schedule.seed, w.time_compression,
+            faults=schedule.fault_config(), policy=schedule.policy_spec(),
         ),
         trace=TraceRecorder(enabled=True),
     )
@@ -194,45 +166,22 @@ def run_schedule(schedule: ChaosSchedule) -> ChaosRunResult:
         calls_per_loop=w.calls, compute_between_us=w.compute_between_us,
         trace_block=32,
     )
-    placement = system.cluster.place(w.n_ranks, w.tasks_per_node)
-    node0 = {r for r in range(w.n_ranks) if placement.node_of(r) == 0}
-    sink: dict = {}
-    job = system.launch(
-        w.n_ranks, w.tasks_per_node, aggregate_trace_body(app, sink, node0),
-        name="chaos",
-    )
-    sim = system.sim
-    chunk = w.period_us
-    while not job.done and sim.now < bound:
-        sim.run_until(min(bound, sim.now + chunk))
-
-    values_ok = True
-    if job.done:
-        values_ok = (
-            "bad_values" not in sink
-            and all(ok for (_d, ok) in (v for k, v in sink.items() if k != "bad_values"))
+    try:
+        res = run_aggregate_trace(
+            system, w.n_ranks, w.tasks_per_node, app, horizon_us=bound
         )
+    except JobIncompleteError:
+        res = None  # a liveness failure; any other exception fails the trial
     report = InvariantMonitor(system).check()
-    rel = job.world.reliability
-    counters = {
-        "retransmits": rel.retransmits if rel else 0,
-        "forced": rel.forced if rel else 0,
-        "gaveup": rel.gaveup if rel else 0,
-        "duplicates_dropped": rel.duplicates_dropped if rel else 0,
-        "net_drops": system.injector.net_plane.drops if system.injector and system.injector.net_plane else 0,
-        "pipe_losses": system.injector.pipe_losses if system.injector else 0,
-        "watchdog_restarts": sum(wd.restarts for wd in system.injector.watchdogs) if system.injector else 0,
-        "fault_events": len(system.injector.events) if system.injector else 0,
-    }
     return ChaosRunResult(
-        completed=job.done,
-        elapsed_us=job.elapsed_us if job.done else bound,
+        completed=res is not None,
+        elapsed_us=bound if res is None else res.elapsed_us,
         bound_us=bound,
-        values_ok=values_ok,
+        values_ok=True if res is None else res.values_ok,
         violations=tuple(str(v) for v in report.violations),
         fingerprint=state_fingerprint(capture_state(system)),
-        events_processed=sim.events_processed,
-        counters=counters,
+        events_processed=system.sim.events_processed,
+        counters=system.fault_counters(system.jobs[0]),
     )
 
 

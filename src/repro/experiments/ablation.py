@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.analytic.model import AllreduceSeriesModel
 from repro.config import CoschedConfig, KernelConfig, MpiConfig
-from repro.experiments.common import make_config, VANILLA16
+from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
 
@@ -75,7 +75,7 @@ def _step_configs():
         ),
         (
             "6 +RT sched fixes (= prototype)",
-            KernelConfig.prototype(),
+            PROTO16.kernel(),
             mpi_fix,
             CoschedConfig(enabled=True),
         ),

@@ -38,6 +38,9 @@ deterministic schedule to prove all of that: the run must still converge
 to results byte-identical to a clean serial run.  It needs ``--jobs 2``
 or more and a selected experiment that runs supervised trials (a
 campaign row, or ``validate``); anywhere else it would inject nothing.
+``--jobs N`` (N > 1) needs such an experiment too, and
+``--trial-timeout`` and ``--resume`` need a campaign row: a flag no
+selected experiment reads is an error, not a silent serial run.
 """
 
 from __future__ import annotations
@@ -407,20 +410,23 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-retries must be >= 0")
     if args.backoff < 0:
         parser.error("--backoff must be >= 0")
-    if args.harness_chaos is not None:
-        if args.jobs < 2:
-            parser.error(
-                "--harness-chaos needs --jobs >= 2 (only supervised workers "
-                "can be killed and retried)"
-            )
-        # The campaign rows, and validate, which builds its own
-        # TrialRunner with --jobs.
-        supervised = [n for n, row in EXPERIMENTS.items() if row.harness or n == "validate"]
-        if not set(supervised) & set(wanted):
-            parser.error(
-                "--harness-chaos needs an experiment that runs supervised "
-                f"trials: {', '.join(supervised)}"
-            )
+    if args.harness_chaos is not None and args.jobs < 2:
+        parser.error(
+            "--harness-chaos needs --jobs >= 2 (only supervised workers "
+            "can be killed and retried)"
+        )
+    # The campaign rows read the harness keywords; validate builds its
+    # own TrialRunner with --jobs alone.
+    campaign = [n for n, row in EXPERIMENTS.items() if row.harness]
+    supervised = [n for n, row in EXPERIMENTS.items() if row.harness or n == "validate"]
+    for flag, is_set, readers, what in (
+        ("--harness-chaos", args.harness_chaos is not None, supervised, "runs supervised"),
+        ("--jobs", args.jobs > 1, supervised, "runs supervised"),
+        ("--trial-timeout", args.trial_timeout is not None, campaign, "runs campaign"),
+        ("--resume", args.resume, campaign, "journals campaign"),
+    ):
+        if is_set and not set(readers) & set(wanted):
+            parser.error(f"{flag} needs an experiment that {what} trials: {', '.join(readers)}")
 
     journal = None
     if args.results:

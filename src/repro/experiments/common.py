@@ -11,6 +11,9 @@ The three configurations the paper contrasts, reused across figures:
   real-time scheduling with both fixes) + co-scheduler (favored 30 /
   unfavored 100 / 5 s period / 90 % duty) + the ``MP_POLLING_INTERVAL``
   timer-thread fix (Figures 5 and 6).
+
+:func:`compressed_cosched_config` is proto16's machine in compressed
+time: the one system E4, E8, E9, E13 and the chaos oracles test.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from repro.analytic.model import AllreduceSeriesModel
 from repro.config import (
     ClusterConfig,
     CoschedConfig,
+    FaultConfig,
     KernelConfig,
     MachineConfig,
     MpiConfig,
     NoiseConfig,
 )
-from repro.daemons.catalog import standard_noise
+from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.units import s
 
 __all__ = [
     "Scenario",
@@ -38,6 +43,7 @@ __all__ = [
     "VANILLA15",
     "PROTO16",
     "make_config",
+    "compressed_cosched_config",
     "SweepResult",
     "allreduce_sweep",
     "allreduce_trial_specs",
@@ -95,6 +101,46 @@ def make_config(
         mpi=scenario.mpi_config(),
         cosched=scenario.cosched_config(),
         noise=noise if noise is not None else standard_noise(include_cron=include_cron),
+        seed=seed,
+    )
+
+
+def compressed_cosched_config(
+    n_ranks: int,
+    tpn: int,
+    seed: int,
+    time_compression: float,
+    sync: bool = True,
+    faults: FaultConfig = FaultConfig(),
+    policy: tuple = ("aix", ()),
+) -> ClusterConfig:
+    """The co-scheduled machine of E4, E8, E9, E13 and the chaos oracles,
+    in compressed time.
+
+    Prototype kernel with the big tick, co-scheduler period and daemon
+    noise all compressed *time_compression*-fold (period ``s(5)`` and
+    big tick 25 at 1x), 90 % duty, long polling without progress
+    threads, *tpn* CPUs per node.  *sync* is the co-scheduler's switch
+    clock; *faults* is the fault plane; *policy* is the ``(name,
+    params)`` node dispatch policy.
+    """
+    name, params = policy
+    kernel = KernelConfig.prototype(
+        big_tick=max(1, int(round(25 / time_compression)))
+    ).with_options(policy=name, policy_params=params)
+    if not sync:
+        # Without synchronised clocks, cluster-wide tick alignment is
+        # fictional too.
+        kernel = kernel.with_options(align_ticks_to_global_time=False)
+    return ClusterConfig(
+        machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
+        kernel=kernel,
+        cosched=CoschedConfig(
+            enabled=True, period_us=s(5) / time_compression, duty_cycle=0.90, sync_clock=sync
+        ),
+        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
+        noise=scale_noise(standard_noise(include_cron=False), time_compression),
+        faults=faults,
         seed=seed,
     )
 

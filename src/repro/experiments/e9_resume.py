@@ -40,18 +40,12 @@ from repro.checkpoint import (
     register_builder,
     state_fingerprint,
 )
-from repro.config import (
-    CheckpointPolicy,
-    ClusterConfig,
-    CoschedConfig,
-    FaultConfig,
-    KernelConfig,
-    MachineConfig,
-    MpiConfig,
-    NodeFaultSpec,
+from repro.config import CheckpointPolicy, FaultConfig, NodeFaultSpec
+from repro.experiments.common import (
+    PROTO16,
+    allreduce_sweep,
+    compressed_cosched_config,
 )
-from repro.daemons.catalog import scale_noise, standard_noise
-from repro.experiments.common import PROTO16, allreduce_sweep
 from repro.experiments.reporting import text_table
 from repro.system import System
 from repro.trace.recorder import TraceRecorder
@@ -84,7 +78,7 @@ class E9Driver:
     ) -> None:
         period = s(5) / TIME_COMPRESSION
         horizon = self.horizon_us = 4.0 * period
-        faults = FaultConfig(enabled=False)
+        faults = FaultConfig()
         if crash:
             # A node freeze mid-trial, spanning a window flip — the state
             # a checkpoint must capture faithfully (hog threads, frozen
@@ -101,16 +95,8 @@ class E9Driver:
                 ),
                 watchdog_interval_us=period / 2.0,
             )
-        config = ClusterConfig(
-            machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
-            kernel=KernelConfig.prototype(
-                big_tick=max(1, int(round(25 / TIME_COMPRESSION)))
-            ),
-            cosched=CoschedConfig(enabled=True, period_us=period, duty_cycle=0.90),
-            mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
-            noise=scale_noise(standard_noise(include_cron=False), TIME_COMPRESSION),
-            faults=faults,
-            seed=seed,
+        config = compressed_cosched_config(
+            n_ranks, tpn, seed, TIME_COMPRESSION, faults=faults
         )
         self.system = System(config, trace=TraceRecorder(enabled=True))
         self.sink: dict = {}

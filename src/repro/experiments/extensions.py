@@ -34,14 +34,18 @@ from repro.apps.ale3d import Ale3dConfig, run_ale3d
 from repro.config import (
     ClusterConfig,
     CoschedConfig,
-    FaultConfig,
     KernelConfig,
     MachineConfig,
     MpiConfig,
 )
 from repro.cosched.gang import GangConfig, GangScheduler
 from repro.daemons.catalog import scale_noise, standard_noise
-from repro.experiments.common import PROTO16, VANILLA16, make_config
+from repro.experiments.common import (
+    PROTO16,
+    VANILLA16,
+    compressed_cosched_config,
+    make_config,
+)
 from repro.experiments.reporting import text_table
 from repro.machine import Cluster
 from repro.mpi.world import MpiJob, run_jobs
@@ -59,7 +63,6 @@ __all__ = [
     "run_fine_grain",
     "format_fine_grain",
     "MisalignmentResult",
-    "compressed_cosched_config",
     "run_misalignment",
     "format_misalignment",
 ]
@@ -325,40 +328,6 @@ class MisalignmentResult:
     @property
     def degradation(self) -> float:
         return self.unsynced_us / self.synced_us
-
-
-def compressed_cosched_config(
-    n_ranks: int,
-    tpn: int,
-    seed: int,
-    time_compression: float,
-    sync: bool = True,
-    faults: FaultConfig = FaultConfig(),
-) -> ClusterConfig:
-    """The co-scheduled machine of E4 and E8, in compressed time.
-
-    Prototype kernel with the big tick, co-scheduler period and daemon
-    noise all compressed *time_compression*-fold (period ``s(5)`` and
-    big tick 25 at 1x), 90 % duty, long polling without progress
-    threads, *tpn* CPUs per node.  *sync* is the co-scheduler's switch
-    clock; *faults* is E8's fault plane.
-    """
-    kernel = KernelConfig.prototype(big_tick=max(1, int(round(25 / time_compression))))
-    if not sync:
-        # Without synchronised clocks, cluster-wide tick alignment is
-        # fictional too.
-        kernel = kernel.with_options(align_ticks_to_global_time=False)
-    return ClusterConfig(
-        machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
-        kernel=kernel,
-        cosched=CoschedConfig(
-            enabled=True, period_us=s(5) / time_compression, duty_cycle=0.90, sync_clock=sync
-        ),
-        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
-        noise=scale_noise(standard_noise(include_cron=False), time_compression),
-        faults=faults,
-        seed=seed,
-    )
 
 
 def run_misalignment(

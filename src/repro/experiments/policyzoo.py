@@ -23,11 +23,9 @@ TrialSpec`, so the campaign inherits ``--jobs`` fan-out, journal resume,
 and byte-identical serial-vs-parallel results; each record carries a
 digest of its duration series so repeat runs are checkable bit-for-bit.
 
-Scale note: DES at reduced scale with E8's time compression; the config
-build rule deliberately mirrors the chaos harness's
-(:func:`repro.chaos.oracles.build_cluster_config`) without importing it —
-``repro.chaos`` already imports ``repro.experiments`` — so chaos sweeps
-and this ablation exercise the same machine.
+Scale note: DES at reduced scale with E8's time compression, on the
+machine :func:`~repro.experiments.common.compressed_cosched_config`
+builds for E8 and the chaos oracles too, with only the policy swapped.
 """
 
 from __future__ import annotations
@@ -38,51 +36,18 @@ from typing import Optional, Sequence
 
 from repro.analytic.model import AllreduceSeriesModel
 from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
-from repro.config import (
-    ClusterConfig,
-    CoschedConfig,
-    KernelConfig,
-    MachineConfig,
-    MpiConfig,
-    NoiseConfig,
-)
-from repro.daemons.catalog import scale_noise, standard_noise
+from repro.config import NoiseConfig
+from repro.experiments.common import compressed_cosched_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
 from repro.kernel.policy import policy_names, validate_policy
 from repro.system import System
-from repro.units import s
 
 __all__ = ["PolicyZooResult", "run_policyzoo", "format_policyzoo"]
 
 #: Cluster sizes (MPI ranks) of the ablation columns; 8 tasks/node.
 SIZES = (8, 16, 32)
 SIZES_QUICK = (8, 16)
-
-
-def build_policy_config(
-    policy: str,
-    policy_params: tuple,
-    n_ranks: int,
-    tpn: int,
-    seed: int,
-    time_compression: float,
-) -> ClusterConfig:
-    """The system under ablation: prototype kernel + co-scheduler +
-    standard daemon ecology at compressed time — the same build rule as
-    the chaos harness, with only the dispatch policy swapped."""
-    return ClusterConfig(
-        machine=MachineConfig(n_nodes=-(-n_ranks // tpn), cpus_per_node=tpn),
-        kernel=KernelConfig.prototype(
-            big_tick=max(1, int(round(25 / time_compression)))
-        ).with_options(policy=policy, policy_params=policy_params),
-        cosched=CoschedConfig(
-            enabled=True, period_us=s(5) / time_compression, duty_cycle=0.90
-        ),
-        mpi=MpiConfig.with_long_polling(progress_threads_enabled=False),
-        noise=scale_noise(standard_noise(include_cron=False), time_compression),
-        seed=seed,
-    )
 
 
 def _series_digest(durations) -> str:
@@ -101,13 +66,12 @@ def _policy_trial(params: dict) -> dict:
     Top-level and pure per the TrialRunner contract; returns plain JSON
     including the series digest the determinism checks compare.
     """
-    cfg = build_policy_config(
-        params["policy"],
-        tuple(tuple(p) for p in params["policy_params"]),
+    cfg = compressed_cosched_config(
         params["n_ranks"],
         params["tpn"],
         params["seed"],
         params["time_compression"],
+        policy=(params["policy"], tuple(tuple(p) for p in params["policy_params"])),
     )
     system = System(cfg)
     res = run_aggregate_trace(
@@ -215,9 +179,9 @@ def run_policyzoo(
     # predates the zoo; it is the common yardstick, not a per-policy fit).
     reference = []
     for n in sizes:
-        quiet = build_policy_config(
-            "aix", (), n, tpn, seed, time_compression
-        ).replace(noise=NoiseConfig())
+        quiet = compressed_cosched_config(n, tpn, seed, time_compression).replace(
+            noise=NoiseConfig()
+        )
         model = AllreduceSeriesModel(quiet, n, tpn, seed=seed)
         reference.append(model.run_series(32, compute_between_us=0.0).median_us)
 

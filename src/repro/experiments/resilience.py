@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.config import CoschedFaultSpec, FaultConfig
-from repro.experiments.extensions import compressed_cosched_config
+from repro.experiments.common import compressed_cosched_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
 from repro.system import System
@@ -81,8 +81,8 @@ def _resilience_trial(params: dict) -> dict:
     system and return the mean latency plus that scenario's resilience
     counters.
 
-    Each scenario is one serial DES run of E4's co-scheduled machine
-    (:func:`~repro.experiments.extensions.compressed_cosched_config`)
+    Each scenario is one serial DES run of the co-scheduled machine
+    (:func:`~repro.experiments.common.compressed_cosched_config`)
     with the scenario's fault plane.  Top-level so
     :class:`~repro.experiments.runner.TrialRunner` workers can resolve it
     by name; the five scenarios are independent DES runs, so they

@@ -33,7 +33,7 @@ from repro.mpi import collectives
 from repro.mpi.messages import Message, ReliableTransport
 from repro.sim.core import EventPriority
 
-__all__ = ["MpiWorld", "MpiApi", "MpiJob", "run_jobs"]
+__all__ = ["MpiWorld", "MpiApi", "MpiJob", "JobIncompleteError", "run_jobs"]
 
 
 class MpiWorld:
@@ -607,13 +607,17 @@ class MpiJob:
         return self.elapsed_us
 
 
+class JobIncompleteError(RuntimeError):
+    """A job was not finished by its horizon (see :func:`run_jobs`)."""
+
+
 def run_jobs(jobs: list[MpiJob], horizon_us: float) -> None:
     """Drive one simulator until every job in *jobs* completes.
 
     Each job's last rank stops the run at its own event (see
     :meth:`Simulator.stop`); the loop re-enters ``run_until`` until every
     job is done, so the simulator ends at the latest finish time.  Raises
-    :class:`RuntimeError` for the first job not finished by
+    :class:`JobIncompleteError` for the first job not finished by
     ``horizon_us``.
     """
     sim = jobs[0].cluster.sim
@@ -627,7 +631,7 @@ def run_jobs(jobs: list[MpiJob], horizon_us: float) -> None:
             job._stop_on_done = False
     for job in jobs:
         if not job.done:
-            raise RuntimeError(
+            raise JobIncompleteError(
                 f"job {job.name!r} incomplete at horizon {horizon_us}: "
                 f"{job._done}/{job.placement.n_ranks} ranks finished"
             )

@@ -126,7 +126,8 @@ class System:
 
     def fault_counters(self, job: MpiJob) -> dict:
         """What the fault plane and *job*'s retransmit layer did: the
-        resilience counters E8 reports (all 0 without faults)."""
+        resilience counters E8 and the chaos oracles report (all 0
+        without faults)."""
         inj = self.injector
         rel = job.world.reliability
         net = inj.net_plane if inj else None
@@ -143,6 +144,7 @@ class System:
             "degradation_events": (
                 sum(1 for e in inj.events if e.kind == "timesync_degraded") if inj else 0
             ),
+            "fault_events": len(inj.events) if inj else 0,
         }
 
     def snapshot_state(self, desc) -> dict:

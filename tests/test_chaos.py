@@ -20,6 +20,7 @@ from repro.chaos import (
     generate_schedule,
     judge,
     liveness_bound_us,
+    run_schedule,
     shrink_schedule,
 )
 from repro.chaos.generator import estimated_span_us
@@ -152,6 +153,26 @@ class TestOracles:
         assert report.ok, report.details
         c = report.details["counters"]
         assert c["retransmits"] > 0 and c["fault_events"] > 0
+
+    def test_exception_in_a_rank_body_propagates(self, monkeypatch):
+        # Only a run that outlives the liveness bound becomes a liveness
+        # verdict; an exception inside the DES must fail the trial, even
+        # one that is a RuntimeError.
+        import repro.apps.aggregate_trace as aggregate_trace
+
+        class Boom(RuntimeError):
+            pass
+
+        def body(config, sink, node0_ranks):
+            def factory(rank, api):
+                yield from api.compute(10.0)
+                raise Boom(f"rank {rank}")
+
+            return factory
+
+        monkeypatch.setattr(aggregate_trace, "aggregate_trace_body", body)
+        with pytest.raises(Boom):
+            run_schedule(ChaosSchedule(seed=3, workload=QUICK))
 
 
 # ----------------------------------------------------------------------

@@ -188,14 +188,13 @@ CHAOS = "chaos --quick --seeds 2"
 
 
 def chaos_verdicts(results: Path) -> str:
-    """Digest of what the chaos judge reports per seed: the schedule,
-    the verdict, the liveness bound and the simulated end time."""
-    shared = ("bound_us", "completed", "elapsed_us", "values_ok")
-    verdicts = []
-    for path in sorted((results / "journal").glob("*.json")):
-        record = json.loads(path.read_text())["record"]
-        details = record.pop("details")
-        verdicts.append({**record, **{k: details[k] for k in shared}})
+    """Digest of every seed's whole journal record: the schedule, the
+    verdict and all the judge's details — liveness bound, simulated end
+    time, event count, state fingerprint and fault counters."""
+    verdicts = [
+        json.loads(path.read_text())["record"]
+        for path in sorted((results / "journal").glob("*.json"))
+    ]
     return hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
 
 

@@ -394,6 +394,38 @@ class TestCliValidation:
         assert cli.main([*argv, "--jobs", "2", "--harness-chaos", "7"]) == 0
         assert ran == [argv[:1]]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig1", "--jobs", "2"], "--jobs needs an experiment that runs supervised trials"),
+            (["fig1", "--trial-timeout", "5"],
+             "--trial-timeout needs an experiment that runs campaign trials"),
+            (["e9", "--quick", "--resume", "--results", "d"],
+             "--resume needs an experiment that journals campaign trials"),
+            (["validate", "--trial-timeout", "5"],
+             "--trial-timeout needs an experiment that runs campaign trials"),
+        ],
+        ids=["fig1-jobs", "fig1-trial-timeout", "e9-resume", "validate-trial-timeout"],
+    )
+    def test_campaign_flags_without_a_reader_are_rejected(self, argv, message, capsys):
+        from repro.experiments import cli
+
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["validate", "--jobs", "2"], ["all", "--quick", "--jobs", "2"]],
+        ids=["validate", "all"],
+    )
+    def test_jobs_with_supervised_trials_is_accepted(self, argv, monkeypatch):
+        from repro.experiments import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "_run_selected", lambda wanted, *_: ran.append(wanted) or 0)
+        assert cli.main(argv) == 0
+        assert ran == [cli.expand(argv[:1])]
+
     def test_retry_knobs_validated(self, capsys):
         from repro.experiments import cli
 
