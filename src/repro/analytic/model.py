@@ -154,20 +154,24 @@ class AllreduceSeriesModel:
         the once-per-period flip stall — the overlapped execution of the
         piled-up daemon backlog, which costs the job ``max`` over ranks of
         their backlogs (everyone stalls simultaneously: the paper's whole
-        point) amortised over the calls of one period.
+        point) amortised over the calls of one period.  Each window gets
+        at least one call when there are two or more; a single call runs
+        in the window the duty cycle favours.
         """
+        if n_calls < 1:
+            raise ValueError(f"need at least 1 call, got {n_calls}")
         if not self.noise.cosched_on:
             return SeriesResult(
-                self._run_block(n_calls, compute_between_us, t_start), self.n, self.tpn
+                self._run_block(n_calls, compute_between_us, t_start, favored=False),
+                self.n,
+                self.tpn,
             )
         duty = self.noise.favored_len / self.noise.period
-        n_unf = max(1, int(round(n_calls * (1.0 - duty))))
-        n_fav = max(1, n_calls - n_unf)
-        self.noise.force_window = "favored"
-        d_fav = self._run_block(n_fav, compute_between_us, t_start)
-        self.noise.force_window = "unfavored"
-        d_unf = self._run_block(n_unf, compute_between_us, t_start)
-        self.noise.force_window = None
+        n_unf = int(round(n_calls * (1.0 - duty)))
+        if n_calls >= 2:
+            n_unf = min(max(1, n_unf), n_calls - 1)
+        d_fav = self._run_block(n_calls - n_unf, compute_between_us, t_start, favored=True)
+        d_unf = self._run_block(n_unf, compute_between_us, t_start, favored=False)
         durations = np.concatenate([d_fav, d_unf])
         # Amortised flip stall: once per period the whole job pays the
         # slowest rank's deferred-daemon backlog plus the flip-noticing
@@ -180,54 +184,74 @@ class AllreduceSeriesModel:
     def _run_block(
         self,
         n_calls: int,
-        compute_between_us: float = 0.0,
-        t_start: float = 0.0,
+        compute_between_us: float,
+        t_start: float,
+        favored: bool,
     ) -> np.ndarray:
+        """*n_calls* calls all inside the favored window or all outside it.
+
+        Every update is in place on preallocated buffers, in the float
+        association of the plain expressions it replaces — an exchange is
+        ``(max(s, s[perm] + lat) + o) + r`` with ``s = ready + o`` — so the
+        output is bit-identical to them (docs/architecture.md).
+        """
         n = self.n
         o, r = self.o, self.r
+        noise = self.noise
+        sample = noise.sample_round
         ready = np.full(n, float(t_start))
+        start = np.empty(n)
         durations = np.empty(n_calls)
         # Exposure estimate per round: overheads + a wire hop (the noise
         # rates are far below 1/round, so precision here barely matters).
         base_round = 2 * o + r + self.config.network.latency_us
-        idx = self.active_mask
+        round_plan = noise.draw_plan(base_round, favored)
+        compute = compute_between_us > 0.0
+        if compute:
+            compute_plan = noise.draw_plan(compute_between_us, favored)
+        cron = bool(noise.cron_specs)
         evens, odds, fold_lat = self._evens, self._odds, self._fold_latency
+        exchanges = self._exchanges
+        # Active ranks' positions (all of them at a power of two), with
+        # their send times and each one's partner's arrival time.  The
+        # indices are in range by construction, so ``take`` uses
+        # ``mode="clip"``, which writes ``out`` without a bounce buffer.
+        act = np.flatnonzero(self.active_mask)
+        send = np.empty(act.size)
+        peer = np.empty(act.size)
 
         hardware = self.config.mpi.algorithm == "hardware"
         net = self.config.network
 
         for call in range(n_calls):
-            if compute_between_us > 0.0:
+            if compute:
                 ready += compute_between_us
-                t_mean = float(ready.mean())
-                ready += self.noise.sample_round(t_mean, compute_between_us)
-            start = ready.copy()
-            t0 = float(ready.min())
+                ready += sample(compute_plan)
+            np.copyto(start, ready)
+            if cron:
+                t0 = float(ready.min())
 
             if hardware:
                 # Switch-combined: one deposit per rank, combine after the
                 # slowest, synchronous fan-out.  Laggard sensitivity stays
                 # (the max), the log-depth software cascade is gone.
-                deposit = ready + o + self.noise.sample_round(t0, base_round)
+                deposit = ready + o + sample(round_plan)
                 done = (
                     float(deposit.max())
                     + net.latency_us
                     + net.hw_collective_latency_us
                 )
-                ready = np.full(n, done + o)
-                t1 = float(ready.max())
-                cron = self.noise.cron_hits(t0, max(t1, t0 + 1.0))
-                if cron.any():
-                    ready += cron
-                durations[call] = float(np.mean(ready - start))
-                continue
-
-            if self.rem == 0:
+                ready.fill(done + o)
+            elif self.rem == 0:
                 # ---- recursive doubling, every rank active -------------
-                for lat, perm in self._exchanges:
-                    ready += self.noise.sample_round(float(ready.mean()), base_round)
-                    send_t = ready + o
-                    ready = np.maximum(send_t, send_t[perm] + lat) + o + r
+                for lat, perm in exchanges:
+                    ready += sample(round_plan)
+                    ready += o
+                    ready.take(perm, out=peer, mode="clip")
+                    peer += lat
+                    np.maximum(ready, peer, out=ready)
+                    ready += o
+                    ready += r
             else:
                 # ---- fold phase (non-power-of-two) ---------------------
                 arrive = ready[evens] + o + fold_lat
@@ -235,22 +259,30 @@ class AllreduceSeriesModel:
                 # Evens idle until the unfold at the end.
 
                 # ---- recursive doubling over the active ranks ----------
-                for lat, perm in self._exchanges:
-                    ready += self.noise.sample_round(float(ready[idx].mean()), base_round)
-                    send_t = ready[idx] + o
-                    ready[idx] = np.maximum(send_t, send_t[perm] + lat) + o + r
+                for lat, perm in exchanges:
+                    ready += sample(round_plan)
+                    ready.take(act, out=send, mode="clip")
+                    send += o
+                    send.take(perm, out=peer, mode="clip")
+                    peer += lat
+                    np.maximum(send, peer, out=send)
+                    send += o
+                    send += r
+                    ready[act] = send
 
                 # ---- unfold phase --------------------------------------
                 arrive = ready[odds] + o + fold_lat
                 ready[evens] = np.maximum(ready[evens] + o, arrive) + o
 
             # ---- long outliers (cron) -----------------------------------
-            t1 = float(ready.max())
-            cron = self.noise.cron_hits(t0, max(t1, t0 + 1.0))
-            if cron.any():
-                ready += cron
+            if cron:
+                t1 = float(ready.max())
+                hits = noise.cron_hits(t0, max(t1, t0 + 1.0))
+                if hits.any():
+                    ready += hits
 
-            durations[call] = float(np.mean(ready - start))
+            np.subtract(ready, start, out=start)
+            durations[call] = float(np.mean(start))
 
         return durations
 

@@ -1,8 +1,10 @@
 """Per-rank noise sampling for the vectorised model.
 
 Builds, from the same configs the DES consumes, a sampler that answers:
-*for an exposure window of length τ at wall time t, how much extra delay
-does each rank accumulate?*  Sources and their mapping to model behaviour:
+*for an exposure of length τ, inside the co-scheduled favored window or
+outside it, how much extra delay does each rank accumulate?*  Only cron
+is placed in wall time (:meth:`NoiseInjector.cron_hits`).  Sources and
+their mapping to model behaviour:
 
 ===================  ========================================================
 source               model behaviour
@@ -166,10 +168,6 @@ class NoiseInjector:
             self.favored_len = None
             self.window_stall = None
 
-        #: Stratified-sampling override: None (wall-time windows),
-        #: "favored" or "unfavored".  Set by the series model.
-        self.force_window: str | None = None
-
         # Cron activations: (period, phase, service per hit) per spec.
         self._spare = spare
         self._n_nodes = n_nodes
@@ -179,22 +177,12 @@ class NoiseInjector:
              spec.mean_service_us())
             for spec in self.cron_specs
         ]
-        #: Draw plans by ``(exposure_us, favored)``; see :meth:`_draw_plan`.
-        self._plans: dict[tuple[float, bool], tuple[list, float | None]] = {}
 
     # ------------------------------------------------------------------
-    def in_favored_window(self, t: float) -> bool:
-        """Is global time *t* inside the co-scheduled favored window?"""
-        if not self.cosched_on:
-            return False
-        if self.force_window is not None:
-            return self.force_window == "favored"
-        return (t % self.period) < self.favored_len
+    def sample_round(self, plan: tuple[list, float | None]) -> np.ndarray:
+        """Per-rank delay accumulated over one exposure, drawn by *plan*
+        (from :meth:`draw_plan`, which fixes the exposure and window).
 
-    def sample_round(self, t_mean: float, exposure_us: float) -> np.ndarray:
-        """Per-rank delay accumulated over one exposure of *exposure_us*.
-
-        ``t_mean`` locates the round in wall time for window logic.
         Renewal hits are approximated as Poisson thinning — exact for the
         exponential-ish service processes at the rates involved.
 
@@ -205,10 +193,6 @@ class NoiseInjector:
         the tick draw.
         """
         delays = np.zeros(self.n)
-        key = (exposure_us, self.in_favored_window(t_mean))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._draw_plan(*key)
         draws, lam_t = plan
         rng = self.rng
         for lam, size, mean_delay_us, victims in draws:
@@ -228,12 +212,14 @@ class NoiseInjector:
                 delays += rng.poisson(lam_t, size=self.n) * self.tick_cost
         return delays
 
-    def _draw_plan(self, exposure_us: float, favored: bool) -> tuple[list, float | None]:
-        """The draws of one round: ``(lam, size, mean_delay_us, victims)``
-        for each source that can fire, ``victims`` None when the source
-        hits every rank in order; then the tick rate, None when ticks
-        cost nothing.  The sources are fixed at construction, so the plan
-        is a pure function of its arguments."""
+    def draw_plan(self, exposure_us: float, favored: bool) -> tuple[list, float | None]:
+        """The draws of one exposure of *exposure_us*, inside the
+        co-scheduled favored window (deferrable sources silent) or not:
+        ``(lam, size, mean_delay_us, victims)`` for each source that can
+        fire, ``victims`` None when the source hits every rank in order;
+        then the tick rate, None when ticks cost nothing.  The sources are
+        fixed at construction, so the plan is a pure function of its
+        arguments and a caller fetches it once per block of rounds."""
         draws = []
         for src in self.sources:
             if favored and src.deferrable:

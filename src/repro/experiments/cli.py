@@ -178,8 +178,9 @@ EXPERIMENTS: dict[str, Experiment] = {
     "finegrain": _printed(
         extensions.run_fine_grain, extensions.format_fine_grain, groups=EXTENSIONS
     ),
-    "misalign": _printed(
-        extensions.run_misalignment, extensions.format_misalignment, groups=EXTENSIONS
+    "misalign": Experiment(
+        lambda args, **kw: extensions.run_misalignment(**kw), extensions.format_misalignment,
+        quick={"n_seeds": 1}, groups=EXTENSIONS,
     ),
     "resilience": Experiment(
         lambda args, **kw: resilience.run_resilience(**kw),

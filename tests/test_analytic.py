@@ -1,6 +1,8 @@
 """The vectorised model: schedule structure, noise injection, fits."""
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -110,17 +112,16 @@ class TestNoiseInjector:
     def test_favored_window_silences_deferrable(self):
         cfg = make_config(PROTO16, 64, seed=0)
         inj = NoiseInjector(cfg, 64, 16, np.random.default_rng(0))
-        inj.force_window = "favored"
-        totals = sum(inj.sample_round(0.0, 1e6).sum() for _ in range(5))
-        inj.force_window = "unfavored"
-        totals_unf = sum(inj.sample_round(0.0, 1e6).sum() for _ in range(5))
+        favored, unfavored = inj.draw_plan(1e6, True), inj.draw_plan(1e6, False)
+        totals = sum(inj.sample_round(favored).sum() for _ in range(5))
+        totals_unf = sum(inj.sample_round(unfavored).sum() for _ in range(5))
         assert totals < totals_unf
 
     def test_interrupts_hit_even_in_favored_window(self):
         cfg = make_config(PROTO16, 64, seed=0)
         inj = NoiseInjector(cfg, 64, 16, np.random.default_rng(1))
-        inj.force_window = "favored"
-        total = sum(inj.sample_round(0.0, 1e6).sum() for _ in range(10))
+        favored = inj.draw_plan(1e6, True)
+        total = sum(inj.sample_round(favored).sum() for _ in range(10))
         assert total > 0.0  # caddpin/phxentdd are undeferrable
 
     def test_window_stall_includes_notice_latency(self):
@@ -185,10 +186,28 @@ class TestNoisyScaling:
         res = AllreduceSeriesModel(cfg, 64, 16, seed=0).run_series(100, 100.0)
         assert len(res.durations_us) == 100
 
+    @pytest.mark.parametrize("duty", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n_calls", [1, 2, 3, 4, 5])
+    def test_short_cosched_series_has_exactly_n_calls(self, n_calls, duty):
+        cfg = make_config(PROTO16, 64, seed=1)
+        cfg = cfg.replace(cosched=dataclasses.replace(cfg.cosched, duty_cycle=duty))
+        model = AllreduceSeriesModel(cfg, 64, 16, seed=1)
+        assert len(model.run_series(n_calls).durations_us) == n_calls
+
+    @pytest.mark.parametrize("scenario", [PROTO16, VANILLA16])
+    def test_empty_series_is_rejected(self, scenario):
+        model = AllreduceSeriesModel(make_config(scenario, 64, seed=1), 64, 16, seed=1)
+        with pytest.raises(ValueError):
+            model.run_series(0)
+
 
 def _golden_case(name):
     """(config, n_ranks, tasks_per_node) for one pinned-durations case."""
     cron = standard_noise(include_cron=True, cron_phase_us=10_000.0)
+    if name == "vanilla16-n944-quiet-no-compute":
+        # Figure 4's zero-noise prediction and `validate`'s base latency.
+        cfg = make_config(VANILLA16, 944, seed=3)
+        return cfg.replace(noise=NoiseConfig(), mpi=MpiConfig.with_long_polling()), 944, 16
     if name == "vanilla16-n128-cron":
         return make_config(VANILLA16, 128, seed=3, noise=cron), 128, 16
     if name == "vanilla16-n236":
@@ -209,22 +228,57 @@ def _golden_case(name):
     raise KeyError(name)
 
 
-#: sha256 of ``SeriesResult.durations_us`` bytes for 60 calls with 200 µs
-#: of compute between them (seed 11).  Any change to the model's RNG call
-#: sequence or float operations changes these.
+#: Per case, the sha256 of ``SeriesResult.durations_us`` bytes for 60 calls
+#: (seed 11) with 200 µs of compute between them, or none for the
+#: ``-no-compute`` case, and the sha256 of the RNG state after the series.
+#: Any change to the model's float operations moves the first; a draw
+#: added, dropped or reordered moves the second.
 GOLDEN_DURATIONS = {
-    "vanilla16-n128-cron": "9933b59b55b33495d160c7ebf910fb0fccf029b1dd2c7e970155e5b871316849",
-    "vanilla16-n236": "acb71f4e2fc11fc295ac4600940de84d261ad3f1d1e2eceb12bf4fcb73777bf7",
-    "vanilla15-n120-cron": "d41f1b0e58a7ef498deac55bcb0449c726bcf339992a2579d86f1e04c922203e",
-    "proto16-n128": "1a2c022f883f7670e0dd37d9f3d2d2611f7ca80e79ffd2891c4d8fd94eafe4c0",
-    "proto16-n100": "70949a9c3ac1940344efa692646ce2776c408ddfcdcb207d3b33ec01a7a6cad0",
-    "vanilla16-n96-aligned-ticks": "1333b52f35189bf14bd9efc2d00ace5e54b3ef8e4c5845ae72f2ca82f4c1f47a",
-    "vanilla16-n128-hardware": "3139cb951ce9d5629513d0b9429a658d169a7cd54f5fc42bc742f7b804483527",
+    "vanilla16-n128-cron": (
+        "9933b59b55b33495d160c7ebf910fb0fccf029b1dd2c7e970155e5b871316849",
+        "c7746b847b376aa28efacef7bb996fa8f1d1bedf33ff9c46ab0dfd70820fc001",
+    ),
+    "vanilla16-n236": (
+        "acb71f4e2fc11fc295ac4600940de84d261ad3f1d1e2eceb12bf4fcb73777bf7",
+        "78975157e8e500e1cbfd12311db60248f76d78bf6486e8fb7643ad5d12b9b835",
+    ),
+    "vanilla15-n120-cron": (
+        "d41f1b0e58a7ef498deac55bcb0449c726bcf339992a2579d86f1e04c922203e",
+        "928584f032744c6a4490472b33bb809f585d39060caf1a9b0dd111ed6d0fa746",
+    ),
+    "proto16-n128": (
+        "1a2c022f883f7670e0dd37d9f3d2d2611f7ca80e79ffd2891c4d8fd94eafe4c0",
+        "d493ac46f613dd5a10c02c64c064d71836ebaaa9cb3eda290abf42a40c9dd3bd",
+    ),
+    "proto16-n100": (
+        "70949a9c3ac1940344efa692646ce2776c408ddfcdcb207d3b33ec01a7a6cad0",
+        "b4d1e23385fdf9843332aa92bd56dea8df84bdbe13754513f46e3494e820313e",
+    ),
+    "vanilla16-n96-aligned-ticks": (
+        "1333b52f35189bf14bd9efc2d00ace5e54b3ef8e4c5845ae72f2ca82f4c1f47a",
+        "859d24872092c2da76173f593e7d32bf2dcf325d8e3b4864d899ef5e52430e7e",
+    ),
+    "vanilla16-n128-hardware": (
+        "3139cb951ce9d5629513d0b9429a658d169a7cd54f5fc42bc742f7b804483527",
+        "e01e25e69d0463ca2fa4a0b0f395802826714f80ff9bae94975045d9e1117c98",
+    ),
+    "vanilla16-n944-quiet-no-compute": (
+        "c5b599443a8709c3ad6dfc0b45e0b2696b12823a7ee5c75ef5a86e13220e71b3",
+        "b8096bc75ce187260b70a74b3f0d5372f50bd71a8447ee9719ae64cdaed5ffa4",
+    ),
 }
 
 
-def _golden_series(name):
-    return AllreduceSeriesModel(*_golden_case(name), seed=11).run_series(60, 200.0)
+def _golden_run(name):
+    """The case's model after its series, and the series."""
+    model = AllreduceSeriesModel(*_golden_case(name), seed=11)
+    compute_us = 0.0 if name.endswith("-no-compute") else 200.0
+    return model, model.run_series(60, compute_us)
+
+
+def _rng_state_digest(rng):
+    state = json.dumps(rng.bit_generator.state, sort_keys=True)
+    return hashlib.sha256(state.encode()).hexdigest()
 
 
 class TestGoldenDurations:
@@ -242,12 +296,13 @@ class TestGoldenDurations:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_DURATIONS))
     def test_durations_digest(self, name):
-        digest = hashlib.sha256(_golden_series(name).durations_us.tobytes()).hexdigest()
-        assert digest == GOLDEN_DURATIONS[name]
+        model, series = _golden_run(name)
+        digest = hashlib.sha256(series.durations_us.tobytes()).hexdigest()
+        assert (digest, _rng_state_digest(model.rng)) == GOLDEN_DURATIONS[name]
 
     @pytest.mark.parametrize("name", ["vanilla16-n128-cron", "vanilla15-n120-cron"])
     def test_cron_fires_inside_the_cron_cases(self, name):
-        res = _golden_series(name)
+        _, res = _golden_run(name)
         assert res.max_us > 100 * res.median_us
 
 
