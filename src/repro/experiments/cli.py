@@ -6,10 +6,16 @@
 
 Every experiment is one row of :data:`EXPERIMENTS`: what it runs, how it
 prints and archives its result, its ``--quick`` arguments, the
-experiment-specific flags it reads and the groups (``all``,
-``extensions``) it belongs to.  ``--help`` lists the names in table
-order; a group name expands in place to its members in that order, and an
-experiment named twice runs once, at its first position.
+experiment-specific flags it reads, the groups (``all``,
+``extensions``) it belongs to and the paper claims its result must
+reproduce.  ``--help`` lists the names in table order; a group name
+expands in place to its members in that order, and an experiment named
+twice runs once, at its first position.
+
+Claims: at full size each row's claims (:class:`Claim`) are judged on its
+result and printed as a table (claim, paper, measured, bound, verdict); a
+failed claim ends the run with exit code 1.  ``--quick`` sizes are smoke
+runs, so no claim is judged there.
 
 Parallelism: ``--jobs N`` fans the independent (scenario, count, seed)
 trials of every campaign out over N supervised worker processes via
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import operator
 import os
 import sys
 import time
@@ -54,13 +61,46 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro import chaos
+from repro.analytic.fits import compare_fits, fit_linear
 from repro.experiments import (
     ablation, ale3d_io, e9_resume, e14_meanfield, extensions, fig1, fig4, fig6, pdes,
     policyzoo, resilience, speedup, timer_threads, validate, workloads,
 )
 from repro.experiments.common import SweepResult
+from repro.experiments.reporting import text_table
 
-__all__ = ["EXPERIMENTS", "GROUPS", "QUICK_SWEEP", "Experiment", "expand", "main"]
+__all__ = ["Claim", "EXPERIMENTS", "GROUPS", "QUICK_SWEEP", "Experiment", "expand", "main"]
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim, judged on a row's full-size result.
+
+    ``stat(result)`` is the measured statistic; *bound* is one or more
+    comma-separated ``OP LIMIT`` clauses (``"> 0.3"``,
+    ``">= 0.35, <= 1.2"``, ``"== linear"``) that it must all satisfy.
+    *paper* is the paper's own value or expectation, as text.
+    """
+
+    name: str
+    paper: str
+    stat: Callable[[Any], Any]
+    bound: str
+
+    def holds(self, value) -> bool:
+        """True if *value* satisfies every clause of :attr:`bound`."""
+        for clause in self.bound.split(","):
+            op, limit = clause.split()
+            try:
+                limit = float(limit)
+            except ValueError:
+                pass
+            if not _OPS[op](value, limit):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -72,8 +112,9 @@ class Experiment:
     campaign keywords ``journal``, ``trial_timeout_s`` and ``jobs``.  It
     prints ``text(result)``, writes :attr:`csv` under ``--csv DIR`` and
     :attr:`json` under ``--results DIR`` (named after the row unless
-    :attr:`stem` is set), calls :attr:`then`, and ends the run with exit
-    code 1 if ``ok(result)`` is false.  Unset hooks are skipped.
+    :attr:`stem` is set), calls :attr:`then`, judges :attr:`claims` unless
+    ``--quick``, and ends the run with exit code 1 if ``ok(result)`` is
+    false or a claim fails.  Unset hooks are skipped.
     """
 
     run: Callable[..., Any]
@@ -93,6 +134,9 @@ class Experiment:
     #: ``args -> error message or None``, checked before anything runs.
     check: Callable[[argparse.Namespace], str | None] | None = None
     groups: tuple[str, ...] = ()
+    #: Paper claims judged on the full-size result; ``ok`` is for oracle
+    #: verdicts that must hold at every size.
+    claims: tuple[Claim, ...] = ()
 
 
 ALL = ("all",)
@@ -106,18 +150,42 @@ def _whole(res) -> dict:
     return {"": res}
 
 
-def _printed(run, text, *, harness: bool = False, groups=ALL) -> Experiment:
+def _printed(
+    run, text, *, quick=None, harness: bool = False, groups=ALL, claims=()
+) -> Experiment:
     """A row that only prints its report."""
-    return Experiment(lambda args, **kw: run(**kw), text, harness=harness, groups=groups)
+    return Experiment(
+        lambda args, **kw: run(**kw), text, quick=quick or {}, harness=harness,
+        groups=groups, claims=claims,
+    )
 
 
-def _sweep(run, title: str) -> Experiment:
+def _sweep(run, title: str, claims=()) -> Experiment:
     """A Figure-3-shaped sweep: table with fits, CSV series, JSON result."""
     return Experiment(
         lambda args, **kw: run(**kw), lambda res: fig6.format_sweep(res, title),
         quick=QUICK_SWEEP, harness=True, json=_whole, groups=ALL,
         csv=(("procs", "mean_us", "run_std_us", "call_std_us"), SweepResult.rows),
+        claims=claims,
     )
+
+
+def _winner(res: SweepResult) -> str:
+    return compare_fits(res.proc_counts, res.mean_us)[2]
+
+
+def _mean_at(res: SweepResult, n: int) -> float:
+    return float(res.mean_us[list(res.proc_counts).index(n)])
+
+
+def _gaps(res):
+    """E7: prototype minus vanilla efficiency at each granularity."""
+    return res.prototype_efficiency - res.vanilla_efficiency
+
+
+#: Daemons the paper names among Figure 4's outliers (besides the cron job).
+_OUTLIER_DAEMONS = {"syncd", "mmfsd", "hatsd", "hats_nim", "mld", "LoadL_startd", "inetd",
+                    "hostmibd"}
 
 
 def _run_chaos(args, **kw):
@@ -148,13 +216,45 @@ def _policyzoo_rows(res):
 
 #: Every experiment, in ``--help`` and ``all`` order.
 EXPERIMENTS: dict[str, Experiment] = {
-    "fig1": _printed(fig1.run_fig1, fig1.format_fig1),
-    "fig3": _sweep(fig6.run_fig3, "Figure 3: vanilla kernel, 16 tasks/node"),
+    "fig1": _printed(fig1.run_fig1, fig1.format_fig1, claims=(
+        Claim("fig1 overlapped/random all-free", "far more all-CPU time",
+              lambda r: r.green_overlapped / r.green_random, "> 1.5"),
+        Claim("fig1 overlapped all-free fraction", "1 - f", lambda r: r.green_overlapped,
+              "> 0.8"),
+    )),
+    "fig3": _sweep(fig6.run_fig3, "Figure 3: vanilla kernel, 16 tasks/node", claims=(
+        Claim("fig3 better fit", "linear", _winner, "== linear"),
+        Claim("fig3 slope us/CPU", "0.70", lambda r: fit_linear(r.proc_counts, r.mean_us).slope,
+              ">= 0.35, <= 1.2"),
+        Claim("fig3 call sigma/mean at max", "'extreme variability'",
+              lambda r: r.call_std_us[-1] / r.mean_us[-1], "> 0.3"),
+    )),
     "fig4": Experiment(
         lambda args: fig4.run_fig4(), fig4.format_fig4, groups=ALL,
         csv=(("index", "sorted_allreduce_us"), lambda res: enumerate(res.sorted_durations_us)),
+        claims=(
+            Claim("fig4 fastest/model", "~1.1", lambda r: r.min_us / r.model_prediction_us,
+                  "<= 1.35"),
+            Claim("fig4 median/fastest", "~1.25", lambda r: r.median_us / r.min_us,
+                  ">= 1.05, <= 2.5"),
+            Claim("fig4 mean/model", "~6", lambda r: r.mean_us / r.model_prediction_us, "> 3"),
+            Claim("fig4 slowest-call share", "> 0.5", lambda r: r.slowest_share, "> 0.2"),
+            Claim("fig4 slowest culprit", "cron job", lambda r: r.slowest_culprit,
+                  "== cron_health"),
+            Claim("T5 outliers attributed", "most", lambda r: len(r.outlier_attribution),
+                  ">= 1"),
+            Claim("T5 outliers without a culprit", "few",
+                  lambda r: sum(not top for _, _, top in r.outlier_attribution), "== 0"),
+            Claim("T5 named daemons among outliers", "syncd, mmfsd, hatsd, ...",
+                  lambda r: len(_OUTLIER_DAEMONS & {
+                      n for _, _, top in r.outlier_attribution for n, _ in top
+                  }), ">= 2"),
+        ),
     ),
-    "fig5": _sweep(fig6.run_fig5, "Figure 5: prototype kernel + co-scheduler"),
+    "fig5": _sweep(fig6.run_fig5, "Figure 5: prototype kernel + co-scheduler", claims=(
+        Claim("fig5 slope us/CPU", "0.22",
+              lambda r: fit_linear(r.proc_counts, r.mean_us).slope, "> 0"),
+    )),
     "fig6": Experiment(
         lambda args, **kw: fig6.run_fig6(**kw), fig6.format_fig6,
         quick=QUICK_SWEEP, harness=True, groups=ALL,
@@ -163,33 +263,144 @@ EXPERIMENTS: dict[str, Experiment] = {
             lambda res: zip(res.vanilla.proc_counts, res.vanilla.mean_us, res.prototype.mean_us),
         ),
         json=lambda res: {"_vanilla": res.vanilla, "_prototype": res.prototype},
+        claims=(
+            Claim("fig6 worst prototype/vanilla mean", "~1/3",
+                  lambda r: max(r.prototype.mean_us / r.vanilla.mean_us), "< 1"),
+            Claim("fig6 prototype/vanilla call sigma at max", "much smaller",
+                  lambda r: r.prototype.call_std_us[-1] / r.vanilla.call_std_us[-1], "< 0.5"),
+            Claim("fig6 slope ratio", "~3.2", lambda r: r.slope_ratio, "> 3"),
+            Claim("fig6 mean ratio at 944", "~2.9", lambda r: r.mean_ratio_at(944), "> 1.8"),
+        ),
     ),
-    "tpn15": _sweep(fig6.run_tpn15, "T1: vanilla kernel, 15 tasks/node"),
-    "speedup": _printed(speedup.run_speedup154, speedup.format_speedup, harness=True),
-    "timers": _printed(timer_threads.run_timer_threads, timer_threads.format_timer_threads),
-    "ale3d": _printed(ale3d_io.run_ale3d_io, ale3d_io.format_ale3d_io),
-    "ablation": _printed(ablation.run_ablation, ablation.format_ablation, harness=True),
+    "tpn15": _sweep(fig6.run_tpn15, "T1: vanilla kernel, 15 tasks/node", claims=(
+        Claim("T1 better fit", "linear", _winner, "== linear"),
+        # 59 nodes: 885 ranks at 15/node against fig3's 944 at 16/node.
+        Claim("T1 15/node over 16/node at 59 nodes", "improved",
+              lambda r: _mean_at(r, 885) / _mean_at(fig6.run_fig3(proc_counts=(944,)), 944),
+              "< 1"),
+    )),
+    "speedup": _printed(
+        speedup.run_speedup154, speedup.format_speedup, harness=True,
+        quick={"n_calls": 150, "n_seeds": 2}, claims=(
+            Claim("T2 prototype/vanilla15 mean", "1/1.54",
+                  lambda r: r.proto_allreduce_us / r.baseline_allreduce_us, "< 1"),
+            Claim("T2 speedup %", "154", lambda r: r.speedup_percent, ">= 115, <= 260"),
+        ),
+    ),
+    "timers": _printed(
+        timer_threads.run_timer_threads, timer_threads.format_timer_threads,
+        quick={"des_ranks": 16, "n_calls": 150}, claims=(
+            Claim("T3 DES max, timers/silenced", "disrupted",
+                  lambda r: r.des_max_default_us / r.des_max_fixed_us, "> 1.3"),
+            Claim("T3 DES mean, timers/silenced", "disrupted",
+                  lambda r: r.des_mean_default_us / r.des_mean_fixed_us, "> 1"),
+            Claim("T3 model mean at 944, timers/silenced", "removed by the fix",
+                  lambda r: r.model_mean_default_us / r.model_mean_fixed_us, "> 1"),
+        ),
+    ),
+    "ale3d": _printed(
+        ale3d_io.run_ale3d_io, ale3d_io.format_ale3d_io,
+        quick={"n_ranks": 16, "timesteps": 10}, claims=(
+            Claim("T4 naive cosched/vanilla run time", "'slowed it down'",
+                  lambda r: r.naive_slowdown, "> 1"),
+            Claim("T4 naive/vanilla I/O time", "I/O starved",
+                  lambda r: r.naive_io_us / r.vanilla_io_us, "> 2"),
+            Claim("T4 tuned run-time cut %", "24", lambda r: r.tuned_improvement_percent,
+                  ">= 10, <= 45"),
+        ),
+    ),
+    "ablation": _printed(
+        ablation.run_ablation, ablation.format_ablation, harness=True,
+        quick={"n_calls": 150, "n_seeds": 1}, claims=(
+            Claim("A1 +polling fix/vanilla", "small", lambda r: r.steps[1][1] / r.steps[0][1],
+                  "<= 1.05"),
+            Claim("A1 +cosched/vanilla", "the big lever",
+                  lambda r: r.steps[4][1] / r.steps[0][1], "< 0.6"),
+            Claim("A1 +RT fixes/+cosched", "sharper windows",
+                  lambda r: r.steps[5][1] / r.steps[4][1], "<= 1.1"),
+            Claim("A1 vanilla/prototype", "~2.9", lambda r: r.steps[0][1] / r.steps[5][1], "> 2"),
+        ),
+    ),
     "multijob": _printed(
-        extensions.run_multijob, extensions.format_multijob, groups=EXTENSIONS
+        extensions.run_multijob, extensions.format_multijob, groups=EXTENSIONS, claims=(
+            Claim("E1 gang per-op gain", "gang restores collectives",
+                  lambda r: r.per_op_improvement, "> 1.5"),
+            Claim("E1 demand per-op gain", "best per-op", lambda r: r.demand_improvement,
+                  "> 1.5"),
+            Claim("E1 gang/uncoordinated makespan", "gang shares the machine",
+                  lambda r: r.gang_makespan_us / r.uncoordinated_makespan_us, "< 1"),
+            Claim("E1 demand finish spread/makespan", "worst fairness",
+                  lambda r: r.demand_finish_spread_us / r.demand_makespan_us, "> 0.3"),
+            Claim("E1 gang finish spread/makespan", "fair slots",
+                  lambda r: r.gang_finish_spread_us / r.gang_makespan_us, "< 0.3"),
+        ),
     ),
     "hw": _printed(
-        extensions.run_hw_collectives, extensions.format_hw_collectives, groups=EXTENSIONS
+        extensions.run_hw_collectives, extensions.format_hw_collectives, groups=EXTENSIONS,
+        claims=(
+            Claim("E2 worst hardware/software mean", "hardware wins",
+                  lambda r: max(r.hardware_us / r.software_us), "< 1"),
+            Claim("E2 software/hardware at max", "still noise-limited",
+                  lambda r: r.ratio_at_max(), "> 1.3"),
+        ),
     ),
     "finegrain": _printed(
-        extensions.run_fine_grain, extensions.format_fine_grain, groups=EXTENSIONS
+        extensions.run_fine_grain, extensions.format_fine_grain, groups=EXTENSIONS,
+        quick={"n_ranks": 16, "timesteps": 10}, claims=(
+            Claim("E3 always-on/vanilla run time", "T4's fiasco",
+                  lambda r: r.always_on_us / r.vanilla_us, "> 1"),
+            Claim("E3 fine-grain/vanilla run time", "faster",
+                  lambda r: r.fine_grain_us / r.vanilla_us, "< 1"),
+            Claim("E3 fine-grain/always-on I/O time", "I/O unharmed",
+                  lambda r: r.fine_grain_io_us / r.always_on_io_us, "< 0.5"),
+        ),
     ),
     "misalign": Experiment(
         lambda args, **kw: extensions.run_misalignment(**kw), extensions.format_misalignment,
-        quick={"n_seeds": 1}, groups=EXTENSIONS,
+        quick={"n_seeds": 1}, groups=EXTENSIONS, claims=(
+            Claim("E4 unsynced/synced mean", "loses its edge", lambda r: r.degradation,
+                  "> 1.1"),
+        ),
     ),
     "resilience": Experiment(
         lambda args, **kw: resilience.run_resilience(**kw),
         resilience.format_resilience, quick={"n_ranks": 16, "calls": 1000}, harness=True,
-        json=_whole, groups=EXTENSIONS,
+        json=_whole, groups=EXTENSIONS, claims=(
+            Claim("E8 timesync lost/healthy", "coordination lost",
+                  lambda r: r.degradation_ratio, "> 1.2"),
+            Claim("E8 timesync lost/uncoordinated", "~1, not a collapse",
+                  lambda r: r.vs_baseline_ratio, "< 1.6"),
+            Claim("E8 degradation events", "daemons free-run",
+                  lambda r: r.degradation_events, ">= 1"),
+            Claim("E8 injected drops", "1 % message loss", lambda r: r.drop_net_drops, "> 0"),
+            Claim("E8 drops not retransmitted", "all recovered",
+                  lambda r: r.drop_net_drops - r.drop_retransmits, "<= 0"),
+            # forced <= drops // 10, as a share (forced is an integer).
+            Claim("E8 forced-delivery share of drops", "rare",
+                  lambda r: r.drop_forced / max(r.drop_net_drops, 1), "<= 0.1"),
+            Claim("E8 nodes without a watchdog restart", "every node restarts",
+                  lambda r: -(-r.n_ranks // 8) - r.death_restarts, "== 0"),
+            Claim("E8 recovered/degraded mean", "near healthy",
+                  lambda r: r.death_us / r.degraded_us, "< 1"),
+        ),
     ),
-    "waitmode": _printed(workloads.run_waitmode, workloads.format_waitmode, groups=EXTENSIONS),
+    "waitmode": _printed(
+        workloads.run_waitmode, workloads.format_waitmode, groups=EXTENSIONS,
+        quick={"calls": 100}, claims=(
+            Claim("E5 quiet block/poll", "poll wins quiet", lambda r: r.quiet_poll_advantage,
+                  "> 1.3"),
+            Claim("E5 noisy poll/block", "block wins noisy", lambda r: r.noisy_block_advantage,
+                  "> 1.1"),
+        ),
+    ),
     "sensitivity": _printed(
-        workloads.run_sensitivity, workloads.format_sensitivity, groups=EXTENSIONS
+        workloads.run_sensitivity, workloads.format_sensitivity, groups=EXTENSIONS,
+        quick={"n_ranks": 16, "tpn": 8}, claims=(
+            Claim("E6 collective/wavefront slowdown", "collectives amplify",
+                  lambda r: r.collective_slowdown / r.wavefront_slowdown, "> 1"),
+            Claim("E6 collective slowdown", "amplified", lambda r: r.collective_slowdown,
+                  "> 1.5"),
+        ),
     ),
     "granularity": Experiment(
         lambda args: workloads.run_granularity(), workloads.format_granularity,
@@ -197,6 +408,14 @@ EXPERIMENTS: dict[str, Experiment] = {
         csv=(
             ("compute_us", "vanilla_eff", "prototype_eff"),
             lambda res: zip(res.compute_us, res.vanilla_efficiency, res.prototype_efficiency),
+        ),
+        claims=(
+            Claim("E7 vanilla efficiency, finest-coarsest", "rises with grain",
+                  lambda r: r.vanilla_efficiency[0] - r.vanilla_efficiency[-1], "< 0"),
+            Claim("E7 least prototype-vanilla efficiency", "prototype dominates",
+                  lambda r: min(_gaps(r)), "> 0"),
+            Claim("E7 gap, finest-coarsest", "largest at fine grain",
+                  lambda r: _gaps(r)[0] - _gaps(r)[-1], "> 0"),
         ),
     ),
     "validate": Experiment(
@@ -520,10 +739,26 @@ def _run_selected(wanted, args, harness) -> int:
                 print(f"[json: {path}]")
         if row.then:
             row.then(args, res)
-        if row.ok and not row.ok(res):
+        failed = row.ok and not row.ok(res)
+        if row.claims and not args.quick:
+            failed = not _judge(row.claims, res) or failed
+        if failed:
             return 1
         print(f"[{name}: {time.time() - t0:.1f}s]\n")
     return 0
+
+
+def _judge(claims, res) -> bool:
+    """Print the claims table for *res*; True if every claim holds."""
+    rows, held = [], True
+    for claim in claims:
+        value = claim.stat(res)
+        ok = claim.holds(value)
+        held = held and ok
+        shown = f"{value:.4g}" if isinstance(value, float) else str(value)
+        rows.append((claim.name, claim.paper, shown, claim.bound, "PASS" if ok else "FAIL"))
+    print(text_table(("claim", "paper", "measured", "bound", "verdict"), rows, title="claims"))
+    return held
 
 
 if __name__ == "__main__":

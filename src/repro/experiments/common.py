@@ -247,7 +247,7 @@ def allreduce_sweep(
 
     Mirrors the paper's methodology: "each plotted datum is the average of
     at least 3 runs, and each run is the result of thousands of
-    Allreduces" (we default to hundreds per run; benchmarks may raise it).
+    Allreduces" (we default to hundreds per run; callers may raise it).
 
     Execution policy lives in :class:`~repro.experiments.runner.TrialRunner`
     (pass one via *runner*, or let *jobs*/*journal*/*trial_timeout_s* build

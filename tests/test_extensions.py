@@ -49,8 +49,8 @@ class TestFineGrain:
 class TestMisalignment:
     def test_smoke_and_format(self):
         # The sync-vs-unsync *direction* needs multi-period runs over
-        # several nodes and seeds — that's the benchmark's job
-        # (test_bench_extensions.py); here we check the machinery runs and
+        # several nodes and seeds — that's the misalign row's claim at full
+        # size (repro.experiments.cli); here we check the machinery runs and
         # produces sane, positive latencies either way.
         res = run_misalignment(n_ranks=16, tpn=8, calls=400, n_seeds=1)
         assert res.synced_us > 0 and res.unsynced_us > 0

@@ -775,7 +775,7 @@ class TestAttribution:
 
 
 # ----------------------------------------------------------------------
-# E8 experiment smoke (full-scale physics lives in benchmarks/)
+# E8 experiment smoke (the full-size claims are on the CLI's resilience row)
 # ----------------------------------------------------------------------
 class TestResilienceExperiment:
     def test_small_scale_smoke(self):

@@ -1,7 +1,10 @@
 """Reporting: ASCII charts and CLI plumbing."""
 
+import dataclasses
+
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import main as cli_main
 from repro.experiments.reporting import ascii_chart, text_table
 
@@ -51,12 +54,36 @@ class TestCli:
         assert cli_main(["fig1"]) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out
+        verdicts = [line for line in out.splitlines() if line.endswith(("PASS", "FAIL"))]
+        assert len(verdicts) == len(cli.EXPERIMENTS["fig1"].claims) > 0
+        assert all(line.endswith("PASS") for line in verdicts)
 
     def test_csv_option(self, tmp_path, capsys):
         assert cli_main(["fig3", "--quick", "--csv", str(tmp_path)]) == 0
         csv = (tmp_path / "fig3.csv").read_text()
         assert csv.startswith("procs,mean_us")
         assert len(csv.splitlines()) >= 4
+
+    def test_failed_claim_exits_1_after_writing_csv(self, tmp_path, monkeypatch, capsys):
+        row = cli.EXPERIMENTS["fig1"]
+        first, *rest = row.claims
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig1", dataclasses.replace(
+            row, csv=(("green_random",), lambda res: [(res.green_random,)]),
+            claims=(dataclasses.replace(first, bound="> 1e9"), *rest),
+        ))
+        assert cli_main(["fig1", "--csv", str(tmp_path)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and first.name in failed[0]
+        assert (tmp_path / "fig1.csv").read_text().startswith("green_random\n")
+
+    def test_quick_judges_no_claim(self, capsys):
+        assert cli_main(["fig1", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
+
+    def test_claim_names_are_unique(self):
+        names = [c.name for row in cli.EXPERIMENTS.values() for c in row.claims]
+        assert len(names) == len(set(names))
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
