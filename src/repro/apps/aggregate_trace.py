@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kernel.thread import Compute
 from repro.mpi.world import MpiApi
 from repro.system import System
 from repro.units import s, us
@@ -109,7 +110,11 @@ class AggregateTraceResult:
 
 def aggregate_trace_body(config: AggregateTraceConfig, sink: dict, node0_ranks: set[int]):
     """Body factory; ranks deposit duration arrays into *sink*."""
+    # One request for every rank's work between calls: requests are frozen.
+    work = Compute(config.compute_between_us) if config.compute_between_us > 0 else None
+
     def factory(rank: int, api: MpiApi):
+        sim = api.world.cluster.sim
         record = rank == 0 or rank in node0_ranks
         durations = [] if record else None
         expected = None
@@ -118,12 +123,12 @@ def aggregate_trace_body(config: AggregateTraceConfig, sink: dict, node0_ranks: 
             for i in range(config.calls_per_loop):
                 if i % config.trace_block == 0:
                     api.trace_mark("aggr.block", payload=(loop, i))
-                if config.compute_between_us > 0:
-                    yield from api.compute(config.compute_between_us)
-                t0 = api.now
+                if work is not None:
+                    yield work
+                t0 = sim.now
                 v = yield from api.allreduce(1.0, nbytes=config.payload_bytes)
                 if record:
-                    durations.append(api.now - t0)
+                    durations.append(sim.now - t0)
                 if expected is None:
                     expected = float(api.size)
                 if v != expected:

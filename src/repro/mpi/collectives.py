@@ -65,38 +65,50 @@ def allreduce_recursive_doubling(
         return value
     pof2 = _pof2_below(size)
     rem = size - pof2
+    overhead = world.overhead
+    reduce_op = world.reduce_op
 
-    def tag(phase: Hashable) -> tuple:
-        return (opid, phase)
-
-    newrank = -1
     if rank < 2 * rem:
         if rank % 2 == 0:
             # Fold: hand my contribution to my odd neighbour and wait for
             # the final result at the end.
-            yield from world.send(rank, rank + 1, tag("fold"), value, nbytes)
-            msg = yield from world.recv(rank, rank + 1, tag("unfold"))
+            yield overhead
+            world.send(rank, rank + 1, (opid, "fold"), value, nbytes)
+            msg = yield from world.recv(rank, rank + 1, (opid, "unfold"))
             return msg.payload
-        msg = yield from world.recv(rank, rank - 1, tag("fold"))
-        value = yield from world.reduce_local(op, value, msg.payload, nbytes)
+        msg = yield from world.recv(rank, rank - 1, (opid, "fold"))
+        yield reduce_op
+        value = op(value, msg.payload)
         newrank = rank // 2
     else:
         newrank = rank - rem
 
+    # One round is send, receive, combine, each step its own request; the
+    # receive is MpiWorld.recv inlined, without a sub-generator.
+    send, take, wait, wakeup = world.send, world.take, world.wait, world.wakeup
     mask = 1
     rnd = 0
     while mask < pof2:
         newdst = newrank ^ mask
         dst = newdst * 2 + 1 if newdst < rem else newdst + rem
-        rd_tag = tag(("rd", rnd))
-        yield from world.send(rank, dst, rd_tag, value, nbytes)
-        msg = yield from world.recv(rank, dst, rd_tag)
-        value = yield from world.reduce_local(op, value, msg.payload, nbytes)
+        tag = (opid, ("rd", rnd))
+        yield overhead
+        send(rank, dst, tag, value, nbytes)
+        key = (rank, dst, tag)
+        msg = take(key)
+        if msg is None:
+            msg = yield wait(key)
+            if wakeup is not None:
+                yield wakeup
+        yield overhead
+        yield reduce_op
+        value = op(value, msg.payload)
         mask <<= 1
         rnd += 1
 
     if rank < 2 * rem:  # odd member: unfold to my even neighbour
-        yield from world.send(rank, rank - 1, tag("unfold"), value, nbytes)
+        yield overhead
+        world.send(rank, rank - 1, (opid, "unfold"), value, nbytes)
     return value
 
 
@@ -120,12 +132,14 @@ def reduce_binomial(
     while mask < size:
         if rank & mask:
             dst = rank & ~mask
-            yield from world.send(rank, dst, tag(rank), value, nbytes)
+            yield world.overhead
+            world.send(rank, dst, tag(rank), value, nbytes)
             return None
         src = rank | mask
         if src < size:
             msg = yield from world.recv(rank, src, tag(src))
-            value = yield from world.reduce_local(op, value, msg.payload, nbytes)
+            yield world.reduce_op
+            value = op(value, msg.payload)
         mask <<= 1
     return value
 
@@ -158,7 +172,8 @@ def bcast_binomial(
         if child_bit < low:
             child = rank + child_bit
             if child < size:
-                yield from world.send(rank, child, tag(child), value, nbytes)
+                yield world.overhead
+                world.send(rank, child, tag(child), value, nbytes)
         child_bit >>= 1
     return value
 
@@ -187,7 +202,8 @@ def barrier_dissemination(world, rank: int, size: int, opid: Hashable):
     while dist < size:
         dst = (rank + dist) % size
         src = (rank - dist) % size
-        yield from world.send(rank, dst, (opid, "bar", k), None, 4)
+        yield world.overhead
+        world.send(rank, dst, (opid, "bar", k), None, 4)
         yield from world.recv(rank, src, (opid, "bar", k))
         k += 1
         dist <<= 1
@@ -220,13 +236,15 @@ def reduce_scatter_ring(
         # Offsets chosen so the last fold lands on the rank's own block.
         send_idx = (rank - step - 1) % size
         recv_idx = (rank - step - 2) % size
-        yield from world.send(
+        yield world.overhead
+        world.send(
             rank, right, (opid, "rs", step), (send_idx, blocks[send_idx]), nbytes_per_block
         )
         msg = yield from world.recv(rank, left, (opid, "rs", step))
         idx, val = msg.payload
         assert idx == recv_idx
-        blocks[idx] = yield from world.reduce_local(op, blocks[idx], val, nbytes_per_block)
+        yield world.reduce_op
+        blocks[idx] = op(blocks[idx], val)
     return blocks[rank]
 
 
@@ -254,7 +272,8 @@ def alltoall_pairwise(
         else:
             partner = (rank + step) % size
         src = partner if pow2 else (rank - step) % size
-        yield from world.send(rank, partner, (opid, "a2a", step), values[partner], nbytes_per_block)
+        yield world.overhead
+        world.send(rank, partner, (opid, "a2a", step), values[partner], nbytes_per_block)
         msg = yield from world.recv(rank, src, (opid, "a2a", step))
         result[src] = msg.payload
     return result
@@ -279,10 +298,12 @@ def scan_linear_tree(
     rnd = 0
     while dist < size:
         if rank + dist < size:
-            yield from world.send(rank, rank + dist, (opid, "scan", rnd), prefix, nbytes)
+            yield world.overhead
+            world.send(rank, rank + dist, (opid, "scan", rnd), prefix, nbytes)
         if rank - dist >= 0:
             msg = yield from world.recv(rank, rank - dist, (opid, "scan", rnd))
-            prefix = yield from world.reduce_local(op, msg.payload, prefix, nbytes)
+            yield world.reduce_op
+            prefix = op(msg.payload, prefix)
         dist <<= 1
         rnd += 1
     return prefix
@@ -303,7 +324,8 @@ def allgather_ring(
     left = (rank - 1) % size
     send_idx = rank
     for step in range(size - 1):
-        yield from world.send(rank, right, (opid, "ring", step), (send_idx, blocks[send_idx]), nbytes)
+        yield world.overhead
+        world.send(rank, right, (opid, "ring", step), (send_idx, blocks[send_idx]), nbytes)
         msg = yield from world.recv(rank, left, (opid, "ring", step))
         idx, val = msg.payload
         blocks[idx] = val

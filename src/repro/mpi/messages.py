@@ -36,10 +36,6 @@ class Message:
         d["payload"] = payload
         d["nbytes"] = nbytes
 
-    @property
-    def key(self) -> tuple:
-        return (self.dst, self.src, self.tag)
-
 
 class ReliableTransport:
     """Sender-side timeout + retransmit over a lossy fabric.

@@ -22,6 +22,7 @@ separately via ``MP_POLLING_INTERVAL``.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from typing import Any, Callable, Generator, Hashable, Optional
@@ -35,6 +36,8 @@ from repro.sim.core import EventPriority
 
 __all__ = ["MpiWorld", "MpiApi", "MpiJob", "JobIncompleteError", "run_jobs"]
 
+_BLOCK = Block()
+
 
 class MpiWorld:
     """Delivery fabric + mailboxes for one parallel job."""
@@ -44,11 +47,33 @@ class MpiWorld:
         self.placement = placement
         self.config = config
         #: Fixed-cost requests, built once: requests are frozen, so every
-        #: send/recv/combine can yield the same instance.
-        self._overhead = Compute(cluster.config.network.overhead_us)
-        self._reduce_op = Compute(config.reduce_op_us)
-        #: ``placement.node_of`` inlined on the send path.
+        #: send/recv/combine yields the same instance.  ``overhead`` is the
+        #: LogP *o* a sender yields before :meth:`send` and a receiver after
+        #: its message is present; ``reduce_op`` is one local combine.
+        self.overhead = Compute(cluster.config.network.overhead_us)
+        self.reduce_op = Compute(config.reduce_op_us)
+        #: ``wait(key)`` returns the one request that waits for an absent
+        #: message (:meth:`_spin_wait` or :meth:`_block_wait`); ``wakeup``
+        #: is block mode's charge after it, None when polling.
+        if config.wait_mode == "poll":
+            self.wait = self._spin_wait
+            self.wakeup: Optional[Compute] = None
+        else:
+            self.wait = self._block_wait
+            self.wakeup = Compute(config.block_wakeup_cost_us)
+        #: ``allreduce(rank, size, opid, value, op, nbytes)``: the configured
+        #: algorithm, picked once.
+        if config.algorithm == "hardware":
+            self.allreduce = self.hw_allreduce
+        elif config.algorithm == "binomial":
+            self.allreduce = functools.partial(collectives.allreduce_binomial, self)
+        else:
+            self.allreduce = functools.partial(collectives.allreduce_recursive_doubling, self)
+        #: ``placement.node_of``, the fabric and the node schedulers,
+        #: inlined on the message path.
         self._tasks_per_node = placement.tasks_per_node
+        self._fabric = cluster.fabric
+        self._schedulers = [node.scheduler for node in cluster.nodes]
         self._mail: dict[tuple, deque] = {}
         self._spin_waiters: dict[tuple, Thread] = {}
         self._block_waiters: dict[tuple, Thread] = {}
@@ -77,8 +102,8 @@ class MpiWorld:
     def install_reliability(self, faults) -> ReliableTransport:
         """Wrap sends in timeout + retransmit (see :class:`ReliableTransport`).
 
-        Covers every software path — collectives are built from
-        :meth:`send`/:meth:`recv` — but not the hardware-collective
+        Covers every software path — collectives post every message
+        through :meth:`send` — but not the hardware-collective
         deposit/fan-out, which models a switch-internal guaranteed path.
         """
         self.reliability = ReliableTransport(
@@ -96,11 +121,12 @@ class MpiWorld:
     # ------------------------------------------------------------------
     # Point-to-point
     # ------------------------------------------------------------------
-    def send(
-        self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int
-    ) -> Generator:
-        """Eager send: CPU overhead on the sender, then fire-and-forget."""
-        yield self._overhead
+    def send(self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int) -> None:
+        """Post one eager message; the fabric carries it without CPU.
+
+        The sender's CPU cost is the caller's: it yields :attr:`overhead`
+        first, so a daemon can preempt the send before the message leaves.
+        """
         msg = Message(src, dst, tag, payload, nbytes)
         tpn = self._tasks_per_node
         src_node = src // tpn
@@ -120,29 +146,49 @@ class MpiWorld:
             ):
                 router.emit(arrival, src_node, self._world_uid, dst_node, msg)
         else:
-            self.cluster.fabric.transmit(src_node, dst_node, nbytes, msg, self._on_arrive)
+            self._fabric.transmit(src_node, dst_node, nbytes, msg, self._on_arrive)
 
-    def recv(self, dst: int, src: int, tag: Hashable) -> Generator:
-        """Receive; spins or blocks while the message is absent."""
-        key = (dst, src, tag)
-        q = self._mail.get(key)
-        if q:
-            msg = q.popleft()
-        elif self.config.wait_mode == "poll":
-            msg = yield SpinWait(self._make_spin_register(key))
-        else:
-            self._block_waiters[key] = self.rank_threads[dst]
-            msg = yield Block()
-            # The blocking path pays for the syscall + adapter interrupt +
-            # scheduler wakeup that polling avoids.
-            yield Compute(self.config.block_wakeup_cost_us)
-        yield self._overhead
+    def take(self, key: tuple) -> Optional[Message]:
+        """The oldest message already in mailbox ``(dst, src, tag)``, or None.
+
+        An emptied mailbox is dropped: collective tags are unique per
+        message, so kept empties would pile up, one per early arrival.
+        """
+        mail = self._mail
+        q = mail.get(key)
+        if q is None:
+            return None
+        msg = q.popleft()
+        if not q:
+            del mail[key]
         return msg
 
-    def reduce_local(self, op: Callable, a: Any, b: Any, nbytes: int) -> Generator:
-        """Combine two contributions, charging reduction CPU time."""
-        yield self._reduce_op
-        return op(a, b)
+    def _spin_wait(self, key: tuple) -> SpinWait:
+        """Poll mode: spin (keeping the CPU) until *key*'s message lands."""
+        return SpinWait(self._make_spin_register(key))
+
+    def _block_wait(self, key: tuple) -> Block:
+        """Block mode: release the CPU until *key*'s message wakes us; the
+        caller then yields :attr:`wakeup`."""
+        self._block_waiters[key] = self.rank_threads[key[0]]
+        return _BLOCK
+
+    def recv(self, dst: int, src: int, tag: Hashable) -> Generator:
+        """Receive; spins or blocks while the message is absent.
+
+        The recursive-doubling round inlines these lines, so that its
+        steps build no sub-generator.
+        """
+        key = (dst, src, tag)
+        msg = self.take(key)
+        if msg is None:
+            msg = yield self.wait(key)
+            if self.wakeup is not None:
+                # The blocking path pays for the syscall + adapter
+                # interrupt + scheduler wakeup that polling avoids.
+                yield self.wakeup
+        yield self.overhead
+        return msg
 
     # ------------------------------------------------------------------
     # Hardware-assisted collectives (paper §7 future work)
@@ -167,7 +213,7 @@ class MpiWorld:
             state = {"count": 0, "acc": None, "op": op, "size": size}
             self._hw_ops[opid] = state
 
-        yield Compute(net.overhead_us)
+        yield self.overhead
         self.cluster.sim.schedule(half_hop, self._hw_deposit, opid)
         # Contribution value folds immediately (the switch does the
         # arithmetic; order is fixed by rank for reproducibility).
@@ -194,14 +240,12 @@ class MpiWorld:
             )
 
     def _make_spin_register(self, key: tuple):
-        def register(thread: Thread) -> Optional[Message]:
-            q = self._mail.get(key)
-            if q:
-                return q.popleft()
+        # The scheduler registers the spinner at once, in the same step as
+        # the caller's empty :meth:`take`: no message can land in between.
+        def register(thread: Thread) -> None:
             if key in self._spin_waiters:
                 raise RuntimeError(f"second spinner for {key}")
             self._spin_waiters[key] = thread
-            return None
 
         return register
 
@@ -216,22 +260,24 @@ class MpiWorld:
     def _on_arrive(self, msg: Message) -> None:
         if self.arrival_listener is not None:
             self.arrival_listener(msg)
-        key = msg.key
+        key = (msg.dst, msg.src, msg.tag)
         spinner = self._spin_waiters.pop(key, None)
         if spinner is not None:
-            node = self.cluster.nodes[spinner.node_id]
-            node.scheduler.spin_deliver(spinner, msg)
+            self._schedulers[spinner.node_id].spin_deliver(spinner, msg)
             return
         blocker = self._block_waiters.pop(key, None)
         if blocker is not None and blocker.state is ThreadState.BLOCKED:
-            node = self.cluster.nodes[blocker.node_id]
-            node.scheduler.wake(blocker, msg)
+            self._schedulers[blocker.node_id].wake(blocker, msg)
             return
         if blocker is not None:
             # Registered but the Block syscall has not landed yet within
             # this timestamp; requeue and let the mailbox satisfy it.
             self._block_waiters[key] = blocker
-        self._mail.setdefault(key, deque()).append(msg)
+        q = self._mail.get(key)
+        if q is None:
+            self._mail[key] = deque((msg,))
+        else:
+            q.append(msg)
 
     def snapshot_state(self, desc) -> dict:
         """Checkpoint view: mailboxes, waiters, hw-collective state.
@@ -246,7 +292,6 @@ class MpiWorld:
             "mail": [
                 [desc.value(k), [desc.value(m) for m in q]]
                 for k, q in sorted(self._mail.items(), key=by_repr)
-                if q
             ],
             "spin_waiters": [
                 [desc.value(k), desc.thread(t)]
@@ -312,7 +357,8 @@ class MpiApi:
     # -- point-to-point --------------------------------------------------
     def send(self, dst: int, tag: Hashable, payload: Any = None, nbytes: int = 8) -> Generator:
         """Eager point-to-point send to *dst*."""
-        yield from self.world.send(self.rank, dst, ("p2p", tag), payload, nbytes)
+        yield self.world.overhead
+        self.world.send(self.rank, dst, ("p2p", tag), payload, nbytes)
 
     def recv(self, src: int, tag: Hashable) -> Generator:
         """Receive from *src* (spins or blocks per wait_mode); returns payload."""
@@ -329,22 +375,10 @@ class MpiApi:
         value: Any,
         op: Callable[[Any, Any], Any] = operator.add,
         nbytes: int = 8,
-) -> Generator:
+    ) -> Generator:
         """Allreduce *value* across the communicator with *op*."""
         opid = self._next_opid()
-        if self.world.config.algorithm == "binomial":
-            result = yield from collectives.allreduce_binomial(
-                self.world, self.rank, self.size, opid, value, op, nbytes
-            )
-        elif self.world.config.algorithm == "hardware":
-            result = yield from self.world.hw_allreduce(
-                self.rank, self.size, opid, value, op, nbytes
-            )
-        else:
-            result = yield from collectives.allreduce_recursive_doubling(
-                self.world, self.rank, self.size, opid, value, op, nbytes
-            )
-        return result
+        return self.world.allreduce(self.rank, self.size, opid, value, op, nbytes)
 
     def barrier(self) -> Generator:
         """Dissemination barrier across all ranks."""

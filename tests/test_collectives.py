@@ -81,6 +81,25 @@ class TestAllreduce:
         run_collective(7, body)
         assert set(results.values()) == {(7.0, 70.0)}
 
+    @pytest.mark.parametrize("wait_mode", ["poll", "block"])
+    def test_no_mailbox_outlives_its_message(self, wait_mode):
+        """Collective tags are unique per message, so a mailbox kept after
+        its message was taken would never be used again."""
+        cfg = ClusterConfig(
+            machine=MachineConfig(n_nodes=3, cpus_per_node=4),
+            mpi=MpiConfig(progress_threads_enabled=False, wait_mode=wait_mode),
+        )
+        cluster = Cluster(cfg)
+
+        def body(rank, api):
+            for _ in range(20):
+                yield from api.allreduce(1.0)
+
+        job = MpiJob(cluster, cluster.place(12, 4), body, config=cfg.mpi)
+        job.run(horizon_us=s(60))
+        assert cluster.fabric.stats.messages > 0
+        assert job.world._mail == {}
+
     def test_takes_simulated_time(self):
         times = {}
 

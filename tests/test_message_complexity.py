@@ -114,3 +114,43 @@ class TestOtherCollectives:
         # Hillis-Steele: at distance d, ranks d..N-1 receive one message.
         expected = sum(n - d for d in (2**k for k in range(int(math.log2(n)) + 1)) if d < n)
         assert count_messages(n, body) == expected
+
+
+#: One body per collective at 12 ranks (not a power of two, so the
+#: allreduce folds and the alltoall takes the shifted ring).
+POSTING_BODIES = {
+    "allreduce-rd": ("recursive_doubling", lambda rank, api: api.allreduce(1.0)),
+    "allreduce-binomial": ("binomial", lambda rank, api: api.allreduce(1.0)),
+    "barrier": ("recursive_doubling", lambda rank, api: api.barrier()),
+    "bcast": ("recursive_doubling", lambda rank, api: api.bcast(rank)),
+    "allgather": ("recursive_doubling", lambda rank, api: api.allgather(rank)),
+    "reduce-scatter": ("recursive_doubling", lambda rank, api: api.reduce_scatter(list(range(12)))),
+    "alltoall": ("recursive_doubling", lambda rank, api: api.alltoall(list(range(12)))),
+    "scan": ("recursive_doubling", lambda rank, api: api.scan(rank)),
+}
+
+
+class TestEveryMessageIsPosted:
+    """Each fabric message enters through ``MpiWorld.send``, exactly once.
+
+    ``send`` is the one entry point a tracer or a counter can wrap to see
+    the MPI layer's traffic, so no collective may post around it, and none
+    may post a message twice.
+    """
+
+    @pytest.mark.parametrize("name", POSTING_BODIES)
+    def test_sends_match_fabric_messages(self, name, monkeypatch):
+        from repro.mpi.world import MpiWorld
+
+        posted = []
+        original = MpiWorld.send
+
+        def counting_send(world, *args):
+            posted.append(args)
+            return original(world, *args)
+
+        monkeypatch.setattr(MpiWorld, "send", counting_send)
+        algorithm, body = POSTING_BODIES[name]
+        messages = count_messages(12, body, algorithm=algorithm)
+        assert messages > 0
+        assert len(posted) == messages
