@@ -43,6 +43,7 @@ __all__ = [
     "trial_watchdog",
     "sanitize_key",
     "valid_journal_entry",
+    "read_ok_record",
 ]
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -74,6 +75,22 @@ def valid_journal_entry(obj) -> bool:
     return status == "failed"
 
 
+def read_ok_record(path) -> Optional[dict]:
+    """The record of the journal entry file at *path* if it finished OK.
+
+    A missing, torn, non-UTF-8 or wrong-shape entry reads as None, like a
+    failed one: its trial is recomputed.  One ``open``, no ``stat`` first.
+    """
+    try:
+        with open(path, "rb") as fh:
+            entry = json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError):  # ValueError: bad JSON or bad UTF-8
+        return None
+    if not valid_journal_entry(entry) or entry["status"] != "ok":
+        return None
+    return entry["record"]
+
+
 class TrialFailure(RuntimeError):
     """A trial failed in a way the sweep should record and survive."""
 
@@ -82,7 +99,7 @@ class TrialTimeout(TrialFailure):
     """A trial exceeded its wall-clock budget (raised from SIGALRM)."""
 
 
-def _atomic_write_json(path: Path, obj) -> None:
+def _atomic_write_json(path, obj) -> None:
     """Write *obj* as a journal entry's canonical JSON, atomically."""
     atomic_write(path, lambda fh: json.dump(obj, fh, indent=1, sort_keys=True))
 
@@ -109,12 +126,13 @@ class SweepJournal:
         self.dir = self.root / "journal"
         self.shards_dir = self.dir / "shards"
         self.dir.mkdir(parents=True, exist_ok=True)
+        self._dir = str(self.dir)
         #: Successful lookups served from the journal (resume telemetry).
         self.hits = 0
         self.merge_shards()
 
-    def _path(self, key: str) -> Path:
-        return self.dir / f"{sanitize_key(key)}.json"
+    def _path(self, key: str) -> str:
+        return os.path.join(self._dir, f"{sanitize_key(key)}.json")
 
     def merge_shards(self) -> int:
         """Fold a legacy ``journal/shards/w<pid>/`` tree into the journal.
@@ -146,7 +164,7 @@ class SweepJournal:
             try:
                 with open(entry, "r", encoding="utf-8") as fh:
                     obj = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
                 problem = str(exc)
             else:
                 if not valid_journal_entry(obj):
@@ -196,18 +214,10 @@ class SweepJournal:
         Failed entries return None on purpose: failures are retried on
         resume, not skipped (see the module docstring).
         """
-        path = self._path(key)
-        if not path.is_file():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None  # torn/corrupt entry: recompute the trial
-        if not valid_journal_entry(entry) or entry["status"] != "ok":
-            return None
-        self.hits += 1
-        return entry["record"]
+        record = read_ok_record(self._path(key))
+        if record is not None:
+            self.hits += 1
+        return record
 
     def record(self, key: str, record: dict) -> None:
         """Journal a completed trial (atomic; visible only when whole)."""
@@ -247,7 +257,7 @@ class SweepJournal:
             try:
                 with open(p, "r", encoding="utf-8") as fh:
                     out[p.stem] = json.load(fh)
-            except (OSError, json.JSONDecodeError):
+            except (OSError, ValueError):
                 continue
         return out
 

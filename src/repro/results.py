@@ -44,6 +44,11 @@ def register_result(cls: Type) -> Type:
     return cls
 
 
+#: Exact types :func:`to_jsonable` returns unchanged before any other
+#: test.  Subclasses (``np.float64``, ``IntEnum``) take the full chain.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(value: Any, fallback=None) -> Any:
     """Recursively convert dataclasses/arrays/tuples to JSON-native data.
 
@@ -52,6 +57,8 @@ def to_jsonable(value: Any, fallback=None) -> Any:
     result is converted recursively too).  The store's fingerprint layer
     uses it to encode callables in trial params by qualified name.
     """
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, np.ndarray):
         return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -77,6 +84,14 @@ def to_jsonable(value: Any, fallback=None) -> Any:
     raise TypeError(f"cannot serialise {type(value).__name__}: {value!r}")
 
 
+#: The one encoder :func:`canonical_dumps` uses (it keeps no state
+#: between calls; ``json.dumps`` with these options would build a new one
+#: per call).
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=False
+)
+
+
 def canonical_dumps(obj: Any) -> str:
     """*The* canonical JSON encoding: one byte sequence per value.
 
@@ -92,10 +107,7 @@ def canonical_dumps(obj: Any) -> str:
     indented layouts; canonical bytes are for integrity, not for reading.
     """
     try:
-        return json.dumps(
-            obj, sort_keys=True, separators=(",", ":"),
-            allow_nan=False, ensure_ascii=False,
-        )
+        return _CANONICAL.encode(obj)
     except ValueError as exc:
         raise ValueError(
             "canonical JSON cannot encode NaN/Infinity (or other "

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.atomicio import atomic_write_bytes
-from repro.checkpoint.harness import sanitize_key, valid_journal_entry
+from repro.checkpoint.harness import read_ok_record, sanitize_key
 from repro.store.records import IntegrityError, decode_record, encode_record
 
 __all__ = [
@@ -66,6 +66,16 @@ __all__ = [
 _log = logging.getLogger("repro.store")
 
 _FP_RE = re.compile(r"[0-9a-f]{64}\Z")
+
+
+def _read_or_none(path: str) -> Optional[bytes]:
+    """The bytes of the file at *path*, or None if there is none (one
+    ``open``, no ``stat`` first)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
 
 
 class StoreError(RuntimeError):
@@ -161,6 +171,10 @@ class ResultStore:
         self.gc_dir = self.root / "gc"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.index_dir.mkdir(parents=True, exist_ok=True)
+        # String forms for the per-trial paths: put/get build two paths
+        # per call, and pathlib's joins cost more than the reads.
+        self._objects = str(self.objects_dir)
+        self._index = str(self.index_dir)
         #: Records served (verified) this session.
         self.hits = 0
         #: Probes that found nothing servable (absent or quarantined).
@@ -174,12 +188,18 @@ class ResultStore:
 
     def object_path(self, fingerprint: str) -> Path:
         """Where the record for *fingerprint* lives (exists or not)."""
-        self._check_fingerprint(fingerprint)
-        return self.objects_dir / fingerprint[:2] / f"{fingerprint}.json"
+        return Path(self._object_file(fingerprint))
 
     def index_path(self, key: str) -> Path:
         """Where the key->fingerprint index entry for *key* lives."""
-        return self.index_dir / f"{sanitize_key(key)}.json"
+        return Path(self._index_file(key))
+
+    def _object_file(self, fingerprint: str) -> str:
+        self._check_fingerprint(fingerprint)
+        return os.path.join(self._objects, fingerprint[:2], f"{fingerprint}.json")
+
+    def _index_file(self, key: str) -> str:
+        return os.path.join(self._index, f"{sanitize_key(key)}.json")
 
     @property
     def gc_mark_path(self) -> Path:
@@ -209,7 +229,7 @@ class ResultStore:
         fingerprint and was overwritten with the good record.  A valid
         but *different* record raises :class:`DeterminismViolation`.
         """
-        path = self.object_path(fingerprint)
+        path = self._object_file(fingerprint)
         payload = {
             "fingerprint": fingerprint,
             "key": key,
@@ -218,8 +238,8 @@ class ResultStore:
         }
         data = encode_record(payload)
         outcome = "stored"
-        if path.is_file():
-            existing = path.read_bytes()
+        existing = _read_or_none(path)
+        if existing is not None:
             if existing == data:
                 self.identical += 1
                 self._write_index(key, fingerprint)
@@ -229,7 +249,7 @@ class ResultStore:
                 self._validate_object(fingerprint, old)
             except IntegrityError as exc:
                 _log.warning(
-                    "store: replacing corrupt record %s (%s)", path.name, exc
+                    "store: replacing corrupt record %s (%s)", os.path.basename(path), exc
                 )
                 outcome = "replaced-corrupt"
             else:
@@ -253,21 +273,20 @@ class ResultStore:
         (moved aside for forensics) and reported as a miss — a corrupt
         store degrades to recomputation, never to bad data.
         """
-        path = self.object_path(fingerprint)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
+        path = self._object_file(fingerprint)
+        data = _read_or_none(path)
+        if data is None:
             self.misses += 1
             return None
         try:
             payload = decode_record(data)
             self._validate_object(fingerprint, payload)
         except IntegrityError as exc:
-            moved = self._quarantine(path)
+            moved = self._quarantine(Path(path))
             _log.warning(
                 "store: quarantined corrupt record %s -> %s (%s); "
                 "its trial will be recomputed",
-                path.name,
+                os.path.basename(path),
                 moved.name,
                 exc,
             )
@@ -297,9 +316,9 @@ class ResultStore:
     def _write_index(self, key: str, fingerprint: str) -> None:
         """Record the key→fingerprint bridge (last writer wins: a new
         code version legitimately remaps a key to a new fingerprint)."""
-        path = self.index_path(key)
+        path = self._index_file(key)
         data = encode_record({"kind": "index", "key": key, "fingerprint": fingerprint})
-        if path.is_file() and path.read_bytes() == data:
+        if _read_or_none(path) == data:
             return
         atomic_write_bytes(path, data)
 
@@ -463,17 +482,10 @@ class ResultStore:
         if not key:
             return False
         for journal_dir in journal_dirs:
-            entry_path = Path(journal_dir) / f"{sanitize_key(key)}.json"
-            if not entry_path.is_file():
+            record = read_ok_record(os.path.join(journal_dir, f"{sanitize_key(key)}.json"))
+            if record is None:
                 continue
-            try:
-                with open(entry_path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not valid_journal_entry(entry) or entry["status"] != "ok":
-                continue
-            self.put(fingerprint, key, entry["record"])
+            self.put(fingerprint, key, record)
             _log.info(
                 "store: restored %s (%s) from journal %s",
                 fingerprint[:12],

@@ -71,6 +71,27 @@ class TestJournalResume:
         uninterrupted = allreduce_sweep(PROTO16, **SWEEP_KW)
         assert np.array_equal(again.mean_us, uninterrupted.mean_us)
 
+    def test_non_utf8_entry_is_a_miss(self, tmp_path):
+        """A byte that is not UTF-8 tears an entry like a truncation does:
+        the lookup misses and the trial is recomputed and rewritten."""
+        j = SweepJournal(tmp_path)
+        j.record("t1", {"twice": 2})
+        path = j.dir / "t1.json"
+        data = bytearray(path.read_bytes())
+        data[data.index(b"2")] = 0xFF
+        path.write_bytes(bytes(data))
+        assert j.lookup("t1") is None
+        assert j.hits == 0
+        outs = TrialRunner(journal=j).run(_specs(2))
+        assert [o.cached for o in outs] == [False, False]
+        assert json.loads(path.read_text()) == _ok({"twice": 2})
+
+    def test_entries_skips_a_non_utf8_entry(self, tmp_path):
+        j = SweepJournal(tmp_path)
+        j.record("good", {"v": 1})
+        (j.dir / "bad.json").write_bytes(b'{"status": "ok", "record": {"v": "\xff"}}')
+        assert j.entries() == {"good": _ok({"v": 1})}
+
     @pytest.mark.parametrize("record", [None, [1, 2]], ids=["null", "list"])
     def test_ok_entry_without_a_dict_record_is_recomputed(self, tmp_path, record):
         """An ``ok`` entry whose record is not a dict is as good as torn:
@@ -139,6 +160,17 @@ class TestShardMergeHardening:
         assert j.lookup("bad") is None
         assert "dropping corrupt shard entry" in caplog.text
         assert "bad.json" in caplog.text
+        assert "dropped 1 torn/corrupt shard entry" in caplog.text
+        assert not j.shards_dir.exists()
+
+    def test_non_utf8_shard_entry_is_dropped_and_logged(self, tmp_path, caplog):
+        _legacy_entry(tmp_path, "w1", "good", _ok({"v": 1}))
+        bad = _legacy_shard_file(tmp_path, "w1", "bad.json", "")
+        bad.write_bytes(b'{"status": "ok", "record": {"v": "\xff"}}')
+        with caplog.at_level(logging.WARNING, logger="repro.harness"):
+            j = SweepJournal(tmp_path)
+        assert j.lookup("good") == {"v": 1}
+        assert j.lookup("bad") is None
         assert "dropped 1 torn/corrupt shard entry" in caplog.text
         assert not j.shards_dir.exists()
 

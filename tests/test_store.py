@@ -219,6 +219,18 @@ class TestFsck:
         assert s.object_path(FP_A).read_bytes() == original
         assert s.fsck().clean
 
+    def test_repair_skips_a_non_utf8_journal_entry(self, tmp_path):
+        """A journal copy that is not UTF-8 cannot restore a record: the
+        carcass is quarantined, its index entry removed, fsck converges."""
+        s = self._seeded(tmp_path)
+        journal = SweepJournal(tmp_path / "results")
+        (journal.dir / "k1.json").write_bytes(b'{"status": "ok", "record": {"v": "\xff"}}')
+        s.object_path(FP_A).write_bytes(b"junk")
+        report = s.fsck(repair=True, journal_dirs=[journal.dir])
+        assert report.repaired == 0 and report.resolved
+        assert s.fsck().clean
+        assert s.get(FP_A) is None
+
     def test_repair_without_journal_quarantines_and_converges(self, tmp_path):
         s = self._seeded(tmp_path)
         s.object_path(FP_A).write_bytes(b"junk")
@@ -331,6 +343,50 @@ class TestRunnerStoreIntegration:
         )
         assert outs[0].cached and store.puts == 1
         assert store.get(spec_fingerprint(_spec("t0", 3))) == {"twice": 6}
+
+    def _cold_then_warm(self, tmp_path, n=4):
+        """A cold run into a store and journal, then the specs, the store
+        and the journal for a warm pass over the same journal."""
+        specs = [_spec(f"t{i}", i) for i in range(n)]
+        TrialRunner(journal=SweepJournal(tmp_path / "res"),
+                    store=ResultStore(tmp_path / "store")).run(specs)
+        return specs, ResultStore(tmp_path / "store"), SweepJournal(tmp_path / "res")
+
+    def test_warm_resume_only_reads(self, tmp_path):
+        """A journal-served pass checks every record against the store and
+        the index but writes nothing: no file under store/ or journal/ is
+        replaced or touched."""
+        specs, store, journal = self._cold_then_warm(tmp_path)
+
+        def snapshot():
+            return {
+                str(p): (p.stat().st_ino, p.stat().st_mtime_ns)
+                for base in (tmp_path / "store", tmp_path / "res" / "journal")
+                for p in sorted(base.rglob("*"))
+            }
+
+        before = snapshot()
+        outs = TrialRunner(journal=journal, store=store).run(specs)
+        assert all(o.cached for o in outs) and _count_trial.calls == len(specs)
+        assert journal.hits == len(specs)
+        assert store.puts == 0 and store.identical == len(specs)
+        assert store.hits == store.misses == 0
+        assert snapshot() == before
+
+    def test_journal_hit_that_differs_from_the_store_is_a_violation(self, tmp_path):
+        specs, store, journal = self._cold_then_warm(tmp_path)
+        journal.record("t1", {"twice": 999})  # drifted from the stored record
+        with pytest.raises(DeterminismViolation, match="'t1'"):
+            TrialRunner(journal=journal, store=store).run(specs)
+
+    def test_journal_hit_rewrites_a_deleted_index_entry(self, tmp_path):
+        specs, store, journal = self._cold_then_warm(tmp_path)
+        index = store.index_path("t2")
+        original = index.read_bytes()
+        index.unlink()
+        TrialRunner(journal=journal, store=store).run(specs)
+        assert store.puts == 0 and store.identical == len(specs)
+        assert index.read_bytes() == original
 
     def test_no_cache_recomputes_but_still_writes_back(self, tmp_path):
         store = ResultStore(tmp_path / "store")
