@@ -52,8 +52,6 @@ __all__ = [
     "HarnessFault",
     "plan_for",
     "injection_for",
-    "ShardKillFault",
-    "shard_kill_plan",
     "StoreFault",
     "STORE_FAULT_MODES",
     "store_plan_for",
@@ -100,50 +98,6 @@ def injection_for(
     if plan.mode is not None and attempt < plan.kills:
         return plan.mode, plan.point
     return None
-
-
-# ---------------------------------------------------------------------------
-# Shard-worker kills: attacking the parallel-DES engine's own workers.
-
-
-@dataclass(frozen=True)
-class ShardKillFault:
-    """The kill plan for one shard worker under one harness-chaos seed."""
-
-    #: ``None`` (left alone) or ``"kill"`` (SIGKILL the worker process).
-    mode: Optional[str]
-    #: First superstep index attacked; kills repeat on consecutive
-    #: supersteps until the budget is spent.
-    window: int
-    #: Number of kills (0 when ``mode`` is ``None``).  Capped at 2 so any
-    #: plan is transient under ``run_parallel``'s default
-    #: ``max_respawns=3``.
-    kills: int
-    #: ``"pre"`` — kill before the window directive is issued to the
-    #: shard; ``"mid"`` — kill after every shard has its directive, while
-    #: the worker is (plausibly) computing the window.
-    point: str
-
-
-def shard_kill_plan(chaos_seed: int, shard_id: int) -> ShardKillFault:
-    """The kill plan for *shard_id* — a pure function of ``(seed, shard)``.
-
-    Stream ``harness.shard.kill.<shard>`` mirrors :func:`plan_for`'s
-    discipline: keyed to the victim, all axes drawn unconditionally in a
-    fixed order, so the plan is independent of shard count, worker
-    scheduling, and every other shard's plan.  The coordinator recovers
-    each kill by respawn + deterministic replay, so a chaos run's digest
-    must equal the clean run's byte-for-byte — the property
-    ``tests/test_shard_recovery.py`` pins.
-    """
-    rng = StreamFactory(int(chaos_seed)).stream(f"harness.shard.kill.{shard_id}")
-    r_mode = float(rng.random())
-    window = int(float(rng.random()) * 4)
-    point = "pre" if float(rng.random()) < 0.5 else "mid"
-    kills = 2 if float(rng.random()) < 0.25 else 1
-    if r_mode < 0.40:
-        return ShardKillFault(None, window, 0, point)
-    return ShardKillFault("kill", window, kills, point)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,6 @@ class InvariantMonitor:
                         report, "messages.conservation", f"fabric.{name}",
                         f"fault plane counted {mine}, fabric stats {theirs}",
                     )
-        sharded = self.system.cluster.router is not None
         for job in self.system.jobs:
             rel = job.world.reliability
             if rel is None:
@@ -236,24 +235,21 @@ class InvariantMonitor:
             # Keys are (src_node, seq).  An entry may legitimately be both
             # delivered and in-flight while its ack is on the wire, so no
             # disjointness check; completeness says every allocated seq is
-            # accounted for.  Under sharding a shard sees only its own
-            # side of each cross-shard message (sender's in-flight entry
-            # OR receiver's delivered key), so the check is serial-only.
-            if not sharded:
-                union = set(rel._inflight) | rel._delivered
-                expected = {
-                    (node, i)
-                    for node, count in rel._next_seq.items()
-                    for i in range(count)
-                }
-                if union != expected:
-                    missing = expected - union
-                    extra = union - expected
-                    self._fail(
-                        report, "transport.complete", loc,
-                        f"seqs neither in-flight nor delivered: {sorted(missing)[:5]}"
-                        + (f"; unallocated: {sorted(extra)[:5]}" if extra else ""),
-                    )
+            # accounted for.
+            union = set(rel._inflight) | rel._delivered
+            expected = {
+                (node, i)
+                for node, count in rel._next_seq.items()
+                for i in range(count)
+            }
+            if union != expected:
+                missing = expected - union
+                extra = union - expected
+                self._fail(
+                    report, "transport.complete", loc,
+                    f"seqs neither in-flight nor delivered: {sorted(missing)[:5]}"
+                    + (f"; unallocated: {sorted(extra)[:5]}" if extra else ""),
+                )
             for key, entry in rel._inflight.items():
                 if entry[3] > rel.max_attempts:
                     self._fail(

@@ -55,10 +55,8 @@ class NetFaultPlane:
       ``tests/test_faults.py`` pin; chaos shrinking relies on the former
       to vary one axis at a time);
     * every draw for link ``src->dst`` happens inside an event on node
-      ``src``, whose local event order the serial engine fixes — so the
-      decision sequence is **shard-stable**: independent of how nodes are
-      partitioned across parallel-DES shards (the contract
-      :mod:`repro.sim.parallel` rests on).
+      ``src``, whose local event order the serial engine fixes, so a
+      link's decision sequence depends on that link's traffic alone.
 
     *rngf* is a :class:`repro.rng.StreamFactory` (anything with a
     ``stream(name)`` method).
@@ -135,8 +133,8 @@ class FaultInjector:
         # the draws of daemons, clocks, or apps (variance isolation).
         # Network faults go further — one stream per fault type *per
         # link* — and pipe loss draws per node, so every stochastic fault
-        # decision sequence is keyed to the entity it strikes and stays
-        # shard-stable under parallel DES (see NetFaultPlane).
+        # decision sequence is keyed to the entity it strikes (see
+        # NetFaultPlane).
         self._pipe_rngs: dict[int, object] = {}
         self._clock_rng = cluster.rngf.stream("faults.clock")
 
@@ -149,10 +147,7 @@ class FaultInjector:
 
         sim = cluster.sim
         for spec in config.node_faults:
-            # Parallel DES: a fault on a remote node fires on its owning
-            # shard; scheduling it here would freeze an inert replica.
-            if cluster.owns_node(spec.node):
-                sim.schedule_at(spec.at_us, self._fire_node_fault, spec)
+            sim.schedule_at(spec.at_us, self._fire_node_fault, spec)
         if config.timesync_loss_at_us is not None:
             sim.schedule_at(config.timesync_loss_at_us, self._lose_timesync)
 
@@ -216,8 +211,8 @@ class FaultInjector:
         """JobCoscheduler hook: False means this pipe message is lost.
 
         Draws from a per-node stream (``faults.pipe.n<node>``): pipe
-        messages are node-local, so keying the stream to the node makes
-        the loss sequence shard-stable under parallel DES.
+        messages are node-local, so one node's losses never shift
+        another's.
         """
         if self.config.pipe_loss_prob <= 0.0:
             return True
@@ -249,10 +244,9 @@ class FaultInjector:
             nc.sync_check = self.monitor.ok
             nc.on_degrade = self._on_degrade
         for spec in cfg.cosched_faults:
-            if self.cluster.owns_node(spec.node):
-                self.cluster.sim.schedule_at(
-                    spec.at_us, self._fire_cosched_fault, job_cosched, spec
-                )
+            self.cluster.sim.schedule_at(
+                spec.at_us, self._fire_cosched_fault, job_cosched, spec
+            )
         for node_id in job_cosched.node_coscheds:
             self.watchdogs.append(CoschedWatchdog(self, job_cosched, node_id))
 

@@ -10,7 +10,6 @@ This package models the scheduling semantics the paper manipulates:
 * delayed cross-CPU preemption noticing, the "real time scheduling" IPI
   option, and the paper's reverse-preemption / multi-IPI fixes
   (:mod:`repro.kernel.scheduler`, §3),
-* a `schedtune`-style option surface (:mod:`repro.kernel.schedtune`),
 * pluggable dispatch policies behind the SchedPolicy interface — the
   extracted ``aix`` default plus a fair/quantum/lottery zoo
   (:mod:`repro.kernel.policy`).
@@ -36,7 +35,6 @@ from repro.kernel.ticks import TickSchedule
 from repro.kernel.policy import SchedPolicy, make_policy, policy_names, register_policy
 from repro.kernel.runqueue import RunQueue
 from repro.kernel.scheduler import NodeScheduler
-from repro.kernel.schedtune import Schedtune
 
 __all__ = [
     "SchedPolicy",
@@ -55,5 +53,4 @@ __all__ = [
     "TickSchedule",
     "RunQueue",
     "NodeScheduler",
-    "Schedtune",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable
 
 from repro.sim.core import EventPriority
 
@@ -43,8 +43,7 @@ class ReliableTransport:
     Installed per job world by the fault injector; every point-to-point
     send (and hence every software collective round) flows through it.
     Each message carries a ``(src_node, seq)`` key — sequence numbers are
-    allocated per source node, so the key is globally unique even when
-    the job's nodes are split across parallel-DES shards.  The receive
+    allocated per source node, so the key is globally unique.  The receive
     side suppresses duplicates (retransmitted or fabric-duplicated
     copies) and, on first delivery, sends an **ack** back on the
     link-level-guaranteed path (``faultable=False``, zero bytes); the ack
@@ -54,14 +53,9 @@ class ReliableTransport:
     loss and is why collectives cannot deadlock even at
     ``msg_drop_prob = 1``.
 
-    Under parallel DES (*router* given) both data and acks cross shard
-    boundaries as first-class router envelopes: the transport registers
-    one delivery uid for data and one for acks at construction — worlds
-    and transports are constructed in launch order on every shard, so the
-    uids agree without any exchange.  Acks never consult the fault plane,
-    so they consume no per-link fault draws, and their wire time is the
-    full remote latency — at or above the coordinator's lookahead —
-    keeping the conservative window sound.
+    Acks never consult the fault plane, so they consume no per-link
+    fault draws.  Faults are serial-only (the sharded DES rejects them),
+    so the transport never crosses a shard boundary.
 
     With no faults active the extra cost per message is one wrapper
     tuple, one timer event, and one ack message; the timer is cancelled
@@ -82,7 +76,6 @@ class ReliableTransport:
         backoff: float,
         max_timeout_us: float,
         max_attempts: int,
-        router=None,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
@@ -91,7 +84,6 @@ class ReliableTransport:
         self.backoff = backoff
         self.max_timeout_us = max_timeout_us
         self.max_attempts = max_attempts
-        self.router = router
         #: Per-source-node sequence counters.
         self._next_seq: dict[int, int] = {}
         #: (src_node, seq) -> [src_node, dst_node, msg, attempt, timeout, timer_event]
@@ -103,11 +95,6 @@ class ReliableTransport:
         #: Messages abandoned at the attempt cap — only the planted
         #: ``retransmit_giveup`` demo bug can make this non-zero.
         self.gaveup = 0
-        if router is not None:
-            self._data_uid = router.register(self._on_arrive)
-            self._ack_uid = router.register(self._on_ack)
-        else:
-            self._data_uid = self._ack_uid = None
 
     def snapshot_state(self, desc) -> dict:
         """Checkpoint view: counters, in-flight entries, delivered digest."""
@@ -135,17 +122,6 @@ class ReliableTransport:
             ],
         }
 
-    def next_timeout(self) -> Optional[float]:
-        """Earliest armed retransmit timer, or None.
-
-        Read-only view for the parallel-DES earliest-output bound: a
-        timeout resends at once, with no CPU overhead in between.
-        """
-        return min(
-            (e[5].time for e in self._inflight.values() if e[5] is not None),
-            default=None,
-        )
-
     def send(self, src_node: int, dst_node: int, msg: Message) -> None:
         """Launch *msg* with retransmit protection."""
         seq = self._next_seq.get(src_node, 0)
@@ -159,19 +135,12 @@ class ReliableTransport:
         )
 
     def _transmit_data(self, key: tuple, entry: list, faultable: bool) -> None:
-        """One data copy, local schedule or cross-shard envelope(s)."""
+        """One data copy over the fabric."""
         src_node, dst_node, msg = entry[0], entry[1], entry[2]
-        wrapped = (key, dst_node, msg)
-        if self.router is not None and not self.router.owns(dst_node):
-            for arrival in self.fabric.remote_arrivals(
-                src_node, dst_node, msg.nbytes, faultable=faultable
-            ):
-                self.router.emit(arrival, src_node, self._data_uid, dst_node, wrapped)
-        else:
-            self.fabric.transmit(
-                src_node, dst_node, msg.nbytes, wrapped, self._on_arrive,
-                faultable=faultable,
-            )
+        self.fabric.transmit(
+            src_node, dst_node, msg.nbytes, (key, dst_node, msg), self._on_arrive,
+            faultable=faultable,
+        )
 
     def _on_arrive(self, wrapped: tuple) -> None:
         key, dst_node, msg = wrapped
@@ -184,17 +153,9 @@ class ReliableTransport:
 
     def _send_ack(self, key: tuple, dst_node: int) -> None:
         """Ack from the receiver's node back to the sender's (guaranteed)."""
-        src_node = key[0]
-        if self.router is not None and not self.router.owns(src_node):
-            for arrival in self.fabric.remote_arrivals(
-                dst_node, src_node, self.ACK_NBYTES, faultable=False
-            ):
-                self.router.emit(arrival, dst_node, self._ack_uid, src_node, key)
-        else:
-            self.fabric.transmit(
-                dst_node, src_node, self.ACK_NBYTES, key, self._on_ack,
-                faultable=False,
-            )
+        self.fabric.transmit(
+            dst_node, key[0], self.ACK_NBYTES, key, self._on_ack, faultable=False
+        )
 
     def _on_ack(self, key: tuple) -> None:
         entry = self._inflight.pop(key, None)

@@ -114,7 +114,6 @@ class MpiWorld:
             backoff=faults.retransmit_backoff,
             max_timeout_us=faults.retransmit_max_timeout_us,
             max_attempts=faults.retransmit_max_attempts,
-            router=self.cluster.router,
         )
         return self.reliability
 
@@ -133,18 +132,15 @@ class MpiWorld:
         dst_node = dst // tpn
         router = self.cluster.router
         if self.reliability is not None:
-            # The transport owns cross-shard routing for its own data and
-            # ack envelopes (it registered dedicated router uids).
+            # Faults only: the sharded DES rejects them, so no router here.
             self.reliability.send(src_node, dst_node, msg)
         elif router is not None and not router.owns(dst_node):
-            # Cross-shard: account the send here (fault plane included —
-            # per-link streams make its draws shard-stable), envelope each
-            # surviving copy; the owning shard schedules delivery at the
-            # same arrival times.
-            for arrival in self.cluster.fabric.remote_arrivals(
-                src_node, dst_node, nbytes
-            ):
-                router.emit(arrival, src_node, self._world_uid, dst_node, msg)
+            # Cross-shard: account the send here and envelope it; the
+            # owning shard schedules delivery at the same arrival time.
+            router.emit(
+                self._fabric.remote_arrivals(src_node, dst_node, nbytes),
+                src_node, self._world_uid, dst_node, msg,
+            )
         else:
             self._fabric.transmit(src_node, dst_node, nbytes, msg, self._on_arrive)
 

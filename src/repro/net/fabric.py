@@ -144,28 +144,19 @@ class Fabric:
         """
         return self.config.p2p_time(nbytes, same_node)
 
-    def remote_arrivals(
-        self, src_node: int, dst_node: int, nbytes: int, faultable: bool = True
-    ) -> tuple:
-        """Arrival times for a message whose destination lives on another shard.
+    def remote_arrivals(self, src_node: int, dst_node: int, nbytes: int) -> float:
+        """Arrival time of a message whose destination lives on another shard.
 
-        Charges this shard's send-side statistics and consults the fault
-        plane exactly as :meth:`transmit` would, but schedules nothing:
-        the caller wraps each returned arrival in a router envelope and
-        the owning shard schedules delivery there.  ``()`` means the
-        message was dropped.  Since ``dst_node`` is remote, every arrival
-        is ``>= now + latency_us`` — the constant lookahead
-        :mod:`repro.sim.parallel` relies on.
+        Charges this shard's send-side statistics as :meth:`transmit`
+        would, but schedules nothing: the caller wraps the arrival in a
+        router envelope and the owning shard schedules delivery there.
+        No fault plane is consulted (the sharded DES rejects faults).
+        Since ``dst_node`` is remote, the arrival is ``>= now +
+        latency_us`` — the constant lookahead :mod:`repro.sim.parallel`
+        relies on.
         """
         if src_node == dst_node:
             raise ValueError("cross-shard transmit cannot be node-internal")
-        wire = self.wire_time(nbytes, same_node=False)
         self.stats.messages += 1
         self.stats.bytes += nbytes
-        base = self.sim.now + wire
-        if self.fault_plane is not None and faultable:
-            return tuple(
-                base + extra
-                for extra in self.fault_plane.plan(src_node, dst_node, nbytes)
-            )
-        return (base,)
+        return self.sim.now + self.wire_time(nbytes, same_node=False)

@@ -77,6 +77,8 @@ def to_jsonable(value: Any, fallback=None) -> Any:
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if fallback is not None:

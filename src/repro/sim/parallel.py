@@ -31,14 +31,13 @@ The coordinator repeats:
 ``B`` is the earliest-output-time (EOT) refinement of CMB: the earliest
 instant any shard could emit a cross-shard envelope
 (:meth:`ShardHost.earliest_output`).  Only rank threads send, each send
-right after the ``Compute`` of its send overhead ends, and the reliable
-transport also acks on a delivery and resends on a timer.  So ``B`` is
+right after the ``Compute`` of its send overhead ends.  So ``B`` is
 the minimum of: for each owned rank, ``run_start + run_work`` while it
 is in a Compute, ``now + work_remaining`` while it waits for a CPU with
 work left, its wake time while asleep, nothing of its own while it
 waits on an MPI message, and the barrier time in any other state; every
 scheduled message delivery (the fabric's arrival heap, plus the
-coordinator's pending envelopes); every armed retransmit timer.  While
+coordinator's pending envelopes).  While
 ranks compute for milliseconds the tick, interrupt and daemon events
 that hold ``N`` back no longer shrink the window.
 
@@ -47,7 +46,7 @@ envelope lands inside the window; then each shard evolves from its own
 state alone, and no owned rank can advance its body before its term:
 a Compute cannot end before its unstretched work is done (tick
 inflation only delays it), a waiter only wakes at a delivery, and any
-delivery or timer created in the window comes from a send at ``t ≥ B``.
+delivery created in the window comes from a send at ``t ≥ B``.
 So every envelope emitted in the window leaves at ``t ≥ max(N, B)``,
 pays at least ``L`` on the wire, and arrives ``≥ H'`` — outside the
 window, which closes the induction.  Envelope arrivals are likewise
@@ -60,13 +59,11 @@ message that will never come) from running one unbounded window; the
 run still stops with the horizon error once ``N`` passes it.
 
 Determinism: the window boundary sequence is a pure function of the
-global simulator state — every rank, delivery and timer belongs to
-exactly one shard, so the minimum over shards is the 1-shard value —
-per-shard event order is the serial engine's total
-``(time, priority, seq)`` order, cross-shard deliveries are sorted
-canonically before scheduling, and all runtime randomness comes from
-shard-stable named streams — including per-link message-fault draws,
-per-node pipe-loss draws, and the retransmit layer's ack traffic (see
+global simulator state — every rank and delivery belongs to exactly one
+shard, so the minimum over shards is the 1-shard value — per-shard event
+order is the serial engine's total ``(time, priority, seq)`` order,
+cross-shard deliveries are sorted canonically before scheduling, and all
+runtime randomness comes from shard-stable named streams (see
 :mod:`repro.sim.shard`).  Sharded runs therefore reproduce the serial
 oracle's **result digest byte-for-byte** — enforced by
 ``tests/test_parallel_des.py`` and by the benchmark's ``pdes_2``
@@ -74,29 +71,16 @@ workload, which must give ``pdes_1``'s digest.  No experiment runs this
 engine any more; the benchmark alone does.
 
 What sharded mode rejects (:func:`validate_sharded_config`): hardware
-collectives only — the switch-combine path schedules cross-node arrivals
-at half a wire hop, under the conservative lookahead.  Everything else —
-stochastic network faults, pipe loss, timesync loss, the retransmit
-layer, scheduled node/co-scheduler faults — runs sharded with serial
-digests.
+collectives, whose switch-combine path schedules cross-node arrivals at
+half a wire hop, under the conservative lookahead; and faults
+(``faults.enabled``), at every shard count — faulted runs are serial.
 
-Worker supervision
-------------------
-With forked workers, the coordinator is also a supervisor: worker pipes
-are multiplexed with process sentinels and per-``heartbeat_s`` worker
-heartbeats, so a crashed worker (pipe EOF / sentinel) or a stalled one
-(no traffic for ``hang_timeout_s`` — then SIGKILL) is detected at the
-barrier.  Recovery respawns the shard from its spec and **replays** the
-full superstep history (windows + incoming envelopes, which the
-coordinator retains); construction pins RNG draw order, so the replayed
-shard reaches the last completed barrier bit-identically and the current
-window is reissued.  Retries are bounded (``max_respawns``, exponential
-``respawn_backoff_s``); exhausting them raises
-:class:`ShardFailureError` with structured ``details`` instead of
-hanging.  The ``harness.shard.kill.<shard>`` chaos axis
-(:func:`repro.chaos.harness_faults.shard_kill_plan`) drives exactly this
-path in ``tests/test_shard_recovery.py``, asserting chaos-run digests
-equal clean-run digests.
+With forked workers the coordinator watches every worker's pipe, its
+process sentinel and a heartbeat every ``_HEARTBEAT_S``: a worker that
+dies raises :class:`ShardWorkerDied`, one silent for ``_HANG_TIMEOUT_S``
+is SIGKILLed and raises :class:`ShardWorkerHung`.  Either way, and on
+any other error, every worker is killed and reaped before
+:func:`run_parallel` returns.
 """
 
 from __future__ import annotations
@@ -104,23 +88,19 @@ from __future__ import annotations
 import importlib
 import math
 import multiprocessing
-import os
-import signal
 import threading
 import time as _time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.config import ClusterConfig
 from repro.kernel.thread import ThreadState
-from repro.sim.meanfield import MeanFieldConfig
 from repro.sim.shard import ShardPlan, ShardRouter
 from repro.units import s
 
 __all__ = [
     "ParallelRunResult",
-    "ShardFailureError",
     "ShardPlan",
     "ShardRouter",
     "ShardSpec",
@@ -137,66 +117,45 @@ _READY = ThreadState.READY
 _SLEEPING = ThreadState.SLEEPING
 _FINISHED = ThreadState.FINISHED
 
+#: A forked worker sends a heartbeat this often while it computes.
+_HEARTBEAT_S = 5.0
+#: A forked worker silent (no reply, no heartbeat) this long is hung.
+_HANG_TIMEOUT_S = 120.0
+
 
 class WindowViolation(RuntimeError):
     """A shard emitted an envelope that lands inside the window that
-    produced it: the window bound was unsound.  Not recoverable by a
-    respawn, since the replay would reach the same state."""
+    produced it: the window bound was unsound."""
 
 
 class ShardWorkerDied(RuntimeError):
-    """A forked shard worker exited or its pipe broke (recoverable)."""
+    """A forked shard worker exited or its pipe broke."""
 
 
 class ShardWorkerHung(RuntimeError):
-    """A forked shard worker went silent past the hang deadline
-    (recoverable; the supervisor SIGKILLs it first)."""
-
-
-class ShardFailureError(RuntimeError):
-    """A shard could not be recovered within the respawn budget.
-
-    ``details`` is a structured post-mortem: the shard, the budget, the
-    window being attempted, how many supersteps had completed, and the
-    per-attempt failure causes — what the chaos journal records instead
-    of a hang.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        attempts: int,
-        window: Optional[float],
-        supersteps: int,
-        causes: list[str],
-    ) -> None:
-        self.details = {
-            "shard_id": shard_id,
-            "attempts": attempts,
-            "window": window,
-            "supersteps": supersteps,
-            "causes": list(causes),
-        }
-        super().__init__(
-            f"shard {shard_id} unrecoverable after {attempts} respawn attempt(s) "
-            f"at superstep {supersteps}: {causes[-1] if causes else 'no attempts allowed'}"
-        )
+    """A forked shard worker went silent past the hang deadline (the
+    coordinator SIGKILLs it first)."""
 
 
 def validate_sharded_config(config: ClusterConfig, n_shards: int) -> None:
-    """Reject configurations whose semantics cannot survive sharding.
+    """Reject configurations the sharded engine does not run.
 
-    Raises ``ValueError`` naming the offending knob.  The only model
-    restriction left is the hardware-collective path, whose
-    switch-combine hop is *shorter* than the conservative lookahead
-    (sub-lookahead switch combining stays out of scope); the serial
-    engine remains available for it.  Stochastic faults, pipe loss,
-    timesync loss, and the retransmit layer all shard cleanly — their
-    randomness comes from per-link / per-node shard-stable streams and
-    acks ride the cross-shard channel.
+    Raises ``ValueError`` naming the offending knob:
+
+    * ``faults.enabled``, at every shard count — faulted runs (and their
+      fault counters and retransmit layer) are serial-only;
+    * the hardware-collective path (above one shard), whose
+      switch-combine hop is *shorter* than the conservative lookahead;
+    * more shards than nodes, and a non-positive cross-node latency,
+      which leaves no lookahead.
     """
     if n_shards < 1:
         raise ValueError(f"shards must be >= 1, got {n_shards}")
+    if config.faults.enabled:
+        raise ValueError(
+            "faults.enabled is not supported by the sharded DES; "
+            "run faulted configurations on the serial engine"
+        )
     if n_shards == 1:
         return
     if n_shards > config.machine.n_nodes:
@@ -223,9 +182,7 @@ class ShardSpec:
 
     Picklable by construction (the app is a ``"module:attr"`` reference,
     resolved inside the worker), so the same spec drives the in-process
-    host, the forked worker, and a supervisor **respawn** identically —
-    respawn-and-replay determinism rests on the spec being the whole
-    input.
+    host and the forked worker identically.
     """
 
     config: ClusterConfig
@@ -235,7 +192,6 @@ class ShardSpec:
     tasks_per_node: int
     app: str
     app_params: dict = field(default_factory=dict)
-    meanfield: Optional[MeanFieldConfig] = None
     job_name: str = "pdes"
 
 
@@ -269,11 +225,7 @@ class ShardHost:
         validate_sharded_config(spec.config, spec.plan.n_shards)
         self.spec = spec
         self.app = _resolve_app(spec.app, spec.app_params)
-        self.system = System(
-            spec.config,
-            shard=(spec.shard_id, spec.plan),
-            meanfield=spec.meanfield,
-        )
+        self.system = System(spec.config, shard=(spec.shard_id, spec.plan))
         self.router = self.system.cluster.router
         self.job = self.system.launch(
             spec.n_ranks,
@@ -291,10 +243,9 @@ class ShardHost:
         can emit from now on, given that no envelope reaches it before
         the next window bound (the module docstring has the argument).
         Only rank threads send, and always after a ``Compute`` of send
-        overhead; the reliable transport resends on a timer and acks on
-        a delivery.  So the bound is the earliest of: each owned rank's
-        next chance to advance its body, each pending delivery, each
-        armed retransmit timer.  ``inf`` means nothing here can send.
+        overhead.  So the bound is the earliest of: each owned rank's
+        next chance to advance its body, and each pending delivery.
+        ``inf`` means nothing here can send.
         """
         now = self.system.sim.now
         bound = math.inf
@@ -323,15 +274,11 @@ class ShardHost:
         arrival = self.system.cluster.fabric.next_arrival()
         if arrival is not None and arrival < bound:
             bound = arrival
-        rel = self.job.world.reliability
-        timer = rel.next_timeout() if rel is not None else None
-        if timer is not None and timer < bound:
-            bound = timer
         return bound
 
     def ready(self) -> tuple:
-        """Initial report: ``(next_event_time, output_bound, local_done, events)``."""
-        return (self.system.sim.peek_time(), self.earliest_output(), self.job.local_done, 0)
+        """Initial report: ``(next_event_time, output_bound, local_done)``."""
+        return (self.system.sim.peek_time(), self.earliest_output(), self.job.local_done)
 
     def step_send(self, horizon: float, incoming: list[tuple]) -> None:
         """Deliver *incoming* envelopes, then run the window ``[now, horizon)``."""
@@ -368,13 +315,7 @@ class ShardHost:
         return out
 
     def collect(self) -> dict:
-        """Local results after the job's owned ranks all finished.
-
-        ``counters`` leaves out ``fault_events``: every shard logs the
-        global timesync loss, so the sum would grow with the shard count.
-        """
-        counters = self.system.fault_counters(self.job)
-        del counters["fault_events"]
+        """Local results after the job's owned ranks all finished."""
         return {
             "app": self.app.collect(),
             "finish_times": {str(r): t for r, t in sorted(self.job._finish_times.items())},
@@ -382,7 +323,6 @@ class ShardHost:
             "events": self.system.sim.events_processed,
             "sent": self.router.sent,
             "received": self.router.received,
-            "counters": counters,
         }
 
     def close(self) -> None:
@@ -392,11 +332,11 @@ class ShardHost:
         """Nothing to kill in-process (symmetry with _ProcessHost)."""
 
 
-def _shard_worker_main(conn, spec: ShardSpec, heartbeat_s: float = 5.0) -> None:
+def _shard_worker_main(conn, spec: ShardSpec) -> None:
     """Forked worker: serve the superstep protocol over a duplex pipe.
 
-    A daemon thread sends ``("hb", None)`` every *heartbeat_s* so the
-    supervisor can tell "computing a long window" from "stopped/dead";
+    A daemon thread sends ``("hb", None)`` every ``_HEARTBEAT_S`` so the
+    coordinator can tell "computing a long window" from "stopped/dead";
     the lock serializes heartbeats against protocol replies.
     """
     lock = threading.Lock()
@@ -407,7 +347,7 @@ def _shard_worker_main(conn, spec: ShardSpec, heartbeat_s: float = 5.0) -> None:
             conn.send(obj)
 
     def _beat() -> None:
-        while not stop.wait(heartbeat_s):
+        while not stop.wait(_HEARTBEAT_S):
             try:
                 _send(("hb", None))
             except OSError:  # parent gone; main thread will notice too
@@ -449,19 +389,10 @@ class _ProcessHost:
     (after a SIGKILL) instead of blocking the coordinator forever.
     """
 
-    def __init__(
-        self,
-        spec: ShardSpec,
-        ctx,
-        heartbeat_s: float = 5.0,
-        hang_timeout_s: Optional[float] = 120.0,
-    ) -> None:
+    def __init__(self, spec: ShardSpec, ctx) -> None:
         self.spec = spec
-        self.hang_timeout_s = hang_timeout_s
         self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_shard_worker_main, args=(child, spec, heartbeat_s), daemon=True
-        )
+        self.proc = ctx.Process(target=_shard_worker_main, args=(child, spec), daemon=True)
         self.proc.start()
         child.close()
         self._ready = self._recv("ready")
@@ -470,21 +401,13 @@ class _ProcessHost:
         from multiprocessing import connection as _mpc
 
         sid = self.spec.shard_id
-        deadline = (
-            _time.monotonic() + self.hang_timeout_s
-            if self.hang_timeout_s is not None
-            else None
-        )
+        deadline = _time.monotonic() + _HANG_TIMEOUT_S
         while True:
-            timeout = (
-                None if deadline is None else max(0.0, deadline - _time.monotonic())
-            )
+            timeout = max(0.0, deadline - _time.monotonic())
             ready = _mpc.wait([self.conn, self.proc.sentinel], timeout=timeout)
             if not ready:
                 self.kill()
-                raise ShardWorkerHung(
-                    f"shard {sid} silent for {self.hang_timeout_s}s; killed"
-                )
+                raise ShardWorkerHung(f"shard {sid} silent for {_HANG_TIMEOUT_S}s; killed")
             if self.conn in ready:
                 try:
                     kind, payload = self.conn.recv()
@@ -493,8 +416,7 @@ class _ProcessHost:
                         f"shard {sid} worker pipe closed mid-reply ({exc!r})"
                     ) from None
                 if kind == "hb":
-                    if deadline is not None:
-                        deadline = _time.monotonic() + self.hang_timeout_s
+                    deadline = _time.monotonic() + _HANG_TIMEOUT_S
                     continue
                 if kind == "error":
                     raise RuntimeError(f"shard worker failed:\n{payload}")
@@ -567,9 +489,7 @@ class ParallelRunResult:
     superstep counts are reported for inspection but excluded, because a
     shard whose ranks finish early retires its co-scheduler earlier than
     the serial schedule would, which shifts background-only events
-    without touching any rank-visible timing.  ``counters`` (summed
-    fault/resilience counters) IS shard-count invariant; ``recoveries``
-    (supervisor respawns) is an execution-substrate fact and excluded.
+    without touching any rank-visible timing.
     """
 
     shards: int
@@ -582,7 +502,9 @@ class ParallelRunResult:
     supersteps: int
     lookahead_us: float
     wall_s: float = 0.0
-    counters: dict = field(default_factory=dict)
+    #: Always 0: nothing respawns a shard.  The benchmark's tracer
+    #: (``perfbench/layertrace.py``) still reads it into
+    #: ``shard.recoveries`` until ROADMAP item 1 step 1 drops that counter.
     recoveries: int = 0
 
     @property
@@ -604,14 +526,8 @@ def run_parallel(
     app_params: Optional[dict] = None,
     shards: int = 1,
     horizon_us: float = s(600),
-    meanfield: Optional[MeanFieldConfig] = None,
     use_processes: Optional[bool] = None,
     job_name: str = "pdes",
-    max_respawns: int = 3,
-    respawn_backoff_s: float = 0.05,
-    hang_timeout_s: Optional[float] = 120.0,
-    heartbeat_s: float = 5.0,
-    shard_chaos_seed: Optional[int] = None,
     _superstep_hook: Optional[Callable[[int, list], None]] = None,
 ) -> ParallelRunResult:
     """Run *app* over *config* with the cluster sharded *shards* ways.
@@ -619,18 +535,11 @@ def run_parallel(
     ``use_processes=None`` forks real workers when ``shards > 1`` and
     runs in-process for ``shards == 1``; pass ``False`` to drive every
     shard in-process (identical event semantics — the processes are a
-    wall-clock lever, not a correctness one — and what the hypothesis
-    equivalence suite uses to keep hundreds of examples cheap).
-
-    With forked workers the coordinator supervises them: crashes and
-    hangs are recovered by respawn + deterministic replay of the
-    superstep history, up to *max_respawns* attempts per incident with
-    exponential *respawn_backoff_s*; exhaustion raises
-    :class:`ShardFailureError`.  *shard_chaos_seed* arms the
-    ``harness.shard.kill.<shard>`` axis, SIGKILLing workers pre/mid
-    window per their deterministic plans (forked workers only).
-    *_superstep_hook* is test/chaos instrumentation: called as
-    ``hook(superstep_index, hosts)`` at the top of every superstep.
+    wall-clock lever, not a correctness one).  A forked worker that dies
+    or hangs ends the run with :class:`ShardWorkerDied` or
+    :class:`ShardWorkerHung`.  *_superstep_hook* is test instrumentation:
+    called as ``hook(superstep_index, hosts)`` at the top of every
+    superstep.
     """
     validate_sharded_config(config, shards)
     n_nodes = config.machine.n_nodes
@@ -648,7 +557,6 @@ def run_parallel(
             tasks_per_node=tasks_per_node,
             app=app,
             app_params=app_params,
-            meanfield=meanfield,
             job_name=job_name,
         )
         for sid in range(shards)
@@ -656,110 +564,27 @@ def run_parallel(
     if use_processes is None:
         use_processes = shards > 1
 
-    kill_plans: dict = {}
-    kills_done: dict = {}
-    if shard_chaos_seed is not None:
-        if not use_processes:
-            raise ValueError(
-                "shard_chaos_seed kills worker processes; it requires "
-                "use_processes=True (in-process hosts have nothing to kill)"
-            )
-        from repro.chaos.harness_faults import shard_kill_plan
-
-        kill_plans = {
-            sid: shard_kill_plan(shard_chaos_seed, sid) for sid in range(shards)
-        }
-        kills_done = {sid: 0 for sid in range(shards)}
-
     wall0 = _time.perf_counter()
     if use_processes:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = multiprocessing.get_context("spawn")
-    else:
-        ctx = None
-
-    def _spawn(sid: int):
-        if use_processes:
-            return _ProcessHost(
-                specs[sid], ctx, heartbeat_s=heartbeat_s, hang_timeout_s=hang_timeout_s
-            )
-        return ShardHost(specs[sid])
 
     hosts: list = []
-    #: Completed supersteps: (window, incoming-envelopes-per-shard) — the
-    #: deterministic replay script a respawned shard is driven through.
-    history: list[tuple[float, list[list]]] = []
-    recoveries = 0
-
-    def _respawn_and_replay(
-        sid: int,
-        window: Optional[float] = None,
-        incoming: Optional[list] = None,
-        causes: tuple = (),
-    ):
-        """Respawn shard *sid*, replay history, optionally reissue the
-        current window; returns its reply (None in the collect phase)."""
-        nonlocal recoveries
-        causes = list(causes)
-        for attempt in range(max_respawns):
-            _time.sleep(respawn_backoff_s * (2**attempt))
-            nh = None
-            try:
-                nh = _spawn(sid)
-                for w, inc in history:
-                    nh.step_send(w, inc[sid])
-                    nh.step_recv()  # discard: outputs already routed
-                if window is None:
-                    reply = None
-                else:
-                    nh.step_send(window, incoming)
-                    reply = nh.step_recv()
-            except (ShardWorkerDied, ShardWorkerHung) as exc:
-                causes.append(f"respawn attempt {attempt + 1}: {exc}")
-                if nh is not None:
-                    nh.kill()
-                continue
-            hosts[sid] = nh
-            recoveries += 1
-            return reply
-        raise ShardFailureError(
-            shard_id=sid,
-            attempts=max_respawns,
-            window=window,
-            supersteps=len(history),
-            causes=causes,
-        )
-
-    def _recover(sid: int, window: Optional[float], incoming: Optional[list], exc):
-        hosts[sid].kill()
-        return _respawn_and_replay(
-            sid, window, incoming,
-            causes=(f"superstep {len(history)}: {exc}",),
-        )
-
-    def _maybe_kill(sid: int, point: str) -> None:
-        plan_k = kill_plans.get(sid)
-        if plan_k is None or plan_k.mode is None or kills_done[sid] >= plan_k.kills:
-            return
-        if len(history) >= plan_k.window and point == plan_k.point:
-            kills_done[sid] += 1
-            os.kill(hosts[sid].proc.pid, signal.SIGKILL)
-
     # Safe by the argument in the module docstring: no cross-node
     # message arrives sooner than the wire latency after it is sent.
     lookahead = config.network.latency_us
+    supersteps = 0
     ok_exit = False
     try:
-        for sid in range(shards):
-            hosts.append(_spawn(sid))
+        for spec in specs:
+            hosts.append(_ProcessHost(spec, ctx) if use_processes else ShardHost(spec))
         next_ts: list[Optional[float]] = []
         bounds: list[float] = []
         done = []
-        events = [0] * shards
         for h in hosts:
-            nt, bound, dn, _ev = h.ready()
+            nt, bound, dn = h.ready()
             next_ts.append(nt)
             bounds.append(bound)
             done.append(dn)
@@ -782,51 +607,32 @@ def run_parallel(
             output = min(bounds + arrivals)
             window = min(max(frontier, output), horizon_us) + lookahead
             if _superstep_hook is not None:
-                _superstep_hook(len(history), hosts)
-            snapshot = [list(p) for p in pending]
-            replies: list = [None] * shards
-            for sid in range(shards):
-                _maybe_kill(sid, "pre")
-                try:
-                    hosts[sid].step_send(window, snapshot[sid])
-                except (ShardWorkerDied, ShardWorkerHung) as exc:
-                    replies[sid] = _recover(sid, window, snapshot[sid], exc)
+                _superstep_hook(supersteps, hosts)
+            for sid, host in enumerate(hosts):
+                host.step_send(window, pending[sid])
                 pending[sid] = []
-            for sid in range(shards):
-                _maybe_kill(sid, "mid")
-            for sid in range(shards):
-                if replies[sid] is None:
-                    try:
-                        replies[sid] = hosts[sid].step_recv()
-                    except (ShardWorkerDied, ShardWorkerHung) as exc:
-                        replies[sid] = _recover(sid, window, snapshot[sid], exc)
-                nt, bound, outbox, dn, _proc = replies[sid]
+            for sid, host in enumerate(hosts):
+                nt, bound, outbox, dn, _proc = host.step_recv()
                 next_ts[sid] = nt
                 bounds[sid] = bound
                 done[sid] = dn
                 for env in outbox:
                     pending[plan.shard_of(env[4])].append(env)
                     crossed += 1
-            history.append((window, snapshot))
+            supersteps += 1
 
         merged_ranks: dict = {}
-        counters: dict = {}
         ok = True
         finish = []
         start = []
-        for sid in range(shards):
-            try:
-                res = hosts[sid].collect()
-            except (ShardWorkerDied, ShardWorkerHung) as exc:
-                _recover(sid, None, None, exc)
-                res = hosts[sid].collect()
+        events = []
+        for host in hosts:
+            res = host.collect()
             merged_ranks.update(res["app"]["ranks"])
             ok = ok and res["app"]["ok"]
             finish.extend(res["finish_times"].values())
             start.append(res["start_time"])
-            events[sid] = res["events"]
-            for k, v in res.get("counters", {}).items():
-                counters[k] = counters.get(k, 0) + v
+            events.append(res["events"])
         ok_exit = True
     finally:
         for h in hosts:
@@ -846,9 +652,7 @@ def run_parallel(
         ok=ok,
         events_per_shard=events,
         messages_crossed=crossed,
-        supersteps=len(history),
+        supersteps=supersteps,
         lookahead_us=lookahead,
         wall_s=_time.perf_counter() - wall0,
-        counters=counters,
-        recoveries=recoveries,
     )

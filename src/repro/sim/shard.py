@@ -16,22 +16,13 @@ stream:
 * ``kernel.lottery.n<node>`` — lottery dispatch (kernel/policy.py)
 * ``daemon.<name>.n<node>.c<cpu>`` — daemon service/jitter draws
 * ``daemon.<name>.phase`` — one aligned-phase draw at install time
-* ``faults.net.<kind>.<src>-><dst>`` — per-link, per-type message-fault
-  decisions (kind ∈ drop/delay/dup).  Every draw for link ``src->dst``
-  happens inside an event on node ``src``, whose local event order the
-  serial engine fixes, so the decision sequence per link is identical on
-  whichever shard owns ``src`` — and identical to the serial run.
-* ``faults.pipe.n<node>`` — control-pipe loss, drawn on the node whose
-  pipe carries the message.
-* ``faults.clock`` — the one timesync-loss event draws jump/drift for
-  **all** nodes in node order inside a single event; non-owned nodes'
-  clocks are inert, so every shard sees the same sequence.
 
 :class:`repro.rng.StreamFactory` derives each stream from the seed and
 the CRC32 of its name — independent of creation order — so a stream
 draws identically regardless of which shard owns the node, and identically
-whether or not the sibling nodes' streams were ever created.  The one
-remaining sharded-mode restriction is the hardware-collective path, whose
+whether or not the sibling nodes' streams were ever created.  The fault
+streams (``faults.*``) follow the same per-entity naming, but faults are
+serial-only: sharded mode rejects them, and hardware collectives, whose
 switch-combine hop is shorter than the conservative lookahead (see
 :func:`repro.sim.parallel.validate_sharded_config`).
 """

@@ -10,7 +10,7 @@ below pins a SHA-256 over one encoding of a value that takes a different
 branch: nested dataclasses, importable callables in params, numpy
 scalars and arrays, an ``IntEnum``, ``bool``, ``-0.0``, big ints,
 tuples, non-ASCII keys.  The two rejections (NaN/Infinity, a local
-callable) keep their messages.
+callable) keep their messages, and numpy booleans encode like ``bool``.
 """
 
 import dataclasses
@@ -177,8 +177,17 @@ def test_to_jsonable_keeps_numpy_and_enum_conversions():
                        "t": (True, None)})
     assert type(out["f"]) is float and type(out["i"]) is int
     assert out["e"] is Level.HIGH and out["t"] == [True, None]
-    with pytest.raises(TypeError, match="cannot serialise bool"):
-        to_jsonable(np.bool_(True))
+
+
+def test_numpy_bools_encode_like_python_bools():
+    for flag in (True, False):
+        out = to_jsonable(np.bool_(flag))
+        assert type(out) is bool and out is flag
+        assert (canonical_dumps(to_jsonable({"ok": np.bool_(flag)}))
+                == canonical_dumps({"ok": flag}))
+        spec = TrialSpec("pin-bool", "m:f", {"ok": np.bool_(flag)})
+        assert spec_fingerprint(spec, version="pin") == spec_fingerprint(
+            TrialSpec("pin-bool", "m:f", {"ok": flag}), version="pin")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),

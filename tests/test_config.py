@@ -148,3 +148,55 @@ class TestCoschedInversionGuard:
     def test_disabled_config_not_checked(self):
         # A disabled schedule is inert; don't block configs that carry it.
         CoschedConfig(enabled=False, favored_priority=100, unfavored_priority=30)
+
+
+class TestKernelConfigPresets:
+    def test_vanilla_defaults(self):
+        v = KernelConfig.vanilla()
+        assert v.big_tick_multiplier == 1
+        assert v.tick_phase == "staggered"
+        assert not v.realtime_scheduling
+        assert not v.daemons_global_queue
+
+    def test_prototype_flips_everything(self):
+        p = KernelConfig.prototype()
+        assert p.big_tick_multiplier == 25
+        assert p.tick_phase == "aligned"
+        assert p.align_ticks_to_global_time
+        assert p.realtime_scheduling
+        assert p.fix_reverse_preemption
+        assert p.fix_multi_ipi
+        assert p.daemons_global_queue
+
+    def test_prototype_physical_tick(self):
+        p = KernelConfig.prototype()
+        assert p.physical_tick_period_us == pytest.approx(ms(250))
+        assert p.physical_tick_cost_us > p.tick_cost_us
+
+    def test_vanilla_physical_cost_is_base(self):
+        v = KernelConfig.vanilla()
+        assert v.physical_tick_cost_us == v.tick_cost_us
+
+    def test_with_options_returns_new(self):
+        v = KernelConfig.vanilla()
+        w = v.with_options(big_tick_multiplier=2)
+        assert v.big_tick_multiplier == 1
+        assert w.big_tick_multiplier == 2
+
+    def test_invalid_values_raise(self):
+        with pytest.raises(ValueError):
+            KernelConfig(big_tick_multiplier=0)
+        with pytest.raises(ValueError):
+            KernelConfig(tick_phase="diagonal")
+        with pytest.raises(ValueError):
+            KernelConfig(global_queue_penalty=2.0)
+        with pytest.raises(ValueError):
+            KernelConfig(tick_period_us=0.0)
+
+    def test_with_options_keeps_other_fields_and_validates(self):
+        base = KernelConfig(tick_cost_us=99.0)
+        assert base.with_options(big_tick_multiplier=5).tick_cost_us == 99.0
+        with pytest.raises(ValueError):
+            base.with_options(big_tick_multiplier=0)
+        with pytest.raises(TypeError):
+            base.with_options(no_such_option=1)

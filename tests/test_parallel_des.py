@@ -6,34 +6,38 @@ run — per-call Allreduce durations of the recorded ranks, reduction
 integrity, makespan — must be byte-identical whether the cluster's nodes
 are simulated in one process or split across N.  These tests hold that
 contract on randomized small clusters (including cancel-heavy blocking
-waits, co-scheduling, the lottery policy's per-node RNG streams, and
-deterministic fault schedules), plus the unit-level pieces it rests on:
-the half-open ``run_until_before`` window, the block partition, and the
-creation-order independence of named RNG streams.
+waits, co-scheduling and the lottery policy's per-node RNG streams),
+plus the unit-level pieces it rests on: the half-open
+``run_until_before`` window, the block partition, and the
+creation-order independence of named RNG streams.  A forked worker that
+dies or hangs ends the run with an error and leaves no process behind.
 """
 
 import math
+import multiprocessing
+import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import (
-    CoschedConfig,
-    CoschedFaultSpec,
-    FaultConfig,
-    NodeFaultSpec,
-)
+from repro.config import CoschedConfig, FaultConfig
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.rng import StreamFactory
 import repro.sim
+from repro.sim import parallel
 from repro.sim.core import Simulator
 from repro.sim.parallel import (
     ShardHost,
+    ShardWorkerDied,
+    ShardWorkerHung,
     WindowViolation,
     run_parallel,
     validate_sharded_config,
@@ -42,6 +46,11 @@ from repro.sim.shard import ShardPlan
 from repro.units import ms, s
 
 APP = "repro.apps.aggregate_trace:sharded_app"
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker-kill tests rely on the fork start method",
+)
 
 
 def small_config(seed=7, time_factor=400, **overrides):
@@ -52,7 +61,7 @@ def small_config(seed=7, time_factor=400, **overrides):
     return cfg.replace(**overrides) if overrides else cfg
 
 
-def run_shards(config, shards, params=None, meanfield=None, use_processes=False):
+def run_shards(config, shards, params=None, use_processes=False):
     return run_parallel(
         config,
         n_ranks=64,
@@ -63,7 +72,6 @@ def run_shards(config, shards, params=None, meanfield=None, use_processes=False)
                 compute_between_us=500.0, payload_bytes=8, record_nodes=(0,)),
         shards=shards,
         horizon_us=s(600),
-        meanfield=meanfield,
         use_processes=use_processes,
     )
 
@@ -215,37 +223,6 @@ class TestShardEquivalence:
         )
         self._digests(cfg, params=params)
 
-    def test_fault_schedule_equivalence(self):
-        """Deterministic faults — a crash, a slowdown, a dead co-scheduler
-        — land on whichever shard owns the node; outcome is unchanged."""
-        cfg = small_config(
-            cosched=CoschedConfig(enabled=True, period_us=ms(50), duty_cycle=0.9),
-            faults=FaultConfig(
-                enabled=True,
-                node_faults=(
-                    NodeFaultSpec(node=1, at_us=ms(5), duration_us=ms(3), kind="crash"),
-                    NodeFaultSpec(
-                        node=2, at_us=ms(2), duration_us=ms(10),
-                        kind="slowdown", fraction=0.5,
-                    ),
-                ),
-                cosched_faults=(
-                    CoschedFaultSpec(node=3, at_us=ms(1), kind="die"),
-                ),
-            ),
-        )
-        self._digests(cfg, shard_counts=(1, 4))
-
-    def test_meanfield_composes_with_sharding(self):
-        """Batching is a per-node decision, so it too is shard-invariant."""
-        from repro.sim.meanfield import MeanFieldConfig
-
-        cfg = small_config()
-        mf = MeanFieldConfig(batch=8, exempt_nodes=(0,))
-        a = run_shards(cfg, 1, meanfield=mf)
-        b = run_shards(cfg, 2, meanfield=mf)
-        assert a.digest == b.digest
-
     def test_real_subprocess_workers(self):
         """The in-process and forked-worker drivers are the same model."""
         cfg = small_config()
@@ -253,87 +230,6 @@ class TestShardEquivalence:
         forked = run_shards(cfg, 2, use_processes=True)
         assert inproc.digest == forked.digest
         assert inproc.events_per_shard == forked.events_per_shard
-
-
-# ---------------------------------------------------------------------------
-# Stochastic faults + resilience under sharding (this PR's tentpole)
-# ---------------------------------------------------------------------------
-
-def chaos_faults(**overrides):
-    """Every fault knob at once: the configuration sharded mode used to
-    reject wholesale and must now reproduce byte-for-byte."""
-    kw = dict(
-        enabled=True,
-        msg_drop_prob=0.05,
-        msg_dup_prob=0.05,
-        msg_delay_prob=0.05,
-        msg_delay_us=200.0,
-        pipe_loss_prob=0.3,
-        timesync_loss_at_us=ms(6),
-        retransmit_timeout_us=ms(1),
-        retransmit_max_timeout_us=ms(8),
-        watchdog_interval_us=ms(5),
-    )
-    kw.update(overrides)
-    return FaultConfig(**kw)
-
-
-class TestFaultEquivalence:
-    """Drop/dup/delay, pipe loss, timesync loss, retransmit, and the
-    watchdog all draw from per-link / per-node streams now — the full
-    fault plane is an execution-strategy-independent part of the model."""
-
-    def test_full_fault_stack_equivalence(self):
-        cfg = small_config(
-            cosched=CoschedConfig(enabled=True, period_us=ms(50), duty_cycle=0.9),
-            faults=chaos_faults(),
-        )
-        runs = [run_shards(cfg, n) for n in (1, 2, 4)]
-        base = runs[0]
-        assert base.ok
-        # Faults actually fired — this is not a vacuous pass.
-        assert base.counters["net_drops"] > 0
-        assert base.counters["retransmits"] > 0
-        assert base.counters["pipe_losses"] > 0
-        assert base.counters["degradation_events"] > 0
-        for r in runs[1:]:
-            assert r.digest == base.digest
-            # Fault bookkeeping is also shard-count invariant when summed.
-            assert r.counters == base.counters
-
-    def test_full_fault_stack_forked_workers(self):
-        cfg = small_config(faults=chaos_faults())
-        inproc = run_shards(cfg, 2, use_processes=False)
-        forked = run_shards(cfg, 2, use_processes=True)
-        assert inproc.digest == forked.digest
-        assert inproc.counters == forked.counters
-
-    @given(
-        seed=st.integers(0, 2**16),
-        drop=st.floats(0.0, 0.15),
-        dup=st.floats(0.0, 0.15),
-        delay=st.floats(0.0, 0.15),
-        pipe=st.floats(0.0, 0.4),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_randomized_fault_equivalence(self, seed, drop, dup, delay, pipe):
-        cfg = small_config(
-            seed=seed,
-            faults=chaos_faults(
-                msg_drop_prob=drop,
-                msg_dup_prob=dup,
-                msg_delay_prob=delay,
-                pipe_loss_prob=pipe,
-            ),
-        )
-        params = dict(
-            loops=1, calls_per_loop=3, trace_block=64,
-            compute_between_us=400.0, payload_bytes=8, record_nodes=(0,),
-        )
-        a = run_shards(cfg, 1, params=params)
-        b = run_shards(cfg, 2, params=params)
-        assert a.digest == b.digest
-        assert a.counters == b.counters
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +291,11 @@ class TestEarliestOutputWindows:
                 use_processes=False,
             )
 
-    def test_stuck_job_stops_at_the_horizon(self, windows, monkeypatch):
-        """Every rank blocks on a message the planted give-up bug lost,
-        so the bound is infinite: the window is clamped to the horizon
-        and the run ends with the same horizon error at any shard count."""
-        monkeypatch.setenv("REPRO_CHAOS_BUG", "retransmit_giveup")
-        cfg = small_config(faults=FaultConfig(
-            enabled=True, msg_drop_prob=1.0,
-            retransmit_timeout_us=100.0, retransmit_max_attempts=2,
-        ))
+    def test_stuck_job_stops_at_the_horizon(self, windows):
+        """Every rank blocks on a message nobody sends, so the bound is
+        infinite: the window is clamped to the horizon and the run ends
+        with the same horizon error at any shard count."""
+        cfg = small_config()
         cfg = cfg.replace(mpi=cfg.mpi.__class__(wait_mode="block"))
         horizon = ms(20)
         errors = []
@@ -411,13 +303,159 @@ class TestEarliestOutputWindows:
             windows.clear()
             with pytest.raises(RuntimeError, match="incomplete at horizon") as exc:
                 run_parallel(
-                    cfg, n_ranks=64, tasks_per_node=16, app=APP,
-                    app_params=QUICK_APP, shards=n, horizon_us=horizon,
-                    use_processes=False,
+                    cfg, n_ranks=64, tasks_per_node=16, app=STUCK_APP,
+                    shards=n, horizon_us=horizon, use_processes=False,
                 )
             errors.append(str(exc.value))
             assert max(windows) == horizon + cfg.network.latency_us
         assert errors[0] == errors[1]
+
+
+def stuck_app(params: dict):
+    """App provider whose every rank waits on a message that never comes."""
+
+    class _App:
+        @staticmethod
+        def body_factory(rank, api):
+            yield from api.compute(100.0)
+            yield from api.recv((rank + 1) % 64, "never")
+
+        @staticmethod
+        def collect():
+            return {"ranks": {}, "ok": False}
+
+    return _App()
+
+
+STUCK_APP = "tests.test_parallel_des:stuck_app"
+
+
+# ---------------------------------------------------------------------------
+# The pinned window sequence and forked-worker failures
+# ---------------------------------------------------------------------------
+
+#: Small app so each run is a few hundred supersteps, not thousands:
+#: 751 earliest-output windows (845 when every window was the frontier
+#: plus one lookahead; pinned below).
+QUICK_SUPERSTEPS = 751
+QUICK_PARAMS = dict(
+    loops=1, calls_per_loop=2, trace_block=64,
+    compute_between_us=300.0, payload_bytes=8, record_nodes=(0,),
+)
+
+
+def quick_run(**kw):
+    kw.setdefault("use_processes", True)
+    return run_parallel(
+        small_config(),
+        n_ranks=64,
+        tasks_per_node=16,
+        app=APP,
+        app_params=QUICK_PARAMS,
+        shards=2,
+        **kw,
+    )
+
+
+def test_quick_run_superstep_count_is_pinned():
+    """The window sequence is a pure function of simulator state; a
+    change to the earliest-output bound shows up here first."""
+    res = quick_run(use_processes=False)
+    assert res.supersteps == QUICK_SUPERSTEPS
+    assert res.messages_crossed == 128
+    assert res.recoveries == 0
+
+
+@fork_only
+class TestWorkerFailure:
+    def test_killed_worker_raises_died_and_leaves_no_child(self):
+        """A SIGKILLed worker surfaces at the next barrier; every other
+        worker is killed and reaped on the way out."""
+        killed = []
+
+        def kill_shard_one(step, hosts):
+            if step == 3 and not killed:
+                killed.append(hosts[1].proc.pid)
+                os.kill(hosts[1].proc.pid, signal.SIGKILL)
+
+        with pytest.raises(ShardWorkerDied, match="shard 1"):
+            quick_run(_superstep_hook=kill_shard_one)
+        assert killed, "the hook never fired"
+        assert multiprocessing.active_children() == []
+
+    def test_stopped_worker_raises_hung_and_leaves_no_child(self, monkeypatch):
+        """A SIGSTOPped worker sends no heartbeats; past the hang deadline
+        the coordinator SIGKILLs it and raises."""
+        monkeypatch.setattr(parallel, "_HEARTBEAT_S", 0.2)
+        monkeypatch.setattr(parallel, "_HANG_TIMEOUT_S", 1.0)
+        stopped = []
+
+        def stall_shard_one(step, hosts):
+            if step == 3 and not stopped:
+                stopped.append(hosts[1].proc.pid)
+                os.kill(hosts[1].proc.pid, signal.SIGSTOP)
+
+        with pytest.raises(ShardWorkerHung, match="shard 1 silent"):
+            quick_run(_superstep_hook=stall_shard_one)
+        assert stopped, "the hook never fired"
+        assert multiprocessing.active_children() == []
+
+
+_COORDINATOR_CRASH_DRIVER = """
+import sys
+sys.path.insert(0, {src!r})
+sys.path.insert(0, {root!r})
+import multiprocessing
+from tests.test_parallel_des import quick_run
+
+def boom(step, hosts):
+    if step == 3:
+        raise RuntimeError("coordinator blew up")
+
+print("READY", flush=True)
+try:
+    quick_run(_superstep_hook=boom)
+except RuntimeError as exc:
+    assert "coordinator blew up" in str(exc), exc
+    leftover = multiprocessing.active_children()
+    assert leftover == [], leftover
+    print("CLEAN", flush=True)
+    sys.exit(0)
+print("NO-CRASH", flush=True)
+sys.exit(1)
+"""
+
+
+@fork_only
+class TestCoordinatorCrashCleanup:
+    def test_coordinator_exception_kills_all_workers(self):
+        """An exception in the coordinator mid-superstep must take every
+        forked shard worker down with it: the run_parallel finally block
+        SIGKILLs and reaps them, so the driver sees no active children
+        and the whole process group is empty afterwards (mirrors the
+        supervised-runner SIGINT drain test)."""
+        repo_root = Path(__file__).resolve().parent.parent
+        script = _COORDINATOR_CRASH_DRIVER.format(
+            src=str(repo_root / "src"), root=str(repo_root)
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,  # own process group, so we can prove it empty
+        )
+        try:
+            assert proc.stdout.readline().strip() == "READY"
+            out, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 0, err
+        assert "CLEAN" in out and "NO-CRASH" not in out
+        # The whole process group died with the driver: no orphan workers.
+        time.sleep(0.2)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 @pytest.mark.parametrize(
@@ -500,26 +538,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="hardware"):
             validate_sharded_config(cfg, 2)
 
-    def test_stochastic_net_faults_accepted(self):
-        """Per-link fault streams made stochastic faults shard-stable —
-        they are no longer rejected."""
-        cfg = small_config(
-            faults=FaultConfig(enabled=True, msg_drop_prob=0.01)
-        )
-        validate_sharded_config(cfg, 2)
-
-    def test_retransmit_accepted(self):
-        """Acks ride the envelope router now, so retransmit shards."""
-        cfg = small_config(
-            faults=FaultConfig(enabled=True)
-        )
-        validate_sharded_config(cfg, 2)
-
-    def test_timesync_loss_accepted(self):
-        cfg = small_config(
-            faults=FaultConfig(enabled=True, timesync_loss_at_us=ms(3))
-        )
-        validate_sharded_config(cfg, 2)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_faults_rejected_at_every_shard_count(self, shards):
+        cfg = small_config(faults=FaultConfig(enabled=True))
+        with pytest.raises(ValueError, match=r"faults\.enabled"):
+            run_parallel(cfg, n_ranks=64, tasks_per_node=16, app=APP,
+                         shards=shards, use_processes=False)
 
     def test_more_shards_than_nodes_rejected(self):
         with pytest.raises(ValueError):

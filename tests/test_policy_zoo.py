@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import KernelConfig
 from repro.kernel.policy import policy_names, policy_param_names, validate_policy
-from repro.kernel.schedtune import Schedtune
 from repro.kernel.thread import Compute, Sleep, ThreadState
 from repro.rng import StreamFactory
 from repro.units import s
@@ -90,25 +89,17 @@ class TestValidation:
         assert "min_granularity_us" in policy_param_names("fair")
 
 
-class TestSchedtunePolicy:
-    def test_dotted_param_staging(self):
-        st_ = Schedtune()
-        st_.set("policy", "quantum")
-        st_.set("policy.slice_us", 5000.0)
-        cfg = st_.commit()
+class TestPolicyOptions:
+    def test_with_options_selects_policy_and_params(self):
+        cfg = KernelConfig().with_options(policy="quantum", policy_params={"slice_us": 5000.0})
         assert cfg.policy == "quantum"
         assert cfg.policy_params == (("slice_us", 5000.0),)
 
-    def test_dotted_param_checked_against_staged_policy(self):
-        st_ = Schedtune()
-        with pytest.raises(KeyError, match="aix"):
-            st_.set("policy.slice_us", 5000.0)  # aix has no tunables
-        st_.set("policy", "fair")
-        with pytest.raises(KeyError, match="min_granularity_us"):
-            st_.set("policy.slice_us", 5000.0)
-
-    def test_policy_is_a_documented_option(self):
-        assert Schedtune.describe("policy")
+    def test_params_checked_against_the_selected_policy(self):
+        with pytest.raises(ValueError, match="aix"):
+            KernelConfig().with_options(policy_params={"slice_us": 5000.0})
+        with pytest.raises(ValueError, match="min_granularity_us"):
+            KernelConfig().with_options(policy="fair", policy_params={"slice_us": 5000.0})
 
 
 # ----------------------------------------------------------------------
