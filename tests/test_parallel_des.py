@@ -317,7 +317,6 @@ def stuck_app(params: dict):
     class _App:
         @staticmethod
         def body_factory(rank, api):
-            yield from api.compute(100.0)
             yield from api.recv((rank + 1) % 64, "never")
 
         @staticmethod
