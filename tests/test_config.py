@@ -193,10 +193,14 @@ class TestKernelConfigPresets:
         with pytest.raises(ValueError):
             KernelConfig(tick_period_us=0.0)
 
-    def test_with_options_keeps_other_fields_and_validates(self):
+    def test_with_options_keeps_other_fields(self):
         base = KernelConfig(tick_cost_us=99.0)
         assert base.with_options(big_tick_multiplier=5).tick_cost_us == 99.0
+
+    def test_with_options_validates_values(self):
         with pytest.raises(ValueError):
-            base.with_options(big_tick_multiplier=0)
+            KernelConfig().with_options(big_tick_multiplier=0)
+
+    def test_with_options_rejects_unknown_option(self):
         with pytest.raises(TypeError):
-            base.with_options(no_such_option=1)
+            KernelConfig().with_options(no_such_option=1)
