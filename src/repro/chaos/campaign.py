@@ -24,7 +24,6 @@ from repro.chaos.generator import generate_schedule
 from repro.chaos.oracles import ORACLES, judge
 from repro.chaos.schedule import ChaosSchedule, ChaosWorkload
 from repro.chaos.shrink import ShrinkResult, shrink_schedule
-from repro.checkpoint.harness import SweepJournal
 from repro.experiments.runner import TrialRunner, TrialSpec
 from repro.faults.demo import ENV_VAR as _BUG_ENV
 
@@ -116,9 +115,7 @@ def run_chaos(
     seeds: int = 32,
     seed_base: int = 0,
     quick: bool = False,
-    jobs: int = 1,
-    journal: Optional[SweepJournal] = None,
-    trial_timeout_s: Optional[float] = None,
+    runner: Optional[TrialRunner] = None,
     shrink: bool = True,
     shrink_budget: int = 60,
     corpus_out: Optional[str] = None,
@@ -129,10 +126,11 @@ def run_chaos(
 
     Deterministic end to end: the verdict table, the journal bytes, and
     the minimized counterexamples depend only on ``(seeds, seed_base,
-    quick)`` and the forced *policy* — not on ``jobs``, resume state, or
-    wall clock.  ``policy`` pins every seed's schedule to that dispatch
-    policy (overriding the ``chaos.policy`` axis); journal keys carry the
-    policy name so pinned and unpinned campaigns never collide.
+    quick)`` and the forced *policy* — not on *runner* (``None``:
+    serial), resume state, or wall clock.  ``policy`` pins every seed's
+    schedule to that dispatch policy (overriding the ``chaos.policy``
+    axis); journal keys carry the policy name so pinned and unpinned
+    campaigns never collide.
     """
     workload = chaos_workload(quick)
     wl_params = {
@@ -154,8 +152,7 @@ def run_chaos(
         )
         for seed in seed_list
     ]
-    runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
-    outcomes = runner.run(specs)
+    outcomes = (runner or TrialRunner()).run(specs)
 
     records = []
     for seed, outcome in zip(seed_list, outcomes):

@@ -102,17 +102,15 @@ def run_ablation(
     n_calls: int = 400,
     seed: int = 21,
     n_seeds: int = 3,
-    journal=None,
-    trial_timeout_s: Optional[float] = None,
-    jobs: int = 1,
+    runner: Optional[TrialRunner] = None,
 ) -> AblationResult:
     """Run the cumulative ablation at *n_ranks*, averaging seeds.
 
-    The 6 steps × *n_seeds* trials are independent and run through
-    :class:`~repro.experiments.runner.TrialRunner` (``jobs`` workers,
-    journal resume, per-trial watchdog).
+    The 6 steps × *n_seeds* trials are independent and run on *runner*
+    (:class:`~repro.experiments.runner.TrialRunner`: workers, journal
+    resume, per-trial watchdog, result store; ``None`` runs serially).
     """
-    runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
+    runner = runner or TrialRunner()
     steps = _step_configs()
     specs = [
         TrialSpec(

@@ -68,6 +68,8 @@ from repro.experiments import (
 )
 from repro.experiments.common import SweepResult
 from repro.experiments.reporting import text_table
+from repro.experiments.runner import TrialRunner
+from repro.experiments.supervisor import SupervisorConfig
 
 __all__ = ["Claim", "EXPERIMENTS", "GROUPS", "QUICK_SWEEP", "Experiment", "expand", "main"]
 
@@ -108,13 +110,15 @@ class Experiment:
     """One row of :data:`EXPERIMENTS`: how to run, report and archive it.
 
     The CLI calls ``run(args, **kwargs)`` with the parsed arguments, the
-    :attr:`quick` arguments under ``--quick`` and, if :attr:`harness`, the
-    campaign keywords ``journal``, ``trial_timeout_s`` and ``jobs``.  It
-    prints ``text(result)``, writes :attr:`csv` under ``--csv DIR`` and
-    :attr:`json` under ``--results DIR`` (named after the row unless
-    :attr:`stem` is set), calls :attr:`then`, judges :attr:`claims` unless
-    ``--quick``, and ends the run with exit code 1 if ``ok(result)`` is
-    false or a claim fails.  Unset hooks are skipped.
+    :attr:`quick` arguments under ``--quick`` and, if :attr:`harness`,
+    ``runner``: the :class:`~repro.experiments.runner.TrialRunner` it
+    built once from the execution flags (``--jobs``, ``--results``,
+    ``--trial-timeout``, ``--store``, ``--no-cache`` and the supervisor
+    flags).  It prints ``text(result)``, writes :attr:`csv` under
+    ``--csv DIR`` and :attr:`json` under ``--results DIR`` (named after
+    the row unless :attr:`stem` is set), calls :attr:`then`, judges
+    :attr:`claims` unless ``--quick``, and ends the run with exit code 1
+    if ``ok(result)`` is false or a claim fails.  Unset hooks are skipped.
     """
 
     run: Callable[..., Any]
@@ -419,7 +423,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
     ),
     "validate": Experiment(
-        lambda args: validate.run_validation(jobs=args.jobs), validate.format_validation,
+        # The anchors read --jobs, the store and the supervisor flags, but
+        # are never journaled or bounded by --trial-timeout.
+        lambda args, runner: validate.run_validation(TrialRunner(
+            jobs=runner.jobs, supervisor=runner.supervisor, store=runner.store,
+            use_cache=runner.use_cache,
+        )),
+        validate.format_validation, harness=True,
         ok=lambda checks: all(c.passed for c in checks),
     ),
     "e9": Experiment(
@@ -635,10 +645,10 @@ def main(argv: list[str] | None = None) -> int:
             "--harness-chaos needs --jobs >= 2 (only supervised workers "
             "can be killed and retried)"
         )
-    # The campaign rows read the harness keywords; validate builds its
-    # own TrialRunner with --jobs alone.
-    campaign = [n for n, row in EXPERIMENTS.items() if row.harness]
-    supervised = [n for n, row in EXPERIMENTS.items() if row.harness or n == "validate"]
+    # Every harness row runs supervised trials; all but validate also
+    # journal them and bound them with --trial-timeout.
+    supervised = [n for n, row in EXPERIMENTS.items() if row.harness]
+    campaign = [n for n in supervised if n != "validate"]
     for flag, is_set, readers, what in (
         ("--harness-chaos", args.harness_chaos is not None, supervised, "runs supervised"),
         ("--jobs", args.jobs > 1, supervised, "runs supervised"),
@@ -658,18 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.resume:
         parser.error("--resume requires --results DIR (the journal to resume from)")
 
-    harness = {
-        "journal": journal,
-        "trial_timeout_s": args.trial_timeout,
-        "jobs": args.jobs,
-    }
-
-    # Route supervisor policy (retry budget, backoff, harness chaos) and
-    # the result store to every campaign's internally-built TrialRunner, and make
-    # journal-merge warnings / supervisor summaries visible on stderr.
-    from repro.experiments.runner import set_execution_defaults
-    from repro.experiments.supervisor import SupervisorConfig
-
+    # Make journal-merge warnings / supervisor summaries visible on stderr.
     logging.basicConfig(
         level=logging.INFO, format="[%(name)s] %(message)s", stream=sys.stderr
     )
@@ -678,8 +677,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro.store import ResultStore
 
         store = ResultStore(args.store)
-
-    previous_defaults = set_execution_defaults(
+    # The one execution policy every harness row runs its trials under.
+    runner = TrialRunner(
+        jobs=args.jobs,
+        journal=journal,
+        trial_timeout_s=args.trial_timeout,
         supervisor=SupervisorConfig(
             max_retries=args.max_retries,
             backoff_base_s=args.backoff,
@@ -689,7 +691,7 @@ def main(argv: list[str] | None = None) -> int:
         use_cache=not args.no_cache,
     )
     try:
-        rc = _run_selected(wanted, args, harness)
+        rc = _run_selected(wanted, args, runner)
         if store is not None:
             print(
                 f"[store: hits={store.hits} misses={store.misses} puts={store.puts}]"
@@ -705,11 +707,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
         return 130
-    finally:
-        set_execution_defaults(*previous_defaults)
 
 
-def _run_selected(wanted, args, harness) -> int:
+def _run_selected(wanted, args, runner: TrialRunner) -> int:
     """Run the selected experiments in order; 1 at the first that fails."""
     for name in wanted:
         row = EXPERIMENTS[name]
@@ -717,7 +717,7 @@ def _run_selected(wanted, args, harness) -> int:
         print(f"=== {name} " + "=" * (60 - len(name)))
         kwargs = dict(row.quick) if args.quick else {}
         if row.harness:
-            kwargs.update(harness)
+            kwargs["runner"] = runner
         res = row.run(args, **kwargs)
         print(row.text(res))
         stem = row.stem or name

@@ -237,11 +237,7 @@ def allreduce_sweep(
     n_seeds: int = 3,
     compute_between_us: float = 200.0,
     base_seed: int = 1000,
-    journal=None,
-    trial_timeout_s: Optional[float] = None,
-    jobs: int = 1,
     runner: Optional[TrialRunner] = None,
-    store=None,
 ) -> SweepResult:
     """Model an aggregate_trace-style series at each processor count.
 
@@ -249,25 +245,18 @@ def allreduce_sweep(
     at least 3 runs, and each run is the result of thousands of
     Allreduces" (we default to hundreds per run; callers may raise it).
 
-    Execution policy lives in :class:`~repro.experiments.runner.TrialRunner`
-    (pass one via *runner*, or let *jobs*/*journal*/*trial_timeout_s* build
-    it): trials run serially or across ``jobs`` worker processes, finished
-    trials are journaled atomically and skipped on resume, and timed-out or
-    failing trials become recorded entries in ``failed_points`` — an
-    explicit NaN hole when a count loses all its seeds — instead of killing
-    the campaign.  Because trials are pure functions of their specs and
-    outcomes merge in spec order, ``jobs=N`` is bit-identical to serial.
-
-    *store* (a :class:`repro.store.ResultStore`) memoizes trials *across*
-    campaigns and runs: specs found there are served without executing
-    (``cached`` outcomes, materialised into the journal), and every
-    executed result is written back, checksummed and atomic.  ``None``
-    inherits the process default set by the CLI's ``--store``.
+    Execution policy is *runner*'s (``None``: a serial
+    :class:`~repro.experiments.runner.TrialRunner` with no journal and no
+    store).  Its trials run serially or across ``jobs`` worker processes,
+    finished trials are journaled atomically and skipped on resume, a
+    result store serves and keeps trials across campaigns, and timed-out
+    or failing trials become recorded entries in ``failed_points`` — an
+    explicit NaN hole when a count loses all its seeds — instead of
+    killing the campaign.  Because trials are pure functions of their
+    specs and outcomes merge in spec order, ``jobs=N`` is bit-identical to
+    serial.
     """
-    if runner is None:
-        runner = TrialRunner(
-            jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s, store=store
-        )
+    runner = runner or TrialRunner()
     specs = allreduce_trial_specs(
         scenario, proc_counts, n_calls, n_seeds, compute_between_us, base_seed
     )

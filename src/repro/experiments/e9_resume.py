@@ -47,6 +47,7 @@ from repro.experiments.common import (
     compressed_cosched_config,
 )
 from repro.experiments.reporting import text_table
+from repro.experiments.runner import TrialRunner
 from repro.system import System
 from repro.trace.recorder import TraceRecorder
 from repro.units import s
@@ -220,21 +221,24 @@ def _run_e9(quick: bool, workdir: Path) -> E9Result:
     events_res = resumed.system.sim.events_processed
 
     # ---- mid-sweep: journaled trials resume bit-identically -----------
+    # Each sweep gets its own runner and none gets a result store: the
+    # uninterrupted reference must execute every trial, not be served
+    # the records the resumed sweep just wrote.
     counts = (128, 256, 512) if quick else (128, 256, 512, 944)
     n_calls, n_seeds = (100, 2) if quick else (200, 2)
     sweep_dir = workdir / "sweep"
-    partial = SweepJournal(sweep_dir)
     allreduce_sweep(
         PROTO16, proc_counts=counts[:2], n_calls=n_calls, n_seeds=n_seeds,
-        journal=partial,
+        runner=TrialRunner(journal=SweepJournal(sweep_dir)),
     )  # ... and the campaign is killed here
     resumed_journal = SweepJournal(sweep_dir)
     resumed_sweep = allreduce_sweep(
         PROTO16, proc_counts=counts, n_calls=n_calls, n_seeds=n_seeds,
-        journal=resumed_journal,
+        runner=TrialRunner(journal=resumed_journal),
     )
     uninterrupted = allreduce_sweep(
-        PROTO16, proc_counts=counts, n_calls=n_calls, n_seeds=n_seeds
+        PROTO16, proc_counts=counts, n_calls=n_calls, n_seeds=n_seeds,
+        runner=TrialRunner(),
     )
     journal_match = (
         np.array_equal(resumed_sweep.mean_us, uninterrupted.mean_us)

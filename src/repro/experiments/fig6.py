@@ -14,19 +14,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.analytic.fits import FitResult, compare_fits
 from repro.experiments.common import (
     PAPER_PROC_COUNTS,
     PROTO16,
-    Scenario,
     SweepResult,
     VANILLA15,
     VANILLA16,
     allreduce_sweep,
 )
 from repro.experiments.reporting import ascii_chart, format_taxonomy, text_table
+from repro.experiments.runner import TrialRunner
 
 __all__ = [
     "Fig6Result",
@@ -43,41 +43,35 @@ PAPER_VANILLA_FIT = (0.70, 166.0)
 PAPER_PROTOTYPE_FIT = (0.22, 210.0)
 
 
-def _sweep(scenario: Scenario, proc_counts, n_calls, n_seeds, **harness) -> SweepResult:
-    return allreduce_sweep(
-        scenario, proc_counts=proc_counts, n_calls=n_calls, n_seeds=n_seeds, **harness
-    )
-
-
 def run_fig3(
     proc_counts: Sequence[int] = PAPER_PROC_COUNTS, n_calls: int = 400, n_seeds: int = 3,
-    **harness,
+    runner: Optional[TrialRunner] = None,
 ) -> SweepResult:
     """Vanilla kernel, 16 tasks/node (Figure 3).
 
-    Extra keyword arguments (``journal``, ``trial_timeout_s``, ``jobs``)
-    pass through to :func:`allreduce_sweep`, i.e. to its
-    :class:`~repro.experiments.runner.TrialRunner`, for crash-safe and/or
-    process-parallel campaigns; same for the other sweep runners below.
+    *runner* (:class:`~repro.experiments.runner.TrialRunner`) carries the
+    execution policy — workers, journal, trial timeout, result store — to
+    :func:`allreduce_sweep`; ``None`` runs serially with no journal and
+    no store.  Same for the other sweep runners below.
     """
-    return _sweep(VANILLA16, proc_counts, n_calls, n_seeds, **harness)
+    return allreduce_sweep(VANILLA16, proc_counts, n_calls, n_seeds, runner=runner)
 
 
 def run_fig5(
     proc_counts: Sequence[int] = PAPER_PROC_COUNTS, n_calls: int = 400, n_seeds: int = 3,
-    **harness,
+    runner: Optional[TrialRunner] = None,
 ) -> SweepResult:
     """Prototype kernel + co-scheduler, 16 tasks/node (Figure 5)."""
-    return _sweep(PROTO16, proc_counts, n_calls, n_seeds, **harness)
+    return allreduce_sweep(PROTO16, proc_counts, n_calls, n_seeds, runner=runner)
 
 
 def run_tpn15(
     proc_counts: Sequence[int] = PAPER_PROC_COUNTS, n_calls: int = 400, n_seeds: int = 3,
-    **harness,
+    runner: Optional[TrialRunner] = None,
 ) -> SweepResult:
     """Vanilla kernel, 15 tasks/node (T1 baseline)."""
     counts15 = [15 * (-(-n // 16)) for n in proc_counts]  # same node counts
-    return _sweep(VANILLA15, counts15, n_calls, n_seeds, **harness)
+    return allreduce_sweep(VANILLA15, counts15, n_calls, n_seeds, runner=runner)
 
 
 @dataclass
@@ -100,11 +94,11 @@ class Fig6Result:
 
 def run_fig6(
     proc_counts: Sequence[int] = PAPER_PROC_COUNTS, n_calls: int = 400, n_seeds: int = 3,
-    **harness,
+    runner: Optional[TrialRunner] = None,
 ) -> Fig6Result:
-    """Run both sweeps and fit the scaling lines (Figure 6)."""
-    van = run_fig3(proc_counts, n_calls, n_seeds, **harness)
-    pro = run_fig5(proc_counts, n_calls, n_seeds, **harness)
+    """Run both sweeps on *runner* and fit the scaling lines (Figure 6)."""
+    van = run_fig3(proc_counts, n_calls, n_seeds, runner)
+    pro = run_fig5(proc_counts, n_calls, n_seeds, runner)
     vlin, _vlog, vwin = compare_fits(van.proc_counts, van.mean_us)
     plin, _plog, pwin = compare_fits(pro.proc_counts, pro.mean_us)
     return Fig6Result(van, pro, vlin, plin, vwin, pwin)

@@ -130,16 +130,14 @@ def run_policyzoo(
     seed: int = 13,
     time_compression: float = 50.0,
     quick: bool = False,
-    journal=None,
-    trial_timeout_s: Optional[float] = None,
-    jobs: int = 1,
+    runner: Optional[TrialRunner] = None,
 ) -> PolicyZooResult:
     """Run the policy × size ablation grid.
 
     Defaults cover every registered policy at :data:`SIZES`; pass
     *policies* to pin the sweep to a subset (the CLI's ``--policy``).
     Deterministic end to end: the grid depends only on the arguments,
-    never on ``jobs`` or resume state.
+    never on *runner* (``None``: serial) or resume state.
     """
     if policies is None:
         policies = policy_names()
@@ -168,8 +166,7 @@ def run_policyzoo(
         for policy in policies
         for n in sizes
     ]
-    runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
-    outcomes = runner.run(specs)
+    outcomes = (runner or TrialRunner()).run(specs)
     cells = {
         (spec.params["policy"], spec.params["n_ranks"]): outcome.require()
         for spec, outcome in zip(specs, outcomes)

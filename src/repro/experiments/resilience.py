@@ -185,9 +185,7 @@ def run_resilience(
     calls: int = 1500,
     seed: int = 31,
     time_compression: float = 50.0,
-    journal=None,
-    trial_timeout_s: Optional[float] = None,
-    jobs: int = 1,
+    runner: Optional[TrialRunner] = None,
 ) -> ResilienceResult:
     """Run the five scenarios (healthy, timesync loss, uncoordinated
     baseline, message loss, daemon death) on identically seeded systems.
@@ -196,9 +194,10 @@ def run_resilience(
     co-scheduler periods, or the co-scheduler never engages and the
     comparison measures tick-phase artifacts instead of coordination.
     Each scenario is one :class:`~repro.experiments.runner.TrialSpec`, so
-    ``jobs=5`` runs them concurrently with identical results.
+    a *runner* with ``jobs=5`` runs them concurrently with identical
+    results; ``None`` runs them serially.
     """
-    runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
+    runner = runner or TrialRunner()
     specs = [
         TrialSpec(
             key=f"resilience-{name}-n{n_ranks}-s{seed}",

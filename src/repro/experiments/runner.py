@@ -38,9 +38,10 @@ offers it (cheap, and test-time monkeypatching propagates); elsewhere the
 default context is used, which is why trial functions must be importable
 top-level names and params must pickle.
 
-The CLI selects the supervisor policy and result store once per process
-via :func:`set_execution_defaults`; campaigns that build their own
-``TrialRunner`` inherit it.
+A runner is the only carrier of execution policy: every campaign entry
+point takes one as ``runner=`` (``None`` means ``TrialRunner()``:
+serial, no journal, no store), and the CLI builds one from its flags and
+hands it to each campaign it runs.
 """
 
 from __future__ import annotations
@@ -67,36 +68,7 @@ __all__ = [
     "execute_trial",
     "resolve_trial_fn",
     "format_trial_traceback",
-    "set_execution_defaults",
 ]
-
-#: Process-wide execution policy, set once by the CLI (or tests) via
-#: :func:`set_execution_defaults`; ``TrialRunner`` instances that are
-#: not given an explicit ``supervisor``/``store`` inherit these.
-_DEFAULT_SUPERVISOR = None
-_DEFAULT_STORE = None
-_DEFAULT_USE_CACHE = True
-
-
-def set_execution_defaults(supervisor=None, store=None, use_cache=None) -> tuple:
-    """Set the process-wide default supervisor policy and result store.
-
-    Returns the previous ``(supervisor, store, use_cache)`` tuple so
-    callers (the CLI, tests) can restore it.  Campaigns construct their
-    own runners deep inside ``run_fig*``-style entry points; this is how
-    one ``--harness-chaos``/``--store`` choice reaches all of them.
-    ``supervisor`` and ``store`` are set unconditionally (``None`` clears
-    them); ``use_cache=False`` makes runners ignore the store for *reads*
-    while still writing results into it (the ``--no-cache`` refresh
-    semantics).
-    """
-    global _DEFAULT_SUPERVISOR, _DEFAULT_STORE, _DEFAULT_USE_CACHE
-    previous = (_DEFAULT_SUPERVISOR, _DEFAULT_STORE, _DEFAULT_USE_CACHE)
-    _DEFAULT_SUPERVISOR = supervisor
-    _DEFAULT_STORE = store
-    if use_cache is not None:
-        _DEFAULT_USE_CACHE = bool(use_cache)
-    return previous
 
 
 @dataclass(frozen=True)
@@ -240,34 +212,28 @@ class TrialRunner:
         backend: Optional[str] = None,
         supervisor=None,
         store=None,
-        use_cache: Optional[bool] = None,
+        use_cache: bool = True,
     ) -> None:
         if backend not in (None, "supervised"):
             raise ValueError(f"unknown backend {backend!r}; the only one is 'supervised'")
         self.jobs = max(1, int(jobs))
         self.journal = journal
         self.trial_timeout_s = trial_timeout_s
-        #: Explicit :class:`~repro.experiments.supervisor.SupervisorConfig`
-        #: override; ``None`` inherits the process default.
+        #: :class:`~repro.experiments.supervisor.SupervisorConfig` for
+        #: ``jobs > 1``; ``None`` means its defaults.
         self.supervisor = supervisor
-        #: Cross-run memo store (:class:`repro.store.ResultStore`) or
-        #: ``None``; inherits the process default set by the CLI's
-        #: ``--store``.  Probed after the journal, before dispatch; every
-        #: executed result is written as it completes, and a journal hit
-        #: backfills the store so old campaigns migrate in passing.
-        self.store = store if store is not None else _DEFAULT_STORE
+        #: Cross-run memo store (:class:`repro.store.ResultStore`), or
+        #: ``None`` for no store.  Probed after the journal, before
+        #: dispatch; every executed result is written as it completes, and
+        #: a journal hit backfills the store so old campaigns migrate in
+        #: passing.
+        self.store = store
         #: When ``False`` the store is write-only for this runner
         #: (``--no-cache``): results are recomputed and re-put — which
         #: makes the put path a determinism check against prior runs.
-        self.use_cache = _DEFAULT_USE_CACHE if use_cache is None else bool(use_cache)
+        self.use_cache = bool(use_cache)
         #: SupervisorStats of the last supervised batch, else ``None``.
         self.stats = None
-
-    def _supervisor_config(self):
-        from repro.experiments.supervisor import SupervisorConfig
-
-        cfg = self.supervisor if self.supervisor is not None else _DEFAULT_SUPERVISOR
-        return cfg if cfg is not None else SupervisorConfig()
 
     def run(self, specs: Sequence[TrialSpec]) -> list[TrialOutcome]:
         """Execute *specs*; return their outcomes in the given order."""
@@ -312,11 +278,11 @@ class TrialRunner:
             pending.append(spec)
 
         complete = functools.partial(self._complete, outcomes, fingerprints)
-        chaos_active = self.jobs > 1 and self._supervisor_config().chaos_seed is not None
+        chaos = self.supervisor is not None and self.supervisor.chaos_seed is not None
         # A single pending trial gains nothing from workers; run it inline
         # (same code path, same journal bytes) — unless harness chaos is
         # armed, where only the supervised path can retry injected kills.
-        if self.jobs == 1 or (len(pending) <= 1 and not chaos_active):
+        if self.jobs == 1 or (len(pending) <= 1 and not chaos):
             for spec in pending:
                 complete(execute_trial(spec, self.trial_timeout_s))
         else:
@@ -360,7 +326,7 @@ class TrialRunner:
             jobs=self.jobs,
             on_complete=on_complete,
             trial_timeout_s=self.trial_timeout_s,
-            config=self._supervisor_config(),
+            config=self.supervisor,
         )
         try:
             sup.run(pending)

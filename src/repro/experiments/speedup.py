@@ -48,9 +48,7 @@ def run_speedup154(
     n_seeds: int = 3,
     compute_between_us: float = 200.0,
     seed: int = 11,
-    journal=None,
-    trial_timeout_s: Optional[float] = None,
-    jobs: int = 1,
+    runner: Optional[TrialRunner] = None,
 ) -> SpeedupResult:
     """Compare Allreduce series on the same 100 nodes, both ways populated.
 
@@ -61,11 +59,11 @@ def run_speedup154(
     workaround's at 1500 tasks by the quoted ratio, despite the prototype
     carrying one extra (noisier) task per node.
 
-    The 2 × *n_seeds* trials run through
-    :class:`~repro.experiments.runner.TrialRunner` (``jobs`` workers,
-    journal resume, per-trial watchdog) like every other campaign.
+    The 2 × *n_seeds* trials run on *runner*
+    (:class:`~repro.experiments.runner.TrialRunner`; ``None`` runs
+    serially) like every other campaign.
     """
-    runner = TrialRunner(jobs=jobs, journal=journal, trial_timeout_s=trial_timeout_s)
+    runner = runner or TrialRunner()
     scenarios = (PROTO16, VANILLA15)
     specs = [
         TrialSpec(

@@ -17,7 +17,7 @@ nodes, applied to our own worker fleet:
 * **The supervisor** (parent) multiplexes every worker pipe and process
   sentinel through :func:`multiprocessing.connection.wait`.  A dead
   process is a **crash**; a live-but-silent one (no heartbeat inside
-  ``heartbeat_timeout_s``, or a parent-side deadline when
+  ``_HEARTBEAT_TIMEOUT_S``, or a parent-side deadline when
   ``trial_timeout_s`` is set) is a **hang** — either way the worker is
   SIGKILLed, reaped, and replaced.
 * **Bounded retry with deterministic backoff**: the interrupted trial is
@@ -29,7 +29,7 @@ nodes, applied to our own worker fleet:
   outcome with taxonomy ``quarantined`` (journaled like any other
   failure) and the campaign moves on.
 * **Graceful shutdown**: SIGINT/SIGTERM stops dispatching, drains
-  in-flight trials (bounded by ``drain_timeout_s``; a second signal
+  in-flight trials (bounded by ``_DRAIN_TIMEOUT_S``; a second signal
   aborts immediately), terminates every worker, and re-raises
   ``KeyboardInterrupt`` — every outcome reported before then is
   journaled, so the journal on disk is resumable, and no child process
@@ -85,38 +85,45 @@ _CHAOS_EXIT = 139
 #: worker message arrives (seconds).
 _POLL_S = 0.05
 
+#: Ceiling of the exponential backoff between re-dispatches (seconds).
+_BACKOFF_CAP_S = 5.0
+#: Worker-side heartbeat period while a trial runs (seconds); read when
+#: a worker is spawned and passed to it.
+_HEARTBEAT_INTERVAL_S = 0.25
+#: Missed-heartbeat window after which a busy worker is declared hung.
+_HEARTBEAT_TIMEOUT_S = 10.0
+#: How long a signal-triggered drain waits for in-flight trials before
+#: killing the remaining workers.
+_DRAIN_TIMEOUT_S = 60.0
+#: Install SIGINT/SIGTERM drain handlers for the duration of a run
+#: (skipped off the main thread regardless).
+_HANDLE_SIGNALS = True
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Policy knobs for the supervised backend.
+    """Policy knobs for the supervised backend: the CLI's
+    ``--max-retries``, ``--backoff`` and ``--harness-chaos``.
 
     ``chaos_seed`` arms harness-chaos injection (worker kills/hangs as a
     pure function of the seed and each trial key); ``None`` runs clean.
+    Timing that no caller tunes (heartbeats, drain bound, backoff cap)
+    lives in this module's constants.
     """
 
     #: Re-dispatches allowed per trial after crash/hang; one failure
     #: beyond this quarantines the spec.
     max_retries: int = 3
     #: Base of the deterministic exponential backoff between
-    #: re-dispatches: ``backoff_base_s * 2**attempt``, capped below.
+    #: re-dispatches: ``backoff_base_s * 2**attempt``, capped at
+    #: ``_BACKOFF_CAP_S``.
     backoff_base_s: float = 0.1
-    backoff_cap_s: float = 5.0
-    #: Worker-side heartbeat period while a trial runs.
-    heartbeat_interval_s: float = 0.25
-    #: Missed-heartbeat window after which a busy worker is declared hung.
-    heartbeat_timeout_s: float = 10.0
-    #: How long a signal-triggered drain waits for in-flight trials
-    #: before killing the remaining workers.
-    drain_timeout_s: float = 60.0
     #: Harness-chaos seed (``--harness-chaos``), or ``None`` for clean.
     chaos_seed: Optional[int] = None
-    #: Install SIGINT/SIGTERM drain handlers for the duration of a run
-    #: (skipped automatically off the main thread).
-    handle_signals: bool = True
 
     def backoff_s(self, attempt: int) -> float:
         """Deterministic backoff before re-dispatching attempt+1."""
-        return min(self.backoff_base_s * (2.0 ** attempt), self.backoff_cap_s)
+        return min(self.backoff_base_s * (2.0 ** attempt), _BACKOFF_CAP_S)
 
 
 @dataclass
@@ -330,10 +337,7 @@ class Supervisor:
     # -- signals ------------------------------------------------------
 
     def _install_signal_handlers(self):
-        if (
-            not self.config.handle_signals
-            or threading.current_thread() is not threading.main_thread()
-        ):
+        if not _HANDLE_SIGNALS or threading.current_thread() is not threading.main_thread():
             return None
 
         def on_signal(signum, frame):
@@ -365,7 +369,7 @@ class Supervisor:
                 self._drain_started = now
             if self._abort or (
                 self._drain_started is not None
-                and now - self._drain_started > self.config.drain_timeout_s
+                and now - self._drain_started > _DRAIN_TIMEOUT_S
             ):
                 return  # shutdown path kills whatever is still busy
             self._promote_delayed(now)
@@ -399,7 +403,7 @@ class Supervisor:
                 wid,
                 child_conn,
                 self.trial_timeout_s,
-                self.config.heartbeat_interval_s,
+                _HEARTBEAT_INTERVAL_S,
                 self.config.chaos_seed,
             ),
             daemon=True,
@@ -497,12 +501,12 @@ class Supervisor:
                 continue
             if worker.busy is None:
                 continue
-            hung = now - worker.last_hb > self.config.heartbeat_timeout_s
+            hung = now - worker.last_hb > _HEARTBEAT_TIMEOUT_S
             if not hung and self.trial_timeout_s:
                 # Backstop for a wedged trial whose SIGALRM never fired
                 # (e.g. stuck in a C extension) but whose heartbeat
                 # thread still beats.
-                deadline = self.trial_timeout_s + self.config.heartbeat_timeout_s
+                deadline = self.trial_timeout_s + _HEARTBEAT_TIMEOUT_S
                 hung = now - worker.started_at > deadline
             if hung:
                 interrupted = worker.busy

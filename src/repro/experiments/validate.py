@@ -58,7 +58,6 @@ def _check_base_latency(_runner: Optional[TrialRunner] = None) -> ValidationChec
 
 def _check_vanilla_slope(runner: Optional[TrialRunner] = None) -> ValidationCheck:
     """Anchor 3: vanilla Figure-3 slope near the paper's 0.70 us/CPU."""
-    runner = runner or TrialRunner()
     sweep = allreduce_sweep(
         VANILLA16,
         proc_counts=(128, 512, 944, 1360, 1728),
@@ -147,10 +146,10 @@ CHECKS: tuple[Callable[[Optional[TrialRunner]], ValidationCheck], ...] = (
 )
 
 
-def run_validation(jobs: int = 1) -> list[ValidationCheck]:
-    """Run every calibration anchor check; heavy anchors fan their trials
-    out over *jobs* worker processes."""
-    runner = TrialRunner(jobs=jobs)
+def run_validation(runner: Optional[TrialRunner] = None) -> list[ValidationCheck]:
+    """Run every calibration anchor check; heavy anchors run their trials
+    on *runner* (``None``: serially, with no journal and no store)."""
+    runner = runner or TrialRunner()
     return [check(runner) for check in CHECKS]
 
 

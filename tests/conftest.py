@@ -1,10 +1,12 @@
-"""Shared fixtures and helpers for scheduler-level tests."""
+"""Shared fixtures and helpers: a scheduler harness, and supervisor test timing."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import KernelConfig
+from repro.experiments import supervisor
+from repro.experiments.supervisor import SupervisorConfig
 from repro.kernel.scheduler import NodeScheduler
 from repro.kernel.thread import Block, Compute, Sleep, SpinWait, YieldCpu
 from repro.kernel.ticks import TickSchedule
@@ -61,3 +63,13 @@ def harness():
 
 def make_harness(**kw) -> SchedulerHarness:
     return SchedulerHarness(**kw)
+
+
+@pytest.fixture
+def fast_config(monkeypatch):
+    """Supervisor timing scaled down to test time: tight heartbeats so
+    hang detection takes a second, and a factory for configs with
+    near-zero backoff so retries are cheap."""
+    monkeypatch.setattr(supervisor, "_HEARTBEAT_INTERVAL_S", 0.05)
+    monkeypatch.setattr(supervisor, "_HEARTBEAT_TIMEOUT_S", 1.0)
+    return lambda **overrides: SupervisorConfig(**{"backoff_base_s": 0.01, **overrides})

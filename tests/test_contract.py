@@ -36,11 +36,10 @@ from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments import run_fig4, run_fig6
 from repro.experiments.cli import QUICK_SWEEP, main as cli_main
 from repro.experiments.common import PROTO16, VANILLA16, make_config
-from repro.experiments.runner import TrialRunner, set_execution_defaults
+from repro.experiments.runner import TrialRunner
 from repro.results import save_result
 from repro.system import System
 from repro.units import s
-from tests.test_supervisor import fast_config
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_contract.json").read_text())
 
@@ -118,21 +117,18 @@ def test_fig6_jobs2(tmp_path):
     expect(FIG6, tree_digest(tmp_path))
 
 
-def test_fig6_jobs2_harness_chaos(tmp_path, caplog):
+def test_fig6_jobs2_harness_chaos(tmp_path, caplog, fast_config):
     """Workers killed and hung mid-campaign leave no trace in the bytes.
 
-    Runs ``run_fig6`` directly rather than through the CLI, which would
-    install the 10 s default heartbeat timeout; the short test timeouts
-    make hang detection take a second instead.
+    Runs ``run_fig6`` directly on the runner the CLI would build for
+    ``--jobs 2 --harness-chaos 7``, but with the short test heartbeat
+    timeout: hang detection takes a second instead of the default 10 s.
     """
-    previous = set_execution_defaults(
-        supervisor=fast_config(chaos_seed=CHAOS_SEED)
+    runner = TrialRunner(
+        jobs=2, journal=SweepJournal(tmp_path), supervisor=fast_config(chaos_seed=CHAOS_SEED)
     )
-    try:
-        with caplog.at_level(logging.INFO, logger="repro.harness"):
-            res = run_fig6(**QUICK_SWEEP, journal=SweepJournal(tmp_path), jobs=2)
-    finally:
-        set_execution_defaults(*previous)
+    with caplog.at_level(logging.INFO, logger="repro.harness"):
+        res = run_fig6(**QUICK_SWEEP, runner=runner)
     save_result(tmp_path / "fig6_vanilla.json", res.vanilla)
     save_result(tmp_path / "fig6_prototype.json", res.prototype)
     expect(FIG6, tree_digest(tmp_path))
@@ -228,6 +224,20 @@ def test_e9_checkpoint_and_journal_resumed(tmp_path):
     uninterrupted sweep; the digest pins both outcomes."""
     cli("e9", "--quick", "--results", tmp_path)
     expect("e9 --quick", tree_digest(tmp_path))
+
+
+def test_e9_ignores_the_cli_store(tmp_path, executed):
+    """E9's sweeps never see ``--store``: the uninterrupted reference
+    executes all its trials instead of being served the records the
+    resumed sweep just stored, so the comparison is not a sweep with
+    itself."""
+    out = cli("e9", "--quick", "--store", tmp_path / "store")
+    assert "[store: hits=0 misses=0 puts=0]" in out
+    assert "verdict: PASS" in out
+    keys = [f"proto16-n{n}-s{s}" for n in (128, 256, 512) for s in (0, 1)]
+    # The interrupted sweep runs the first four, the resumed sweep the
+    # last two, then the reference runs all six.
+    assert executed == keys + keys
 
 
 # ---- e14 --quick: the mean-field oracle and its accuracy curve ----------

@@ -41,11 +41,11 @@ class TestJournalResume:
         """Kill the campaign after the first count; the resumed sweep
         serves finished trials from the journal and lands exactly equal
         to a sweep that never stopped."""
-        allreduce_sweep(PROTO16, proc_counts=COUNTS[:1],
-                        n_calls=50, n_seeds=2, journal=SweepJournal(tmp_path))
+        allreduce_sweep(PROTO16, proc_counts=COUNTS[:1], n_calls=50, n_seeds=2,
+                        runner=TrialRunner(journal=SweepJournal(tmp_path)))
 
         resumed_journal = SweepJournal(tmp_path)
-        resumed = allreduce_sweep(PROTO16, **SWEEP_KW, journal=resumed_journal)
+        resumed = allreduce_sweep(PROTO16, **SWEEP_KW, runner=TrialRunner(journal=resumed_journal))
         uninterrupted = allreduce_sweep(PROTO16, **SWEEP_KW)
 
         assert resumed_journal.hits == 2  # one count × two seeds skipped
@@ -54,19 +54,21 @@ class TestJournalResume:
         assert np.array_equal(resumed.call_std_us, uninterrupted.call_std_us)
 
     def test_full_journal_skips_everything(self, tmp_path):
-        first = allreduce_sweep(PROTO16, **SWEEP_KW, journal=SweepJournal(tmp_path))
+        first = allreduce_sweep(
+            PROTO16, **SWEEP_KW, runner=TrialRunner(journal=SweepJournal(tmp_path))
+        )
         j = SweepJournal(tmp_path)
-        again = allreduce_sweep(PROTO16, **SWEEP_KW, journal=j)
+        again = allreduce_sweep(PROTO16, **SWEEP_KW, runner=TrialRunner(journal=j))
         assert j.hits == len(COUNTS) * 2
         assert np.array_equal(first.mean_us, again.mean_us)
 
     def test_torn_journal_entry_is_recomputed(self, tmp_path):
-        allreduce_sweep(PROTO16, **SWEEP_KW, journal=SweepJournal(tmp_path))
+        allreduce_sweep(PROTO16, **SWEEP_KW, runner=TrialRunner(journal=SweepJournal(tmp_path)))
         j = SweepJournal(tmp_path)
         victim = sorted(j.dir.glob("*.json"))[0]
         victim.write_text('{"status": "ok", "rec')  # torn mid-write
         assert j.lookup(victim.stem) is None
-        again = allreduce_sweep(PROTO16, **SWEEP_KW, journal=j)
+        again = allreduce_sweep(PROTO16, **SWEEP_KW, runner=TrialRunner(journal=j))
         assert j.hits == len(COUNTS) * 2 - 1  # the torn one recomputed
         uninterrupted = allreduce_sweep(PROTO16, **SWEEP_KW)
         assert np.array_equal(again.mean_us, uninterrupted.mean_us)
@@ -261,7 +263,7 @@ class TestFailedTrials:
 
         monkeypatch.setattr(AllreduceSeriesModel, "run_series", sabotaged)
         j = SweepJournal(tmp_path)
-        res = allreduce_sweep(VANILLA16, **SWEEP_KW, journal=j)
+        res = allreduce_sweep(VANILLA16, **SWEEP_KW, runner=TrialRunner(journal=j))
         assert sorted(res.failed_points) == [
             "vanilla16-n256-s0", "vanilla16-n256-s1",
         ]
@@ -280,12 +282,12 @@ class TestFailedTrials:
             return real(self, *a, **kw)
 
         monkeypatch.setattr(AllreduceSeriesModel, "run_series", flaky)
-        allreduce_sweep(VANILLA16, **SWEEP_KW, journal=SweepJournal(tmp_path))
+        allreduce_sweep(VANILLA16, **SWEEP_KW, runner=TrialRunner(journal=SweepJournal(tmp_path)))
         monkeypatch.setattr(AllreduceSeriesModel, "run_series", real)
 
         # ... environment fixed: the resume recomputes only the failures.
         j = SweepJournal(tmp_path)
-        resumed = allreduce_sweep(VANILLA16, **SWEEP_KW, journal=j)
+        resumed = allreduce_sweep(VANILLA16, **SWEEP_KW, runner=TrialRunner(journal=j))
         assert j.hits == 2  # the n=128 seeds came from the journal
         assert resumed.failed_points == []
         uninterrupted = allreduce_sweep(VANILLA16, **SWEEP_KW)

@@ -152,10 +152,10 @@ class TestParallelEqualsSerial:
         """The acceptance criterion: --jobs 4 == --jobs 1, bit for bit,
         through result arrays, saved JSON, and journal contents."""
         serial = allreduce_sweep(
-            PROTO16, **SWEEP_KW, journal=SweepJournal(tmp_path / "s"), jobs=1
+            PROTO16, **SWEEP_KW, runner=TrialRunner(jobs=1, journal=SweepJournal(tmp_path / "s"))
         )
         parallel = allreduce_sweep(
-            PROTO16, **SWEEP_KW, journal=SweepJournal(tmp_path / "p"), jobs=4
+            PROTO16, **SWEEP_KW, runner=TrialRunner(jobs=4, journal=SweepJournal(tmp_path / "p"))
         )
         assert np.array_equal(serial.mean_us, parallel.mean_us)
         assert np.array_equal(serial.run_std_us, parallel.run_std_us)
@@ -182,10 +182,10 @@ class TestParallelEqualsSerial:
 
         monkeypatch.setattr(AllreduceSeriesModel, "run_series", sabotaged)
         serial = allreduce_sweep(
-            VANILLA16, **SWEEP_KW, journal=SweepJournal(tmp_path / "s"), jobs=1
+            VANILLA16, **SWEEP_KW, runner=TrialRunner(jobs=1, journal=SweepJournal(tmp_path / "s"))
         )
         parallel = allreduce_sweep(
-            VANILLA16, **SWEEP_KW, journal=SweepJournal(tmp_path / "p"), jobs=4
+            VANILLA16, **SWEEP_KW, runner=TrialRunner(jobs=4, journal=SweepJournal(tmp_path / "p"))
         )
         assert serial.failed_points == parallel.failed_points == [
             "vanilla16-n256-s0",
@@ -214,13 +214,12 @@ class TestParallelEqualsSerial:
             return real(self, *a, **kw)
 
         monkeypatch.setattr(AllreduceSeriesModel, "run_series", wedged)
-        kw = dict(SWEEP_KW, trial_timeout_s=0.2)
-        serial = allreduce_sweep(
-            VANILLA16, **kw, journal=SweepJournal(tmp_path / "s"), jobs=1
-        )
-        parallel = allreduce_sweep(
-            VANILLA16, **kw, journal=SweepJournal(tmp_path / "p"), jobs=2
-        )
+        serial = allreduce_sweep(VANILLA16, **SWEEP_KW, runner=TrialRunner(
+            jobs=1, journal=SweepJournal(tmp_path / "s"), trial_timeout_s=0.2
+        ))
+        parallel = allreduce_sweep(VANILLA16, **SWEEP_KW, runner=TrialRunner(
+            jobs=2, journal=SweepJournal(tmp_path / "p"), trial_timeout_s=0.2
+        ))
         assert serial.failed_points == parallel.failed_points == [
             "vanilla16-n256-s0",
             "vanilla16-n256-s1",
@@ -231,9 +230,11 @@ class TestParallelEqualsSerial:
         """A journal written serially resumes under --jobs N (and vice
         versa): everything already recorded is served from disk."""
         journal = SweepJournal(tmp_path)
-        first = allreduce_sweep(PROTO16, **SWEEP_KW, journal=journal, jobs=1)
+        first = allreduce_sweep(PROTO16, **SWEEP_KW, runner=TrialRunner(jobs=1, journal=journal))
         resumed_journal = SweepJournal(tmp_path)
-        resumed = allreduce_sweep(PROTO16, **SWEEP_KW, journal=resumed_journal, jobs=4)
+        resumed = allreduce_sweep(
+            PROTO16, **SWEEP_KW, runner=TrialRunner(jobs=4, journal=resumed_journal)
+        )
         assert resumed_journal.hits == 4  # every trial came from the journal
         assert np.array_equal(first.mean_us, resumed.mean_us)
 

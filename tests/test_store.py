@@ -9,7 +9,9 @@ import pytest
 
 from repro.checkpoint.harness import SweepJournal
 from repro.experiments.common import PROTO16
-from repro.experiments.runner import TrialRunner, TrialSpec, set_execution_defaults
+from repro.experiments import cli, validate
+from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.experiments.supervisor import SupervisorConfig
 from repro.results import canonical_dumps
 from repro.store import (
     DeterminismViolation,
@@ -420,14 +422,42 @@ class TestRunnerStoreIntegration:
         assert serial_store.puts == 4 and serial_store.identical == 0
         assert pool_store.puts == 4 and pool_store.identical == 0
 
-    def test_execution_defaults_route_the_store(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        previous = set_execution_defaults(store=store, use_cache=True)
-        try:
-            TrialRunner().run([_spec("t0", 1)])
-            assert store.puts == 1
-        finally:
-            set_execution_defaults(*previous)
+    def test_cli_runner_reaches_every_campaign_batch(self, tmp_path, monkeypatch, capsys):
+        """The CLI's flags reach each trial batch through one runner."""
+        seen = []
+        real = TrialRunner.run
+
+        def spy(runner, specs):
+            seen.append((runner.store.root, runner.journal.root, runner.jobs,
+                         runner.supervisor, runner.use_cache))
+            return real(runner, specs)
+
+        monkeypatch.setattr(TrialRunner, "run", spy)
+        assert cli.main([
+            "fig6", "--quick", "--jobs", "2", "--store", str(tmp_path / "S"),
+            "--results", str(tmp_path / "R"), "--max-retries", "1", "--backoff", "0",
+        ]) == 0
+        policy = (tmp_path / "S", tmp_path / "R", 2,
+                  SupervisorConfig(max_retries=1, backoff_base_s=0.0), True)
+        assert seen == [policy, policy]  # the vanilla and the prototype sweep
+        assert "[store: hits=0 misses=16 puts=16]" in capsys.readouterr().out
+
+    def test_validate_runner_has_the_store_but_no_journal(self, tmp_path, monkeypatch):
+        runners = []
+
+        def check(runner):
+            runners.append(runner)
+            return validate.ValidationCheck("stub", True, "")
+
+        monkeypatch.setattr(validate, "CHECKS", (check,))
+        assert cli.main([
+            "validate", "--jobs", "2", "--store", str(tmp_path / "S"),
+            "--results", str(tmp_path / "R"), "--no-cache", "--max-retries", "1",
+        ]) == 0
+        (runner,) = runners
+        assert runner.store.root == tmp_path / "S" and not runner.use_cache
+        assert runner.jobs == 2 and runner.supervisor == SupervisorConfig(max_retries=1)
+        assert runner.journal is None and runner.trial_timeout_s is None
 
 
 class TestStoreCli:

@@ -25,7 +25,6 @@ from repro.chaos.harness_faults import injection_for, plan_for
 from repro.checkpoint.harness import SweepJournal
 from repro.experiments.common import PROTO16, allreduce_sweep
 from repro.experiments.runner import TrialRunner, TrialSpec
-from repro.experiments.supervisor import SupervisorConfig
 from repro.results import save_result
 from tests.test_harness_resume import _legacy_entry, _legacy_shard_file, _ok
 from tests.test_runner import _journal_files
@@ -41,15 +40,6 @@ fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="worker-kill tests rely on the fork start method",
 )
-
-
-def fast_config(**overrides) -> SupervisorConfig:
-    """Supervisor policy scaled down to test time: tight heartbeats so
-    hang detection is fast, near-zero backoff so retries are cheap."""
-    kw = dict(backoff_base_s=0.01, heartbeat_interval_s=0.05,
-              heartbeat_timeout_s=1.0)
-    kw.update(overrides)
-    return SupervisorConfig(**kw)
 
 
 def _double_trial(params):
@@ -76,7 +66,7 @@ def _specs(n, fn="tests.test_supervisor:_double_trial"):
 
 
 class TestSupervisedCleanRuns:
-    def test_stats_track_a_clean_campaign(self):
+    def test_stats_track_a_clean_campaign(self, fast_config):
         runner = TrialRunner(jobs=2, supervisor=fast_config())
         outs = runner.run(_specs(6))
         assert [o.record["twice"] for o in outs] == [0, 2, 4, 6, 8, 10]
@@ -92,7 +82,7 @@ class TestSupervisedCleanRuns:
 
 
 class TestParentOnlyJournal:
-    def test_workers_never_create_journal_shards(self, tmp_path):
+    def test_workers_never_create_journal_shards(self, tmp_path, fast_config):
         shards = tmp_path / "journal" / "shards"
         specs = [
             TrialSpec(f"t{i}", "tests.test_supervisor:_shards_probe_trial",
@@ -109,7 +99,7 @@ class TestParentOnlyJournal:
 
 class TestQuarantine:
     @fork_only
-    def test_poison_trial_quarantined_campaign_survives(self, tmp_path):
+    def test_poison_trial_quarantined_campaign_survives(self, tmp_path, fast_config):
         """A spec that kills every worker it touches is retried
         max_retries times, then quarantined with a structured journal
         entry — and every other trial still completes."""
@@ -141,7 +131,7 @@ class TestQuarantine:
         assert stats["fault_counts"] == {"crash": 3}
 
     @fork_only
-    def test_zero_retry_budget_quarantines_first_crash(self):
+    def test_zero_retry_budget_quarantines_first_crash(self, fast_config):
         runner = TrialRunner(jobs=2, supervisor=fast_config(max_retries=0))
         outs = {
             o.key: o
@@ -179,13 +169,13 @@ class TestHarnessChaosDeterminism:
             assert injection_for(CHAOS_SEED, key, plan.kills) is None
 
     @fork_only
-    def test_chaos_campaign_byte_identical_to_clean_serial(self, tmp_path):
+    def test_chaos_campaign_byte_identical_to_clean_serial(self, tmp_path, fast_config):
         """The acceptance criterion: with harness chaos killing workers
         mid-campaign, results and journals still match a clean serial run
         byte for byte, at --jobs 2 and --jobs 4 alike — and the retry
         telemetry matches the pure-function fault plans exactly."""
         serial = allreduce_sweep(
-            PROTO16, **SWEEP_KW, journal=SweepJournal(tmp_path / "serial"), jobs=1
+            PROTO16, **SWEEP_KW, runner=TrialRunner(journal=SweepJournal(tmp_path / "serial"))
         )
         save_result(tmp_path / "serial.json", serial)
 
@@ -228,7 +218,7 @@ class TestHarnessChaosDeterminism:
         assert stats_by_jobs[2]["quarantined"] == []
 
     @fork_only
-    def test_chaos_run_repeats_identically(self, tmp_path):
+    def test_chaos_run_repeats_identically(self, tmp_path, fast_config):
         """Same seed, same kill schedule: two chaos runs agree on journal
         bytes and on the full retry/backoff telemetry."""
         stats, journals = [], []
@@ -275,9 +265,11 @@ import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {root!r})
 from repro.checkpoint.harness import SweepJournal
+from repro.experiments import supervisor
 from repro.experiments.runner import TrialRunner, TrialSpec
 from repro.experiments.supervisor import SupervisorConfig
 
+supervisor._HEARTBEAT_INTERVAL_S = 0.05
 specs = [
     TrialSpec(f"t{{i:02d}}", "tests.test_supervisor:_slow_trial",
               {{"i": i, "sleep_s": 0.3}})
@@ -285,7 +277,7 @@ specs = [
 ]
 runner = TrialRunner(
     jobs=2, journal=SweepJournal({results!r}),
-    supervisor=SupervisorConfig(backoff_base_s=0.01, heartbeat_interval_s=0.05),
+    supervisor=SupervisorConfig(backoff_base_s=0.01),
 )
 print("READY", flush=True)
 try:
