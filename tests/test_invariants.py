@@ -53,6 +53,21 @@ class TestCleanSystem:
         drive(d, ms(50))
         InvariantMonitor(d.system).check_or_raise()
 
+    def test_queued_threads_pass_the_runqueue_checks(self):
+        """Preempted ranks wait on the run queues while daemons run; every
+        queue entry the checks walk must be consistent."""
+        system, _ = contended_system()
+        monitor = InvariantMonitor(system)
+        sched = system.cluster.nodes[0].scheduler
+        stops_with_queued = 0
+        for i in range(1, 300):
+            system.sim.run_until(i * 137.0)
+            queued = sum(len(q) for q in [*sched.local_queues, sched.global_queue])
+            stops_with_queued += queued > 0
+            report = monitor.check()
+            assert report.ok, report.summary()
+        assert stops_with_queued > 50
+
 
 class TestSanitizer:
     def test_sanitized_run_is_bit_identical(self):
@@ -79,8 +94,61 @@ class TestSanitizer:
             d.system.sim.run_until(d.system.sim.now + ms(10))
 
 
+def contended_system():
+    """Two ranks on a 2-CPU node under 50x compressed noise: daemons and
+    interrupt handlers keep preempting them onto the run queues."""
+    from repro.config import ClusterConfig, MachineConfig, MpiConfig
+    from repro.daemons.catalog import scale_noise, standard_noise
+    from repro.system import System
+
+    system = System(ClusterConfig(
+        machine=MachineConfig(n_nodes=1, cpus_per_node=2),
+        mpi=MpiConfig(progress_threads_enabled=False),
+        noise=scale_noise(standard_noise(), 50.0),
+        seed=5,
+    ))
+
+    def body(rank, api):
+        for _ in range(40):
+            yield from api.compute(ms(3))
+            yield from api.allreduce(1.0)
+
+    return system, system.launch(2, 2, body)
+
+
+def run_until_queued(system):
+    """Advance until some run queue holds a thread; return that thread."""
+    sched = system.cluster.nodes[0].scheduler
+    while True:
+        system.sim.run_until(system.sim.now + 137.0)
+        for q in [*sched.local_queues, sched.global_queue]:
+            if q:
+                return q.peek()
+
+
 class TestCorruptions:
     """Each planted bug is flagged by exactly the check built for it."""
+
+    def test_queued_thread_without_backlink(self):
+        system, _ = contended_system()
+        t = run_until_queued(system)
+        t.rq_entry = None
+        assert violations(system, "runqueue.backlink")
+        assert violations(system, "thread.ready")
+
+    def test_queued_thread_not_ready(self):
+        from repro.kernel.thread import ThreadState
+
+        system, _ = contended_system()
+        t = run_until_queued(system)
+        t.state = ThreadState.BLOCKED
+        assert violations(system, "runqueue.state")
+
+    def test_queued_thread_on_a_cpu(self):
+        system, _ = contended_system()
+        t = run_until_queued(system)
+        t.cpu = 0
+        assert violations(system, "runqueue.cpu")
 
     def test_thread_on_two_runqueues(self):
         from repro.kernel.thread import ThreadState

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import KernelConfig
-from repro.kernel.ticks import _EPS, TickSchedule
+from repro.kernel.ticks import _EPS, _SPAN_MARGIN, TickSchedule
 from repro.units import ms
 
 
@@ -340,3 +340,129 @@ class TestInflateOracle:
             start = max(0.0, ts.phase(cpu) + (k + frac) * ts.period)
             work = _ulps(work, nudge) if work > 0 else work
             assert ts.inflate(cpu, start, work) == _reference_inflate(ts, cpu, start, work)
+
+
+def _reference_consumed(ts, cpu, start, now, run_work):
+    """The bare ``boundaries_in`` formula ``consumed_work`` computes, kept
+    as its oracle: every call must return this value exactly."""
+    elapsed = now - start
+    if elapsed <= 0:
+        return 0.0
+    ph, period = ts.phase(cpu), ts.period
+    lo = math.floor((start - ph + _EPS) / period)
+    hi = math.ceil((now - ph - _EPS) / period) - 1
+    k = max(0, hi - lo)
+    return min(max(0.0, elapsed - ts.cost * k), run_work)
+
+
+def _near_edges(ts, cpu, k):
+    """Times within 4 ulps, ``_EPS`` and ``_SPAN_MARGIN`` of the *k*-th
+    boundary of *cpu* and of both of its eps-shifted switch points."""
+    edge = ts.phase(cpu) + k * ts.period
+    for anchor in (edge - _EPS, edge, edge + _EPS):
+        for n in (-4, -1, 0, 1, 4):
+            yield _ulps(anchor, n)
+        for d in (_EPS / 2, _EPS, 2 * _EPS, _SPAN_MARGIN, 2 * _SPAN_MARGIN):
+            for sign in (-1.0, 1.0):
+                for n in (-1, 0, 1):
+                    yield _ulps(anchor + sign * d, n)
+
+
+class TestConsumedWorkOracle:
+    """``consumed_work`` against the bare boundary count, compared with
+    ``==``, with the span ``inflate`` caches placed as the dispatcher
+    places it: by the ``inflate`` of the run being measured."""
+
+    @pytest.mark.parametrize("kw", _SCHEDULES)
+    def test_preemption_near_a_boundary(self, kw):
+        ts = _oracle_schedule(kw)
+        for cpu in range(4):
+            for k in (1, 2, 7, 1000):
+                for start_back in (0.5, 17.0, ts.period / 3):
+                    start = ts.phase(cpu) + (k - 1) * ts.period + start_back
+                    for run_work in (1.0, ts.period / 2, 5 * ts.period):
+                        ts.inflate(cpu, start, run_work)
+                        for now in _near_edges(ts, cpu, k):
+                            assert ts.consumed_work(cpu, start, now, run_work) == (
+                                _reference_consumed(ts, cpu, start, now, run_work)
+                            ), (cpu, k, start, now, run_work)
+
+    @pytest.mark.parametrize("kw", _SCHEDULES)
+    def test_start_near_a_boundary(self, kw):
+        ts = _oracle_schedule(kw)
+        for cpu in range(4):
+            for start in _near_edges(ts, cpu, 3):
+                for run_work in (0.3, ts.period, 3.5 * ts.period):
+                    ts.inflate(cpu, start, run_work)
+                    for elapsed in (1e-9, 0.3, 5.0, ts.period / 2, ts.period, 2.5 * ts.period):
+                        now = start + elapsed
+                        assert ts.consumed_work(cpu, start, now, run_work) == (
+                            _reference_consumed(ts, cpu, start, now, run_work)
+                        ), (cpu, start, now, run_work)
+
+    def test_no_time_elapsed(self):
+        ts = _oracle_schedule({})
+        ts.inflate(1, 1234.5, 10.0)
+        for now in (1234.5, 1234.0, _ulps(1234.5, -1)):
+            assert ts.consumed_work(1, 1234.5, now, 10.0) == 0.0
+
+    def test_far_times(self):
+        # Past _SPAN_LIMIT no span is cached; up to 1e15 µs a double's
+        # spacing (0.125 µs) is far coarser than the span margin.
+        ts = _oracle_schedule({"tick_phase": "staggered"})
+        for k in (10**5, 10**7, 10**9, 10**11):
+            start = ts.phase(2) + (k - 1) * ts.period + 5.0
+            ts.inflate(2, start, 1.0)
+            for now in _near_edges(ts, 2, k):
+                for run_work in (1.0, 1e5):
+                    assert ts.consumed_work(2, start, now, run_work) == (
+                        _reference_consumed(ts, 2, start, now, run_work)
+                    ), (k, start, now, run_work)
+
+    def test_calls_between_inflates_that_move_the_span(self):
+        """The span cached by the last ``inflate`` on a CPU may belong to
+        another interval than the run being measured, on either side."""
+        ts = _oracle_schedule({"tick_phase": "staggered"})
+        cpu, period = 1, ts.period
+        ph = ts.phase(cpu)
+        for i in range(2000):
+            k = (i * 7) % 5 - 1                      # intervals -1 .. 3, revisited
+            offset = ((i * 7919) % 10_000) / 10_000 * period
+            start = ph + k * period + offset
+            ts.inflate(cpu, ph + ((i * 3) % 5 - 1) * period + 0.25 * period, 1.0)
+            elapsed = (0.5, 3.0, period - offset, period - offset - _EPS, 1.75 * period)[i % 5]
+            now = start + elapsed
+            assert ts.consumed_work(cpu, start, now, 0.8 * period) == (
+                _reference_consumed(ts, cpu, start, now, 0.8 * period)
+            ), (i, start, now)
+
+    @settings(max_examples=300)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=-1, max_value=40),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=3e4, allow_nan=False),
+                    st.sampled_from([0.0, _EPS, _SPAN_MARGIN, 1.0]),
+                ),
+                st.integers(min_value=-3, max_value=3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        kw=st.sampled_from(_SCHEDULES),
+    )
+    def test_property_sequences_equal_the_formula(self, calls, kw):
+        ts = _oracle_schedule(kw)
+        for cpu, k, frac, elapsed, nudge, inflate_first in calls:
+            start = max(0.0, ts.phase(cpu) + (k + frac) * ts.period)
+            if inflate_first:
+                ts.inflate(cpu, start, elapsed + 1.0)
+            now = _ulps(start + elapsed, nudge)
+            run_work = 0.9 * elapsed + 1.0
+            assert ts.consumed_work(cpu, start, now, run_work) == (
+                _reference_consumed(ts, cpu, start, now, run_work)
+            )
