@@ -176,6 +176,14 @@ class KernelConfig:
             raise ValueError("global_queue_penalty must be in [0, 1]")
         if self.tick_period_us <= 0:
             raise ValueError("tick_period_us must be positive")
+        # A tick that costs its whole period leaves no CPU time between
+        # ticks: TickSchedule.inflate's fixed point would never converge.
+        cost, period = self.physical_tick_cost_us, self.physical_tick_period_us
+        if not 0.0 <= cost < period:
+            raise ValueError(
+                f"physical tick cost {cost} us must be >= 0 and below the "
+                f"physical tick period {period} us"
+            )
         # Canonicalise policy_params (dict or pair sequence) to a sorted
         # pair tuple, then validate name + params against the registry —
         # unknown policies/params must fail here, not deep inside a run.

@@ -193,6 +193,28 @@ class TestKernelConfigPresets:
         with pytest.raises(ValueError):
             KernelConfig(tick_period_us=0.0)
 
+    @pytest.mark.parametrize(
+        "kw, cost, period",
+        [
+            (dict(tick_period_us=1.0, tick_cost_us=18.0), 18.0, 1.0),
+            (dict(tick_period_us=18.0, tick_cost_us=18.0), 18.0, 18.0),
+            (dict(tick_cost_us=-1.0), -1.0, 10000.0),
+            # Big ticks: the physical cost adds big_tick_extra_cost_us.
+            (dict(tick_period_us=10.0, big_tick_multiplier=2, tick_cost_us=8.0,
+                  big_tick_extra_cost_us=12.0), 20.0, 20.0),
+        ],
+    )
+    def test_physical_tick_cost_must_fit_in_the_period(self, kw, cost, period):
+        with pytest.raises(ValueError) as err:
+            KernelConfig(**kw)
+        assert f"cost {cost} us" in str(err.value)
+        assert f"period {period} us" in str(err.value)
+
+    def test_physical_tick_cost_below_the_period_is_accepted(self):
+        cfg = KernelConfig(tick_period_us=1.0, tick_cost_us=0.999)
+        assert cfg.physical_tick_cost_us < cfg.physical_tick_period_us
+        assert KernelConfig(tick_cost_us=0.0).physical_tick_cost_us == 0.0
+
     def test_with_options_keeps_other_fields(self):
         base = KernelConfig(tick_cost_us=99.0)
         assert base.with_options(big_tick_multiplier=5).tick_cost_us == 99.0
