@@ -111,10 +111,10 @@ class InvariantMonitor:
         for node in self.system.cluster.nodes:
             sched = node.scheduler
             for q in [*sched.local_queues, sched.global_queue]:
-                for entry in q._heap:
-                    if not entry.live:
-                        continue
+                for _, _, entry in q._heap:
                     t = entry.thread
+                    if t is None:
+                        continue
                     loc = f"n{node.id}/{q.name}/{t.name}"
                     if id(t) in seen:
                         self._fail(

@@ -159,6 +159,8 @@ class NodeScheduler:
         #: IPIs suppressed by the stock one-in-flight rule (for tests/stats).
         self.ipis_suppressed = 0
         self.ipis_sent = 0
+        #: Charged at every dispatch; KernelConfig is frozen.
+        self._context_switch_us = config.context_switch_us
         self.policy.bind(self)
         # Bound-method aliases: the decision calls sit on the dispatch hot
         # path, and one attribute walk per call is the whole price of the
@@ -454,7 +456,7 @@ class NodeScheduler:
 
     def _find_idle_cpu(self) -> Optional[int]:
         for cpu in self.cpus:
-            if cpu.idle:
+            if cpu.thread is None:
                 return cpu.index
         return None
 
@@ -479,7 +481,7 @@ class NodeScheduler:
         cpu.last_switch = now
         thread.stats.dispatches += 1
         thread.stats.ready_wait_us += now - thread.stats.last_ready_at
-        thread.cs_due = self.config.context_switch_us
+        thread.cs_due = self._context_switch_us
         cpu.last_tid = thread.tid
 
         if thread.resume_advance:
