@@ -26,38 +26,54 @@ contribution), :mod:`repro.apps`, :mod:`repro.analytic`,
 :mod:`repro.experiments` (one runner per paper figure/table).
 """
 
-from repro.config import (
-    ClusterConfig,
-    CoschedConfig,
-    DaemonSpec,
-    KernelConfig,
-    MachineConfig,
-    MpiConfig,
-    NetworkConfig,
-    NoiseConfig,
-    PRIO_DAEMON_SYSTEM,
-    PRIO_IDLE,
-    PRIO_NORMAL,
-    PRIO_USER_TIMESHARED,
-)
-from repro.apps import (
-    AggregateTraceConfig,
-    Ale3dConfig,
-    BspConfig,
-    run_aggregate_trace,
-    run_ale3d,
-    run_bsp,
-)
-from repro.daemons import IoService, install_noise, standard_noise
-from repro.daemons.catalog import scale_noise
-from repro.machine import Cluster, Placement
-from repro.mpi import MpiApi, MpiJob, MpiWorld
-from repro.cosched import JobCoscheduler, PoePriorityFile
-from repro.analytic import AllreduceSeriesModel, fit_linear, fit_log
-from repro.system import System
-from repro.trace import TraceRecorder
+import importlib
 
 __version__ = "1.0.0"
+
+#: Where each quick-tour name is defined.  ``import repro`` loads none of
+#: these modules; the first access to a name imports its module (PEP 562),
+#: so ``import repro.units`` or the analytic path never pays for the DES.
+_EXPORTS = {
+    "repro.config": (
+        "ClusterConfig",
+        "CoschedConfig",
+        "DaemonSpec",
+        "KernelConfig",
+        "MachineConfig",
+        "MpiConfig",
+        "NetworkConfig",
+        "NoiseConfig",
+        "PRIO_DAEMON_SYSTEM",
+        "PRIO_IDLE",
+        "PRIO_NORMAL",
+        "PRIO_USER_TIMESHARED",
+    ),
+    "repro.apps.aggregate_trace": ("AggregateTraceConfig", "run_aggregate_trace"),
+    "repro.apps.ale3d": ("Ale3dConfig", "run_ale3d"),
+    "repro.apps.bsp": ("BspConfig", "run_bsp"),
+    "repro.daemons.catalog": ("scale_noise", "standard_noise"),
+    "repro.daemons.engine": ("install_noise",),
+    "repro.daemons.io": ("IoService",),
+    "repro.machine.cluster": ("Cluster", "Placement"),
+    "repro.mpi.world": ("MpiApi", "MpiJob", "MpiWorld"),
+    "repro.cosched.admin": ("PoePriorityFile",),
+    "repro.cosched.coscheduler": ("JobCoscheduler",),
+    "repro.analytic.model": ("AllreduceSeriesModel",),
+    "repro.analytic.fits": ("fit_linear", "fit_log"),
+    "repro.system": ("System",),
+    "repro.trace.recorder": ("TraceRecorder",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

@@ -11,25 +11,3 @@
   exchange + global reductions, bracketed by I/O phases that depend on
   the node I/O service (paper §5.1/§5.3).
 """
-
-from repro.apps.bsp import BspConfig, BspResult, run_bsp
-from repro.apps.aggregate_trace import (
-    AggregateTraceConfig,
-    AggregateTraceResult,
-    aggregate_trace_body,
-    run_aggregate_trace,
-)
-from repro.apps.ale3d import Ale3dConfig, Ale3dResult, run_ale3d
-
-__all__ = [
-    "BspConfig",
-    "BspResult",
-    "run_bsp",
-    "AggregateTraceConfig",
-    "AggregateTraceResult",
-    "aggregate_trace_body",
-    "run_aggregate_trace",
-    "Ale3dConfig",
-    "Ale3dResult",
-    "run_ale3d",
-]

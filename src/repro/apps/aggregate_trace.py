@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.kernel.thread import Compute
 from repro.mpi.world import MpiApi
+from repro.results import rank_digest
 from repro.system import System
 from repro.units import s, us
 
@@ -93,10 +94,6 @@ class AggregateTraceResult:
         """The rank-visible outcome's digest (:func:`repro.results.rank_digest`
         over node 0's ranks, rank 0 among them), equal to the sharded
         engine's for the same run."""
-        # Deferred: repro.results imports the experiments, which import
-        # this module.
-        from repro.results import rank_digest
-
         ranks = {str(r): d.tolist() for r, d in self.node0_durations_us.items()}
         return rank_digest(self.n_ranks, ranks, self.values_ok, self.elapsed_us)
 

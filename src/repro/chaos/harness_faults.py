@@ -46,7 +46,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.atomicio import atomic_write_bytes
 from repro.rng import StreamFactory
+from repro.store.records import encode_record
 
 __all__ = [
     "HarnessFault",
@@ -167,9 +169,6 @@ def inject_interrupted_gc(store, chaos_seed: int) -> str:
     after repair still serves every trial from the store.  Returns the
     bait fingerprint.
     """
-    from repro.store.records import encode_record
-    from repro.atomicio import atomic_write_bytes
-
     bait_key = f"chaos-gc-bait-s{int(chaos_seed)}"
     bait_fp = hashlib.sha256(bait_key.encode("utf-8")).hexdigest()
     store.put(bait_fp, bait_key, {"chaos": "gc-bait", "seed": int(chaos_seed)})

@@ -22,43 +22,3 @@ Public surface:
 * :mod:`repro.checkpoint.harness` — :class:`SweepJournal` and
   :func:`trial_watchdog` for crash-safe resumable experiment sweeps.
 """
-
-from repro.checkpoint.harness import SweepJournal, TrialFailure, TrialTimeout, trial_watchdog
-from repro.checkpoint.manager import (
-    CheckpointError,
-    CheckpointManager,
-    RestoreMismatch,
-    list_checkpoints,
-)
-from repro.checkpoint.monitor import InvariantError, InvariantMonitor, InvariantReport, Violation
-from repro.checkpoint.registry import (
-    audit_event_callbacks,
-    build_driver,
-    callback_ref,
-    get_builder,
-    register_builder,
-)
-from repro.checkpoint.snapshot import StateDescriber, capture_state, state_fingerprint
-
-__all__ = [
-    "CheckpointError",
-    "CheckpointManager",
-    "InvariantError",
-    "InvariantMonitor",
-    "InvariantReport",
-    "RestoreMismatch",
-    "StateDescriber",
-    "SweepJournal",
-    "TrialFailure",
-    "TrialTimeout",
-    "Violation",
-    "audit_event_callbacks",
-    "build_driver",
-    "callback_ref",
-    "capture_state",
-    "get_builder",
-    "list_checkpoints",
-    "register_builder",
-    "state_fingerprint",
-    "trial_watchdog",
-]

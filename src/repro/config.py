@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Literal, Optional, Sequence
 
+from repro.kernel.policy import validate_policy
 from repro.rng import Distribution, LogNormal
 from repro.units import ms, s, us
 
@@ -195,10 +196,6 @@ class KernelConfig:
                 f"got {self.policy_params!r}"
             ) from None
         object.__setattr__(self, "policy_params", items)
-        # Function-level import: repro.kernel.policy imports repro.kernel
-        # modules which import this module back.
-        from repro.kernel.policy import validate_policy
-
         validate_policy(self.policy, items)
 
     @property

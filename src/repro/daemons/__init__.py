@@ -16,20 +16,3 @@ disastrous for synchronising collectives at scale.
 * :mod:`repro.daemons.io` models the I/O service dependency that made
   naive co-scheduling *hurt* ALE3D (paper §5.3).
 """
-
-from repro.daemons.engine import DaemonHandle, install_noise
-from repro.daemons.catalog import (
-    cron_health_check,
-    interrupt_handlers,
-    standard_noise,
-)
-from repro.daemons.io import IoService
-
-__all__ = [
-    "install_noise",
-    "DaemonHandle",
-    "standard_noise",
-    "cron_health_check",
-    "interrupt_handlers",
-    "IoService",
-]

@@ -18,65 +18,3 @@ vectorised :mod:`repro.analytic` model; mechanism-level experiments
 discrete-event simulator at reduced scale, stating any time compression
 they apply.
 """
-
-from repro.experiments.runner import TrialOutcome, TrialRunner, TrialSpec
-from repro.experiments.common import (
-    PROTO16,
-    Scenario,
-    SweepResult,
-    VANILLA15,
-    VANILLA16,
-    allreduce_sweep,
-    allreduce_trial_specs,
-    make_config,
-)
-from repro.experiments.fig1 import Fig1Result, run_fig1
-from repro.experiments.fig4 import Fig4Result, run_fig4
-from repro.experiments.fig6 import Fig6Result, run_fig3, run_fig5, run_fig6, run_tpn15
-from repro.experiments.speedup import SpeedupResult, run_speedup154
-from repro.experiments.timer_threads import TimerThreadsResult, run_timer_threads
-from repro.experiments.ale3d_io import Ale3dIoResult, run_ale3d_io
-from repro.experiments.ablation import AblationResult, run_ablation
-from repro.experiments.resilience import ResilienceResult, run_resilience
-from repro.experiments.policyzoo import PolicyZooResult, run_policyzoo
-from repro.experiments.e14_meanfield import E14Result, run_e14
-from repro.experiments.pdes import PdesResult, run_pdes
-
-__all__ = [
-    "Scenario",
-    "SweepResult",
-    "TrialOutcome",
-    "TrialRunner",
-    "TrialSpec",
-    "allreduce_trial_specs",
-    "VANILLA16",
-    "VANILLA15",
-    "PROTO16",
-    "make_config",
-    "allreduce_sweep",
-    "Fig1Result",
-    "run_fig1",
-    "Fig4Result",
-    "run_fig4",
-    "Fig6Result",
-    "run_fig3",
-    "run_fig5",
-    "run_fig6",
-    "run_tpn15",
-    "SpeedupResult",
-    "run_speedup154",
-    "TimerThreadsResult",
-    "run_timer_threads",
-    "Ale3dIoResult",
-    "run_ale3d_io",
-    "AblationResult",
-    "run_ablation",
-    "ResilienceResult",
-    "run_resilience",
-    "PolicyZooResult",
-    "run_policyzoo",
-    "E14Result",
-    "run_e14",
-    "PdesResult",
-    "run_pdes",
-]

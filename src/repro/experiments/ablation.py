@@ -28,10 +28,12 @@ from repro.config import CoschedConfig, KernelConfig, MpiConfig
 from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.results import register_result
 
 __all__ = ["AblationResult", "run_ablation", "format_ablation"]
 
 
+@register_result
 @dataclass
 class AblationResult:
     n_ranks: int

@@ -26,6 +26,7 @@ from repro.config import CoschedConfig
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.reporting import text_table
+from repro.results import register_result
 from repro.system import System
 from repro.units import ms, s
 
@@ -36,6 +37,7 @@ __all__ = ["Ale3dIoResult", "run_ale3d_io", "format_ale3d_io"]
 IO_PRIORITY = 40
 
 
+@register_result
 @dataclass
 class Ale3dIoResult:
     vanilla_us: float

@@ -62,14 +62,19 @@ from typing import Any, Callable, Iterable
 
 from repro import chaos
 from repro.analytic.fits import compare_fits, fit_linear
+from repro.checkpoint.harness import SweepJournal
 from repro.experiments import (
     ablation, ale3d_io, e9_resume, e14_meanfield, extensions, fig1, fig4, fig6, pdes,
     policyzoo, resilience, speedup, timer_threads, validate, workloads,
 )
 from repro.experiments.common import SweepResult
-from repro.experiments.reporting import text_table
+from repro.experiments.reporting import text_table, write_csv
 from repro.experiments.runner import TrialRunner
 from repro.experiments.supervisor import SupervisorConfig
+from repro.kernel.policy import policy_names
+from repro.results import save_result
+from repro.store.cli import main as store_main
+from repro.store.store import ResultStore
 
 __all__ = ["Claim", "EXPERIMENTS", "GROUPS", "QUICK_SWEEP", "Experiment", "expand", "main"]
 
@@ -495,8 +500,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "store":
         # Store operations (fsck/gc/stats/chaos) live in their own CLI;
         # delegate so one entry point both fills and maintains the store.
-        from repro.store.cli import main as store_main
-
         return store_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -616,8 +619,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             parser.error(f"--{dest.replace('_', '-')} needs the {names} experiment")
     if args.policy:
-        from repro.kernel.policy import policy_names
-
         known = policy_names()
         for name in args.policy:
             if name not in known:
@@ -660,8 +661,6 @@ def main(argv: list[str] | None = None) -> int:
 
     journal = None
     if args.results:
-        from repro.checkpoint import SweepJournal
-
         journal = SweepJournal(args.results)
         if not args.resume:
             journal.clear()
@@ -674,8 +673,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     store = None
     if args.store:
-        from repro.store import ResultStore
-
         store = ResultStore(args.store)
     # The one execution policy every harness row runs its trials under.
     runner = TrialRunner(
@@ -722,16 +719,12 @@ def _run_selected(wanted, args, runner: TrialRunner) -> int:
         print(row.text(res))
         stem = row.stem or name
         if row.csv and args.csv:
-            from repro.experiments.reporting import write_csv
-
             headers, rows = row.csv
             os.makedirs(args.csv, exist_ok=True)
             path = os.path.join(args.csv, f"{stem}.csv")
             write_csv(path, headers, rows(res))
             print(f"[csv: {path}]")
         if row.json and args.results:
-            from repro.results import save_result
-
             for suffix, obj in row.json(res).items():
                 os.makedirs(args.results, exist_ok=True)
                 path = os.path.join(args.results, f"{stem}{suffix}.json")

@@ -35,6 +35,7 @@ from repro.config import (
 )
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.results import register_result
 from repro.units import s
 
 __all__ = [
@@ -145,6 +146,7 @@ def compressed_cosched_config(
     )
 
 
+@register_result
 @dataclass
 class SweepResult:
     """Allreduce latency vs processor count for one scenario."""

@@ -32,14 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_body
-from repro.checkpoint import (
-    CheckpointManager,
-    InvariantMonitor,
-    SweepJournal,
-    capture_state,
-    register_builder,
-    state_fingerprint,
-)
+from repro.checkpoint.harness import SweepJournal
+from repro.checkpoint.manager import CheckpointManager
+from repro.checkpoint.monitor import InvariantMonitor
+from repro.checkpoint.registry import register_builder
+from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.config import CheckpointPolicy, FaultConfig, NodeFaultSpec
 from repro.experiments.common import (
     PROTO16,
@@ -48,6 +45,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner
+from repro.results import register_result
 from repro.system import System
 from repro.trace.recorder import TraceRecorder
 from repro.units import s
@@ -132,6 +130,7 @@ def build_e9_driver(
     return E9Driver(n_ranks, tpn, loops, calls_per_loop, seed, crash)
 
 
+@register_result
 @dataclass
 class E9Result:
     """Outcome of the crash/restart round-trip and the journal resume."""

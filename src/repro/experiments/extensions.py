@@ -38,6 +38,7 @@ from repro.config import (
     MachineConfig,
     MpiConfig,
 )
+from repro.cosched.demand import DemandConfig, DemandCoscheduler
 from repro.cosched.gang import GangConfig, GangScheduler
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import (
@@ -49,6 +50,7 @@ from repro.experiments.common import (
 from repro.experiments.reporting import text_table
 from repro.machine import Cluster
 from repro.mpi.world import MpiJob, run_jobs
+from repro.results import register_result
 from repro.system import System
 from repro.units import ms, s
 
@@ -71,6 +73,7 @@ __all__ = [
 # ======================================================================
 # E1: multi-job — uncoordinated timesharing vs gang scheduling
 # ======================================================================
+@register_result
 @dataclass
 class MultijobResult:
     """Three coordination regimes over the same co-located job pair:
@@ -105,8 +108,6 @@ class MultijobResult:
 def _run_pair(cluster: Cluster, n_ranks: int, tpn: int, calls: int, mode: str, slot_us: float):
     """Launch two identical Allreduce jobs sharing the same CPUs under the
     given coordination regime ('none' | 'demand' | 'gang')."""
-    from repro.cosched.demand import DemandConfig, DemandCoscheduler
-
     sinks = []
     jobs = []
     placement = cluster.place(n_ranks, tpn)
@@ -189,6 +190,7 @@ def format_multijob(res: MultijobResult) -> str:
 # ======================================================================
 # E2: hardware-assisted collectives (paper §7)
 # ======================================================================
+@register_result
 @dataclass
 class HwCollectivesResult:
     proc_counts: np.ndarray
@@ -238,6 +240,7 @@ def format_hw_collectives(res: HwCollectivesResult) -> str:
 # ======================================================================
 # E3: fine-grain region hints (paper §7)
 # ======================================================================
+@register_result
 @dataclass
 class FineGrainResult:
     vanilla_us: float
@@ -318,6 +321,7 @@ def format_fine_grain(res: FineGrainResult) -> str:
 # ======================================================================
 # E4: clock misalignment (why the switch clock + NTP-off matter)
 # ======================================================================
+@register_result
 @dataclass
 class MisalignmentResult:
     synced_us: float

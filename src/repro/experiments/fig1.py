@@ -20,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.reporting import text_table
+from repro.results import register_result
 from repro.units import ms, s
 
 __all__ = ["Fig1Result", "run_fig1", "format_fig1"]
 
 
+@register_result
 @dataclass
 class Fig1Result:
     n_cpus: int

@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.analytic.model import AllreduceSeriesModel
 from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
-from repro.daemons.catalog import scale_noise, standard_noise
+from repro.config import MpiConfig, NoiseConfig
+from repro.daemons.catalog import cron_health_check, scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.experiments.reporting import text_table
 from repro.system import System
@@ -89,8 +90,6 @@ def run_fig4(
     sorted_durs = np.sort(series.durations_us)
 
     # Zero-noise model prediction (the paper's ~350 µs yardstick).
-    from repro.config import MpiConfig, NoiseConfig
-
     quiet = cfg.replace(noise=NoiseConfig(), mpi=MpiConfig.with_long_polling())
     qmodel = AllreduceSeriesModel(quiet, n_ranks, 16, seed=seed)
     prediction = qmodel.run_series(32, compute_between_us=0.0).median_us
@@ -100,8 +99,6 @@ def run_fig4(
         standard_noise(include_cron=False), des_time_compression
     )
     # Pin one cron hit mid-run (its true period exceeds the DES window).
-    from repro.daemons.catalog import cron_health_check
-
     # The cron's service is compressed less than its period so it remains
     # the dominant outlier, as on the real machine (620 ms against ms-scale
     # daemons; here 120 ms against the compressed ecology's ~10 ms tails).

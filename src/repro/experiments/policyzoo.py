@@ -41,6 +41,7 @@ from repro.experiments.common import compressed_cosched_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
 from repro.kernel.policy import policy_names, validate_policy
+from repro.results import register_result
 from repro.system import System
 
 __all__ = ["PolicyZooResult", "run_policyzoo", "format_policyzoo"]
@@ -95,6 +96,7 @@ def _policy_trial(params: dict) -> dict:
     }
 
 
+@register_result
 @dataclass
 class PolicyZooResult:
     """The ablation grid: per-policy rows over the size columns."""

@@ -33,6 +33,7 @@ from repro.config import CoschedFaultSpec, FaultConfig
 from repro.experiments.common import compressed_cosched_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.results import register_result
 from repro.system import System
 from repro.units import ms, s
 
@@ -42,6 +43,7 @@ __all__ = ["ResilienceResult", "run_resilience", "format_resilience"]
 DROP_PROB = 0.01
 
 
+@register_result
 @dataclass
 class ResilienceResult:
     """Mean Allreduce latency per scenario plus resilience counters."""

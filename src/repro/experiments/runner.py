@@ -60,6 +60,7 @@ from repro.checkpoint.harness import (
     TrialTimeout,
     trial_watchdog,
 )
+from repro.store.fingerprint import spec_fingerprint
 
 __all__ = [
     "TrialSpec",
@@ -248,12 +249,9 @@ class TrialRunner:
         # is probed *after* the journal (same-campaign resume wins) and
         # serves verified records as cached outcomes, materialised into
         # the journal so warm and cold runs leave byte-identical
-        # journals.  Lazy import: repro.store pulls in repro.results,
-        # which this module must not import at module scope.
+        # journals.
         fingerprints: dict[str, str] = {}
         if self.store is not None:
-            from repro.store.fingerprint import spec_fingerprint
-
             fingerprints = {spec.key: spec_fingerprint(spec) for spec in specs}
 
         outcomes: dict[str, TrialOutcome] = {}
@@ -320,6 +318,7 @@ class TrialRunner:
     def _run_supervised(
         self, pending: list[TrialSpec], on_complete: Callable[[TrialOutcome], None]
     ) -> None:
+        # Deferred: repro.experiments.supervisor imports this module.
         from repro.experiments.supervisor import Supervisor
 
         sup = Supervisor(

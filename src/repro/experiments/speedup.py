@@ -20,10 +20,12 @@ import numpy as np
 from repro.experiments.common import PROTO16, VANILLA15
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.results import register_result
 
 __all__ = ["SpeedupResult", "run_speedup154", "format_speedup"]
 
 
+@register_result
 @dataclass
 class SpeedupResult:
     n_nodes: int

@@ -184,6 +184,8 @@ class SupervisorStats:
 def _chaos_injection(chaos_seed, key: str, attempt: int):
     if chaos_seed is None:
         return None
+    # Deferred: the repro.chaos package loads the whole DES, which a
+    # supervised campaign without harness chaos never needs.
     from repro.chaos.harness_faults import injection_for
 
     return injection_for(chaos_seed, key, attempt)

@@ -28,12 +28,14 @@ from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.config import MpiConfig, NoiseConfig
 from repro.experiments.common import VANILLA16, make_config
 from repro.experiments.reporting import text_table
+from repro.results import register_result
 from repro.system import System
 from repro.units import ms, s
 
 __all__ = ["TimerThreadsResult", "run_timer_threads", "format_timer_threads"]
 
 
+@register_result
 @dataclass
 class TimerThreadsResult:
     # DES (small scale, timer period compressed so hits land in-window).

@@ -15,11 +15,13 @@ import numpy as np
 
 from repro.analytic.fits import compare_fits
 from repro.analytic.model import AllreduceSeriesModel
-from repro.config import KernelConfig, MpiConfig, NoiseConfig
+from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
+from repro.config import ClusterConfig, KernelConfig, MachineConfig, MpiConfig, NoiseConfig
 from repro.daemons.catalog import standard_noise
 from repro.experiments.common import PROTO16, VANILLA16, allreduce_sweep, make_config
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import TrialRunner, TrialSpec
+from repro.system import System
 
 __all__ = ["ValidationCheck", "run_validation", "format_validation"]
 
@@ -115,10 +117,6 @@ def _check_prototype_factor(runner: Optional[TrialRunner] = None) -> ValidationC
 
 def _check_des_model_agreement(_runner: Optional[TrialRunner] = None) -> ValidationCheck:
     """Anchor 5: DES and vectorised model agree on a quiet base case."""
-    from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
-    from repro.config import ClusterConfig, MachineConfig
-    from repro.system import System
-
     cfg = ClusterConfig(
         machine=MachineConfig(n_nodes=2, cpus_per_node=8),
         mpi=MpiConfig(progress_threads_enabled=False),

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.analytic.model import AllreduceSeriesModel
 from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.apps.sweep import SweepConfig, run_sweep
 from repro.config import (
@@ -29,7 +30,9 @@ from repro.config import (
     NoiseConfig,
 )
 from repro.daemons.catalog import scale_noise, standard_noise
+from repro.experiments.common import PROTO16, VANILLA16, make_config
 from repro.experiments.reporting import text_table
+from repro.results import register_result
 from repro.system import System
 from repro.units import s
 
@@ -59,6 +62,7 @@ __all__ = [
 # ======================================================================
 # E5: MP_WAIT_MODE poll vs block
 # ======================================================================
+@register_result
 @dataclass
 class WaitModeResult:
     quiet_poll_us: float
@@ -131,6 +135,7 @@ def format_waitmode(res: WaitModeResult) -> str:
 # ======================================================================
 # E6: workload noise sensitivity
 # ======================================================================
+@register_result
 @dataclass
 class SensitivityResult:
     collective_quiet_us: float
@@ -201,10 +206,6 @@ def run_granularity(
 ) -> GranularityResult:
     """Model one Allreduce per cycle of varying compute length; efficiency
     is ideal cycle time over measured cycle time."""
-    from repro.analytic.model import AllreduceSeriesModel
-    from repro.config import NoiseConfig
-    from repro.experiments.common import PROTO16, VANILLA16, make_config
-
     # Zero-noise baseline for the ideal collective cost.
     quiet = make_config(VANILLA16, n_ranks, seed=seed).replace(
         noise=NoiseConfig(), mpi=MpiConfig.with_long_polling()

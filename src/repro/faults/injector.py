@@ -30,6 +30,7 @@ from typing import Optional
 
 from repro.config import CoschedFaultSpec, FaultConfig, NodeFaultSpec
 from repro.cosched.timesync import TimesyncMonitor
+from repro.faults.watchdog import CoschedWatchdog
 from repro.kernel.thread import ThreadState
 from repro.trace.recorder import FaultEvent
 
@@ -231,8 +232,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def attach_job(self, job, job_cosched=None) -> None:
         """Install resilience for *job* (and its co-scheduler, if any)."""
-        from repro.faults.watchdog import CoschedWatchdog
-
         cfg = self.config
         job.world.install_reliability(cfg)
         if job_cosched is None:

@@ -19,38 +19,3 @@ Threads are Python generators yielding syscall request objects
 actually holds a CPU, which is what makes the paper's cascade effect
 emergent rather than assumed.
 """
-
-from repro.kernel.thread import (
-    Block,
-    Compute,
-    SetPriority,
-    Sleep,
-    SleepUntil,
-    SpinWait,
-    Thread,
-    ThreadState,
-    YieldCpu,
-)
-from repro.kernel.ticks import TickSchedule
-from repro.kernel.policy import SchedPolicy, make_policy, policy_names, register_policy
-from repro.kernel.runqueue import RunQueue
-from repro.kernel.scheduler import NodeScheduler
-
-__all__ = [
-    "SchedPolicy",
-    "make_policy",
-    "policy_names",
-    "register_policy",
-    "Thread",
-    "ThreadState",
-    "Compute",
-    "Sleep",
-    "SleepUntil",
-    "Block",
-    "SpinWait",
-    "YieldCpu",
-    "SetPriority",
-    "TickSchedule",
-    "RunQueue",
-    "NodeScheduler",
-]

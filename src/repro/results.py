@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 from typing import Any, Type
 
@@ -34,6 +35,16 @@ __all__ = [
 
 #: name -> dataclass for reconstruction.
 REGISTRY: dict[str, Type] = {}
+
+#: The modules whose result classes register themselves (with
+#: :func:`register_result`) on import.
+_RESULT_MODULES = tuple(
+    f"repro.experiments.{name}"
+    for name in (
+        "ablation", "ale3d_io", "common", "e14_meanfield", "e9_resume", "extensions", "fig1",
+        "pdes", "policyzoo", "resilience", "speedup", "timer_threads", "workloads",
+    )
+)
 
 
 def register_result(cls: Type) -> Type:
@@ -157,46 +168,12 @@ def save_result(path, result: Any) -> None:
 
 
 def load_result(path) -> Any:
-    """Load a result written by :func:`save_result`."""
+    """Load a result written by :func:`save_result`.
+
+    Imports the modules of ``_RESULT_MODULES`` first, so every shipped
+    result type is registered whatever the caller has imported.
+    """
+    for module in _RESULT_MODULES:
+        importlib.import_module(module)
     with open(path, "r", encoding="utf-8") as fh:
         return _from_jsonable(json.load(fh))
-
-
-def _register_builtin_results() -> None:
-    """Register the experiment result types shipped with the package."""
-    from repro.experiments.ablation import AblationResult
-    from repro.experiments.ale3d_io import Ale3dIoResult
-    from repro.experiments.common import SweepResult
-    from repro.experiments.extensions import (
-        FineGrainResult,
-        HwCollectivesResult,
-        MisalignmentResult,
-        MultijobResult,
-    )
-    from repro.experiments.e9_resume import E9Result
-    from repro.experiments.fig1 import Fig1Result
-    from repro.experiments.resilience import ResilienceResult
-    from repro.experiments.speedup import SpeedupResult
-    from repro.experiments.timer_threads import TimerThreadsResult
-    from repro.experiments.workloads import SensitivityResult, WaitModeResult
-
-    for cls in (
-        SweepResult,
-        Fig1Result,
-        SpeedupResult,
-        TimerThreadsResult,
-        Ale3dIoResult,
-        AblationResult,
-        MultijobResult,
-        HwCollectivesResult,
-        FineGrainResult,
-        MisalignmentResult,
-        WaitModeResult,
-        SensitivityResult,
-        ResilienceResult,
-        E9Result,
-    ):
-        register_result(cls)
-
-
-_register_builtin_results()

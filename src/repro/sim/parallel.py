@@ -96,7 +96,9 @@ from typing import Callable, Optional
 
 from repro.config import ClusterConfig
 from repro.kernel.thread import ThreadState
+from repro.results import rank_digest
 from repro.sim.shard import ShardPlan, ShardRouter
+from repro.system import System
 from repro.units import s
 
 __all__ = [
@@ -220,8 +222,6 @@ class ShardHost:
     """
 
     def __init__(self, spec: ShardSpec) -> None:
-        from repro.system import System  # deferred: System imports this package
-
         validate_sharded_config(spec.config, spec.plan.n_shards)
         self.spec = spec
         self.app = _resolve_app(spec.app, spec.app_params)
@@ -511,10 +511,6 @@ class ParallelRunResult:
     def digest(self) -> str:
         """The rank-visible outcome's digest (:func:`repro.results.rank_digest`),
         the one a serial run of the same app reports too."""
-        # Deferred: repro.results imports the experiments, which import
-        # the apps, which import the system.
-        from repro.results import rank_digest
-
         return rank_digest(self.n_ranks, self.ranks, self.ok, self.elapsed_us)
 
 

@@ -166,6 +166,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    # Deferred: the repro.chaos package loads the whole DES, which no
+    # other store command needs.
     from repro.chaos.harness_faults import (
         inject_interrupted_gc,
         inject_store_fault,

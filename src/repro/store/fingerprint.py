@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 
+from repro import __version__
 from repro.results import canonical_dumps, to_jsonable
 
 __all__ = ["code_version", "spec_fingerprint", "fingerprint_payload"]
@@ -43,9 +44,7 @@ def code_version() -> str:
     env = os.environ.get(VERSION_ENV_VAR, "").strip()
     if env:
         return env
-    import repro
-
-    return repro.__version__
+    return __version__
 
 
 def _callable_fallback(value):

@@ -7,15 +7,9 @@ import pickle
 import pytest
 
 from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_body
-from repro.checkpoint import (
-    CheckpointManager,
-    RestoreMismatch,
-    audit_event_callbacks,
-    capture_state,
-    list_checkpoints,
-    register_builder,
-    state_fingerprint,
-)
+from repro.checkpoint.manager import CheckpointManager, RestoreMismatch, list_checkpoints
+from repro.checkpoint.registry import audit_event_callbacks, register_builder
+from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.config import (
     CheckpointPolicy,
     ClusterConfig,

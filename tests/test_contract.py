@@ -30,12 +30,13 @@ import pytest
 from repro.analytic.model import AllreduceSeriesModel
 from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
 from repro.chaos.harness_faults import plan_for
-from repro.checkpoint import SweepJournal
+from repro.checkpoint.harness import SweepJournal
 from repro.config import ClusterConfig, CoschedConfig, KernelConfig, MachineConfig, MpiConfig
 from repro.daemons.catalog import scale_noise, standard_noise
-from repro.experiments import run_fig4, run_fig6
 from repro.experiments.cli import QUICK_SWEEP, main as cli_main
 from repro.experiments.common import PROTO16, VANILLA16, make_config
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig6 import run_fig6
 from repro.experiments.runner import TrialRunner
 from repro.results import save_result
 from repro.system import System

@@ -3,26 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.experiments import (
+from repro.experiments.ablation import format_ablation, run_ablation
+from repro.experiments.common import (
+    PAPER_PROC_COUNTS,
     PROTO16,
     VANILLA15,
     VANILLA16,
     allreduce_sweep,
     make_config,
-    run_ablation,
-    run_fig1,
-    run_speedup154,
 )
-from repro.experiments.ablation import format_ablation
-from repro.experiments.common import PAPER_PROC_COUNTS
-from repro.experiments.fig1 import format_fig1
+from repro.experiments.fig1 import format_fig1, run_fig1
 from repro.experiments.fig6 import (
     format_fig6,
     format_sweep,
     run_fig6,
 )
 from repro.experiments.reporting import text_table, write_csv
-from repro.experiments.speedup import format_speedup
+from repro.experiments.speedup import format_speedup, run_speedup154
 
 QUICK = dict(proc_counts=(128, 512, 944), n_calls=80, n_seeds=2)
 

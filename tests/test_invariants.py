@@ -8,12 +8,8 @@ runs.
 
 import pytest
 
-from repro.checkpoint import (
-    InvariantError,
-    InvariantMonitor,
-    capture_state,
-    state_fingerprint,
-)
+from repro.checkpoint.monitor import InvariantError, InvariantMonitor
+from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.config import NetworkConfig
 from repro.mpi.messages import Message, ReliableTransport
 from repro.net.fabric import Fabric

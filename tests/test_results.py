@@ -1,12 +1,20 @@
 """Result serialisation round-trips."""
 
 import dataclasses
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.experiments.common import SweepResult, VANILLA16, allreduce_sweep
+from repro.experiments.e14_meanfield import E14Result
+from repro.experiments.e9_resume import E9Result
 from repro.experiments.fig1 import run_fig1
+from repro.experiments.pdes import PdesResult
+from repro.experiments.policyzoo import PolicyZooResult
+from repro.experiments.resilience import ResilienceResult
 from repro.results import REGISTRY, load_result, register_result, save_result, to_jsonable
 
 
@@ -66,9 +74,40 @@ class TestRoundTrip:
         with pytest.raises(KeyError):
             load_result(p)
 
-    def test_builtin_registry_populated(self):
+    def test_builtin_registry_populated(self, tmp_path):
+        p = tmp_path / "fig1.json"
+        save_result(p, run_fig1(bursts_per_cpu=50))
+        load_result(p)  # the first load registers every shipped type
         for name in ("SweepResult", "Fig1Result", "SpeedupResult", "AblationResult"):
             assert name in REGISTRY
+
+
+class TestLoadInFreshInterpreter:
+    """``load_result`` knows the shipped types whatever the caller imported."""
+
+    @staticmethod
+    def _loaded_type_names(paths) -> list:
+        code = ("import json, sys\nfrom repro.results import load_result\n"
+                "print(json.dumps([type(load_result(p)).__name__ for p in sys.argv[1:]]))")
+        out = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
+                             check=True, capture_output=True, text=True).stdout
+        return json.loads(out)
+
+    def test_policy_results_round_trip(self, tmp_path):
+        subprocess.run([sys.executable, "-m", "repro.experiments.cli", "policy", "--quick",
+                        "--results", str(tmp_path)], check=True, capture_output=True)
+        assert self._loaded_type_names([tmp_path / "policyzoo.json"]) == ["PolicyZooResult"]
+
+    def test_every_cli_json_type_resolves(self, tmp_path):
+        classes = (SweepResult, ResilienceResult, E9Result, PolicyZooResult, E14Result,
+                   PdesResult)
+        paths = []
+        for cls in classes:
+            path = tmp_path / f"{cls.__name__}.json"
+            fields = {f.name: None for f in dataclasses.fields(cls)}
+            path.write_text(json.dumps({"type": cls.__name__, "fields": fields}))
+            paths.append(path)
+        assert self._loaded_type_names(paths) == [cls.__name__ for cls in classes]
 
 
 class TestValidation:
