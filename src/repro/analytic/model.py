@@ -137,12 +137,7 @@ class AllreduceSeriesModel:
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def run_series(
-        self,
-        n_calls: int,
-        compute_between_us: float = 0.0,
-        t_start: float = 0.0,
-    ) -> SeriesResult:
+    def run_series(self, n_calls: int, compute_between_us: float = 0.0) -> SeriesResult:
         """Model *n_calls* back-to-back Allreduce calls; returns durations.
 
         Without co-scheduling this is a single run.  With it, a run of a
@@ -162,7 +157,7 @@ class AllreduceSeriesModel:
             raise ValueError(f"need at least 1 call, got {n_calls}")
         if not self.noise.cosched_on:
             return SeriesResult(
-                self._run_block(n_calls, compute_between_us, t_start, favored=False),
+                self._run_block(n_calls, compute_between_us, favored=False),
                 self.n,
                 self.tpn,
             )
@@ -170,8 +165,8 @@ class AllreduceSeriesModel:
         n_unf = int(round(n_calls * (1.0 - duty)))
         if n_calls >= 2:
             n_unf = min(max(1, n_unf), n_calls - 1)
-        d_fav = self._run_block(n_calls - n_unf, compute_between_us, t_start, favored=True)
-        d_unf = self._run_block(n_unf, compute_between_us, t_start, favored=False)
+        d_fav = self._run_block(n_calls - n_unf, compute_between_us, favored=True)
+        d_unf = self._run_block(n_unf, compute_between_us, favored=False)
         durations = np.concatenate([d_fav, d_unf])
         # Amortised flip stall: once per period the whole job pays the
         # slowest rank's deferred-daemon backlog plus the flip-noticing
@@ -182,11 +177,7 @@ class AllreduceSeriesModel:
         return SeriesResult(durations, self.n, self.tpn)
 
     def _run_block(
-        self,
-        n_calls: int,
-        compute_between_us: float,
-        t_start: float,
-        favored: bool,
+        self, n_calls: int, compute_between_us: float, favored: bool
     ) -> np.ndarray:
         """*n_calls* calls all inside the favored window or all outside it.
 
@@ -199,7 +190,7 @@ class AllreduceSeriesModel:
         o, r = self.o, self.r
         noise = self.noise
         sample = noise.sample_round
-        ready = np.full(n, float(t_start))
+        ready = np.zeros(n)
         start = np.empty(n)
         durations = np.empty(n_calls)
         # Exposure estimate per round: overheads + a wire hop (the noise

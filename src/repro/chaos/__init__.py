@@ -12,52 +12,3 @@ the regression corpus (``tests/chaos_corpus/``) via
 at the execution substrate itself: deterministic worker-kill plans for
 the supervised trial backend (``--harness-chaos``).
 """
-
-from repro.chaos.campaign import (
-    ChaosCampaignResult,
-    chaos_workload,
-    format_chaos,
-    load_corpus_entry,
-    replay_corpus_entry,
-    run_chaos,
-    save_corpus_entry,
-)
-from repro.chaos.generator import estimated_span_us, generate_schedule
-from repro.chaos.oracles import (
-    ORACLES,
-    ChaosRunResult,
-    OracleReport,
-    judge,
-    liveness_bound_us,
-    run_schedule,
-)
-from repro.chaos.harness_faults import HarnessFault, injection_for, plan_for
-from repro.chaos.schedule import ENTRY_KINDS, ChaosSchedule, ChaosWorkload
-from repro.chaos.shrink import ShrinkResult, ddmin, shrink_schedule
-
-__all__ = [
-    "ENTRY_KINDS",
-    "ORACLES",
-    "ChaosCampaignResult",
-    "ChaosRunResult",
-    "ChaosSchedule",
-    "ChaosWorkload",
-    "HarnessFault",
-    "OracleReport",
-    "ShrinkResult",
-    "chaos_workload",
-    "ddmin",
-    "estimated_span_us",
-    "format_chaos",
-    "generate_schedule",
-    "injection_for",
-    "judge",
-    "liveness_bound_us",
-    "load_corpus_entry",
-    "plan_for",
-    "replay_corpus_entry",
-    "run_chaos",
-    "run_schedule",
-    "save_corpus_entry",
-    "shrink_schedule",
-]

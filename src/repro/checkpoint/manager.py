@@ -2,7 +2,7 @@
 
 A checkpoint file is a pickled dict::
 
-    {"version": 1, "builder": <registry name>, "args": {...},
+    {"version": 1, "builder": "pkg.mod:fn", "args": {...},
      "sim_now": float, "events_processed": int,
      "fingerprint": sha256-hex, "state": <canonical state dict>}
 
@@ -10,8 +10,9 @@ No wall-clock timestamps or machine identifiers go into the payload —
 two checkpoints of the same run at the same position are byte-comparable.
 
 Restore does **not** unpickle live simulation objects (suspended
-generators can't be pickled): it rebuilds the run from the registered
-builder and replays the deterministic event calendar up to the saved
+generators can't be pickled): it imports the builder its ``"pkg.mod:fn"``
+reference names, so a fresh interpreter restores any checkpoint, rebuilds
+the run and replays the deterministic event calendar up to the saved
 position, then verifies that the replayed state's fingerprint matches
 the stored one bit-for-bit.  A mismatch — a code change, a non-replayed
 source of randomness, a wall-clock dependency — raises
@@ -31,9 +32,9 @@ from typing import Optional
 
 from repro.atomicio import atomic_write
 from repro.checkpoint.monitor import InvariantError, InvariantMonitor
-from repro.checkpoint.registry import build_driver
 from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.config import CheckpointPolicy
+from repro.experiments.runner import resolve_trial_fn
 
 __all__ = ["CheckpointError", "RestoreMismatch", "CheckpointManager", "list_checkpoints"]
 
@@ -93,13 +94,13 @@ class CheckpointManager:
     Parameters
     ----------
     driver:
-        The run driver (must expose ``.system``); what the registered
-        builder returns.
+        The run driver (must expose ``.system``); what *builder* returns.
     builder, args:
-        Registry name and picklable kwargs that rebuild *driver* — the
-        replay recipe stored in every checkpoint file.
+        ``"pkg.mod:fn"`` reference to a module-level builder and the
+        picklable kwargs that rebuild *driver* with it — the replay
+        recipe stored in every checkpoint file.
     policy:
-        Cadence, retention and sanitizer knobs.
+        Cadence and retention.
     out_dir:
         Directory for checkpoint files (created if needed).
     """
@@ -120,8 +121,6 @@ class CheckpointManager:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
         self.monitor = InvariantMonitor(driver.system)
-        if policy.sanitize:
-            self.monitor.install_sanitizer()
         self._last_sim = driver.system.sim.now
 
     @property
@@ -212,7 +211,7 @@ class CheckpointManager:
                 f"{path}: format version {payload.get('version')!r}, "
                 f"expected {FORMAT_VERSION}"
             )
-        driver = build_driver(payload["builder"], payload["args"])
+        driver = resolve_trial_fn(payload["builder"])(**payload["args"])
         sim = driver.system.sim
         sim.run_until(payload["sim_now"])
         if sim.events_processed != payload["events_processed"]:

@@ -1,56 +1,16 @@
-"""Builder registry: names that survive a checkpoint file.
+"""Names that survive a checkpoint file.
 
 A checkpoint cannot pickle live closures or suspended generators, so it
-stores *names*: the registered builder that constructs the run, and a
-stable reference for every scheduled callback (used in fingerprints and
-divergence reports).  Builders take only picklable keyword arguments and
-return a driver object exposing at least ``.system`` (a
-:class:`repro.system.System`).
+stores *names*: the run's builder as a ``"pkg.mod:fn"`` reference (the
+form :class:`repro.experiments.runner.TrialSpec` uses for trial
+functions), and a stable reference for every scheduled callback (used in
+fingerprints and divergence reports).  This module names the callbacks
+and finds the ones a rebuild could not recreate.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-__all__ = [
-    "BUILDERS",
-    "register_builder",
-    "get_builder",
-    "build_driver",
-    "callback_ref",
-    "audit_event_callbacks",
-]
-
-#: name -> builder callable (kwargs -> driver with a ``.system``).
-BUILDERS: dict[str, Callable] = {}
-
-
-def register_builder(name: str) -> Callable:
-    """Decorator: register *fn* as the builder for checkpoint files named
-    *name*.  Re-registering a name overwrites (tests rely on this)."""
-
-    def deco(fn: Callable) -> Callable:
-        BUILDERS[name] = fn
-        return fn
-
-    return deco
-
-
-def get_builder(name: str) -> Callable:
-    """The builder registered under *name*; KeyError with guidance if absent."""
-    try:
-        return BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"no checkpoint builder registered under {name!r}; import the "
-            f"module that defines it before restoring (known: "
-            f"{sorted(BUILDERS) or 'none'})"
-        ) from None
-
-
-def build_driver(name: str, args: dict):
-    """Instantiate the driver for builder *name* with saved *args*."""
-    return get_builder(name)(**args)
+__all__ = ["callback_ref", "audit_event_callbacks"]
 
 
 def callback_ref(fn) -> str:

@@ -424,8 +424,6 @@ class DaemonSpec:
     pagefault_prob: float = 0.0
     pagefault_cost_us: float = 0.0
     deferrable: bool = True
-    #: Marks daemons whose progress the application's I/O depends on.
-    io_critical: bool = False
 
     def __post_init__(self) -> None:
         if self.period_us <= 0:
@@ -466,15 +464,6 @@ class NoiseConfig:
             if d.name == name:
                 return d
         raise KeyError(name)
-
-    def without(self, *names: str) -> "NoiseConfig":
-        """Copy with the named daemons removed (for ablations)."""
-        missing = set(names) - {d.name for d in self.daemons}
-        if missing:
-            raise KeyError(f"no such daemons: {sorted(missing)}")
-        return replace(
-            self, daemons=tuple(d for d in self.daemons if d.name not in names)
-        )
 
 
 @dataclass(frozen=True)
@@ -646,36 +635,34 @@ class FaultConfig:
 class CheckpointPolicy:
     """Checkpoint/restart policy for long simulation runs.
 
-    With ``enabled=False`` (the default) nothing is installed: no manager,
-    no invariant walks, no extra events — runs stay bit-identical to a
-    config without this section (the same zero-overhead invariant the
-    fault layer holds).  Cadence is simulated time (``interval_sim_us``).
-    Snapshots are written atomically (temp file + ``os.replace``) and
-    pruned to the newest ``keep_last``.
+    Without ``interval_sim_us`` (the default) checkpointing is off:
+    nothing is written, no invariant walks, no extra events — runs stay
+    bit-identical to a config without this section (the same
+    zero-overhead invariant the fault layer holds).  Cadence is simulated
+    time.  Snapshots are written atomically (temp file + ``os.replace``)
+    and pruned to the newest ``keep_last``.
 
     The full invariant suite runs before each snapshot is written, and a
     restore replays the run to the snapshot time and refuses to continue
-    unless the state fingerprint matches bit-for-bit.  ``sanitize``
-    enables the per-event invariant sanitizer
-    (:class:`repro.checkpoint.monitor.InvariantMonitor` installed on
-    ``Simulator.on_event``) — expensive, for debugging.
+    unless the state fingerprint matches bit-for-bit.  The per-event
+    sanitizer is :meth:`repro.checkpoint.monitor.InvariantMonitor.install_sanitizer`.
     """
 
-    enabled: bool = False
-    #: Checkpoint every N simulated microseconds (required when enabled).
+    #: Checkpoint every N simulated microseconds (None: checkpointing off).
     interval_sim_us: Optional[float] = None
     #: Number of most-recent snapshots retained on disk.
     keep_last: int = 2
-    #: Per-event sanitizer mode (orders of magnitude slower; debugging).
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.interval_sim_us is not None and self.interval_sim_us <= 0:
             raise ValueError("interval_sim_us must be positive when set")
         if self.keep_last < 1:
             raise ValueError("keep_last must be >= 1")
-        if self.enabled and self.interval_sim_us is None:
-            raise ValueError("enabled checkpointing needs interval_sim_us")
+
+    @property
+    def enabled(self) -> bool:
+        """Is checkpointing on (an interval is set)?"""
+        return self.interval_sim_us is not None
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ overlapped interference.
 * :mod:`repro.cosched.admin` — the ``/etc/poe.priority`` administrative
   file: root-writable records of (class, user, priorities, schedule), with
   the ``MP_PRIORITY`` matching semantics;
-* :mod:`repro.cosched.timesync` — switch-clock synchronisation of node
-  time-of-day clocks;
+* :mod:`repro.cosched.timesync` — the switch-clock register health probe
+  (the startup clock slew itself runs in the cluster constructor);
 * :mod:`repro.cosched.coscheduler` — the per-node daemon, the pmd
   control-pipe registration protocol, and the attach/detach escape API
   applications use around I/O phases.
@@ -21,12 +21,10 @@ overlapped interference.
 
 from repro.cosched.admin import PoePriorityFile, PriorityRecord
 from repro.cosched.coscheduler import JobCoscheduler, NodeCoscheduler
-from repro.cosched.timesync import synchronize_node_clock
 
 __all__ = [
     "PoePriorityFile",
     "PriorityRecord",
     "NodeCoscheduler",
     "JobCoscheduler",
-    "synchronize_node_clock",
 ]

@@ -7,17 +7,16 @@ and the switch clock match."  After startup, all nodes agree to within the
 register read error, and the co-scheduler windows — computed independently
 per node from local clock second boundaries — coincide cluster-wide.
 
-The cluster constructor applies this at boot when the co-scheduler is
-configured with ``sync_clock``; this module provides the same operation as
-a standalone, testable function (and documents the NTP caveat: "naturally,
-NTP must be turned off, since it is also trying to adjust the AIX clock").
+The cluster constructor applies this slew at boot when the co-scheduler
+is configured with ``sync_clock`` (:class:`repro.machine.cluster.Cluster`);
+this module holds the register health probe the running daemon polls.
 """
 
 from __future__ import annotations
 
 from repro.net.switch import SwitchClock
 
-__all__ = ["synchronize_node_clock", "TimesyncMonitor"]
+__all__ = ["TimesyncMonitor"]
 
 
 class TimesyncMonitor:
@@ -40,27 +39,3 @@ class TimesyncMonitor:
         self.checks += 1
         return not self.switch.failed
 
-
-def synchronize_node_clock(
-    switch: SwitchClock,
-    raw_offset_us: float,
-    global_now: float = 0.0,
-    ntp_running: bool = False,
-) -> float:
-    """Return the node's post-sync clock offset from global time.
-
-    The node reads the switch register (global time ± read error) and slews
-    its time-of-day to match; the residual offset is exactly the read
-    error of that one register read.  ``raw_offset_us`` — the node's
-    pre-sync drift — is discarded by the slew, which is the whole point.
-
-    Raises if NTP is still running: the two adjusters fight, and the paper
-    requires NTP off.
-    """
-    if ntp_running:
-        raise RuntimeError("NTP must be turned off before switch-clock synchronisation")
-    register = switch.read(global_now)
-    # The node sets local = register at this instant, so thereafter
-    # local - global = register - global_now (= the read error).
-    del raw_offset_us
-    return register - global_now

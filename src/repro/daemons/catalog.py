@@ -46,7 +46,6 @@ def standard_daemons() -> tuple[DaemonSpec, ...]:
             period_us=s(1),
             service=LogNormal(ms(4.0), sigma=0.6),
             priority=40,
-            io_critical=True,
         ),
         # Topology services heartbeat.
         DaemonSpec(

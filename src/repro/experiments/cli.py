@@ -60,8 +60,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro import chaos
 from repro.analytic.fits import compare_fits, fit_linear
+from repro.chaos.campaign import format_chaos, run_chaos
 from repro.checkpoint.harness import SweepJournal
 from repro.experiments import (
     ablation, ale3d_io, e9_resume, e14_meanfield, extensions, fig1, fig4, fig6, pdes,
@@ -198,7 +198,7 @@ _OUTLIER_DAEMONS = {"syncd", "mmfsd", "hatsd", "hats_nim", "mld", "LoadL_startd"
 
 
 def _run_chaos(args, **kw):
-    return chaos.run_chaos(
+    return run_chaos(
         seeds=args.seeds, seed_base=args.seed_base, shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget, corpus_out=args.corpus_out,
         policy=args.policy[0] if args.policy else None, **kw,
@@ -445,7 +445,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         ok=lambda res: res.fingerprint_match and res.journal_match,
     ),
     "chaos": Experiment(
-        _run_chaos, chaos.format_chaos, quick={"quick": True}, harness=True,
+        _run_chaos, format_chaos, quick={"quick": True}, harness=True,
         ok=lambda res: not res.failures,
         flags=("policy", "seeds", "seed_base", "no_shrink", "shrink_budget", "corpus_out"),
         check=lambda args: (

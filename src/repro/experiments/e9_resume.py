@@ -35,7 +35,6 @@ from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_bod
 from repro.checkpoint.harness import SweepJournal
 from repro.checkpoint.manager import CheckpointManager
 from repro.checkpoint.monitor import InvariantMonitor
-from repro.checkpoint.registry import register_builder
 from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.config import CheckpointPolicy, FaultConfig, NodeFaultSpec
 from repro.experiments.common import (
@@ -58,7 +57,7 @@ TIME_COMPRESSION = 50.0
 
 
 class E9Driver:
-    """One checkpointable aggregate_trace run (built by the registry).
+    """One checkpointable aggregate_trace run (built by :func:`build_e9_driver`).
 
     Exposes ``.system`` for the checkpoint layer and ``advance`` for the
     chunked drive loop; everything about its construction is a pure
@@ -117,7 +116,6 @@ class E9Driver:
         return self.job.done
 
 
-@register_builder("e9.aggregate_trace")
 def build_e9_driver(
     n_ranks: int = 8,
     tpn: int = 4,
@@ -126,7 +124,7 @@ def build_e9_driver(
     seed: int = 91,
     crash: bool = True,
 ) -> E9Driver:
-    """Registry builder: every argument is a picklable scalar."""
+    """Checkpoint builder: every argument is a picklable scalar."""
     return E9Driver(n_ranks, tpn, loops, calls_per_loop, seed, crash)
 
 
@@ -195,11 +193,11 @@ def _run_e9(quick: bool, workdir: Path) -> E9Result:
 
     # ---- mid-trial: checkpointed run, "crashed" at 60 % ---------------
     ckpt_dir = workdir / "checkpoints"
-    policy = CheckpointPolicy(
-        enabled=True, interval_sim_us=horizon / 8.0, keep_last=2
-    )
+    policy = CheckpointPolicy(interval_sim_us=horizon / 8.0, keep_last=2)
     victim = build_e9_driver(**args)
-    mgr = CheckpointManager(victim, "e9.aggregate_trace", args, policy, ckpt_dir)
+    mgr = CheckpointManager(
+        victim, "repro.experiments.e9_resume:build_e9_driver", args, policy, ckpt_dir
+    )
     t = 0.0
     while t < 0.6 * horizon:
         t += chunk

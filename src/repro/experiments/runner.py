@@ -88,11 +88,12 @@ class TrialSpec:
     params: dict = field(default_factory=dict)
 
 
-def resolve_trial_fn(path: str) -> Callable[[dict], dict]:
-    """Resolve a ``"package.module:function"`` trial-function reference."""
+def resolve_trial_fn(path: str) -> Callable:
+    """Resolve a ``"package.module:function"`` reference: a trial function,
+    or the builder a checkpoint file names."""
     mod_name, sep, fn_name = path.partition(":")
     if not sep or not mod_name or not fn_name:
-        raise ValueError(f"trial fn must look like 'pkg.mod:fn', got {path!r}")
+        raise ValueError(f"reference must look like 'pkg.mod:fn', got {path!r}")
     return getattr(importlib.import_module(mod_name), fn_name)
 
 

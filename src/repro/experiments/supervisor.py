@@ -72,6 +72,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.chaos.harness_faults import injection_for
 from repro.experiments.runner import TrialOutcome, TrialSpec, execute_trial
 
 __all__ = ["SupervisorConfig", "SupervisorStats", "Supervisor"]
@@ -184,10 +185,6 @@ class SupervisorStats:
 def _chaos_injection(chaos_seed, key: str, attempt: int):
     if chaos_seed is None:
         return None
-    # Deferred: the repro.chaos package loads the whole DES, which a
-    # supervised campaign without harness chaos never needs.
-    from repro.chaos.harness_faults import injection_for
-
     return injection_for(chaos_seed, key, attempt)
 
 

@@ -6,8 +6,3 @@ seed-driven through :mod:`repro.rng` named streams and scheduled on the
 shared :class:`~repro.sim.core.Simulator` — no wall-clock randomness — so
 every fault scenario replays exactly.
 """
-
-from repro.faults.injector import FaultInjector, NetFaultPlane
-from repro.faults.watchdog import CoschedWatchdog
-
-__all__ = ["FaultInjector", "NetFaultPlane", "CoschedWatchdog"]

@@ -296,10 +296,6 @@ class Thread:
         }
 
     @property
-    def runnable(self) -> bool:
-        return self.state in (ThreadState.READY, ThreadState.RUNNING)
-
-    @property
     def finished(self) -> bool:
         return self.state is ThreadState.FINISHED
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
+from repro.faults.demo import demo_bug_enabled
 from repro.sim.core import EventPriority
 
 __all__ = ["Message", "ReliableTransport"]
@@ -171,12 +172,6 @@ class ReliableTransport:
         self.retransmits += 1
         entry[3] = attempt
         if attempt >= self.max_attempts:
-            # Imported here, not at module top: repro.faults pulls in the
-            # co-scheduler which pulls in repro.mpi.world (cycle), and
-            # this branch is cold — it runs once per attempt-capped
-            # message, never in a fault-free run.
-            from repro.faults.demo import demo_bug_enabled
-
             if demo_bug_enabled("retransmit_giveup"):
                 # Planted bug (REPRO_CHAOS_BUG=retransmit_giveup): give up
                 # instead of taking the guaranteed path.  The message is

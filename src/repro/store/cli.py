@@ -26,6 +26,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.chaos.harness_faults import (
+    inject_interrupted_gc,
+    inject_store_fault,
+    store_plan_for,
+)
 from repro.store.store import ResultStore, StoreError
 
 __all__ = ["main", "build_parser"]
@@ -166,14 +171,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    # Deferred: the repro.chaos package loads the whole DES, which no
-    # other store command needs.
-    from repro.chaos.harness_faults import (
-        inject_interrupted_gc,
-        inject_store_fault,
-        store_plan_for,
-    )
-
     store = _open_store(args)
     fingerprints = list(store.fingerprints())
     if not fingerprints:

@@ -80,15 +80,11 @@ def _window_candidates(trace: TraceRecorder, node: int, t0: float, t1: float):
 
 
 def attribute_window(
-    trace: TraceRecorder,
-    node: int,
-    t0: float,
-    t1: float,
-    app_categories: tuple[str, ...] = ("app",),
+    trace: TraceRecorder, node: int, t0: float, t1: float
 ) -> WindowAttribution:
     """Attribute non-application CPU time inside ``[t0, t1]`` on *node*.
 
-    Only threads whose ``category`` is not in *app_categories* count as
+    Every thread whose ``category`` is not ``"app"`` counts as
     interference; the MPI timer threads use category ``mpi_timer`` and thus
     show up as interference, matching the paper's classification of the
     "auxiliary threads of the user processes".
@@ -100,17 +96,13 @@ def attribute_window(
         if ov <= 0.0:
             continue
         by_category[iv.category] += ov
-        if iv.category not in app_categories:
+        if iv.category != "app":
             by_name[iv.name] += ov
     return WindowAttribution(node, t0, t1, dict(by_name), dict(by_category))
 
 
 def attribute_window_naive(
-    trace: TraceRecorder,
-    node: int,
-    t0: float,
-    t1: float,
-    app_categories: tuple[str, ...] = ("app",),
+    trace: TraceRecorder, node: int, t0: float, t1: float
 ) -> WindowAttribution:
     """Reference full-scan implementation of :func:`attribute_window`.
 
@@ -126,7 +118,7 @@ def attribute_window_naive(
         if ov <= 0.0:
             continue
         by_category[iv.category] += ov
-        if iv.category not in app_categories:
+        if iv.category != "app":
             by_name[iv.name] += ov
     return WindowAttribution(node, t0, t1, dict(by_name), dict(by_category))
 
@@ -135,7 +127,6 @@ def attribute_windows(
     trace: TraceRecorder,
     node: int,
     windows: list[tuple[float, float]],
-    app_categories: tuple[str, ...] = ("app",),
 ) -> list[WindowAttribution]:
     """Attribute a batch of windows on *node* in one sweep.
 
@@ -144,9 +135,7 @@ def attribute_windows(
     Figure-4 outlier scan and the ALE3D analysis should prefer over
     calling :func:`attribute_window` in a hand-rolled loop.
     """
-    return [
-        attribute_window(trace, node, t0, t1, app_categories) for t0, t1 in windows
-    ]
+    return [attribute_window(trace, node, t0, t1) for t0, t1 in windows]
 
 
 def window_breakdown(

@@ -122,25 +122,17 @@ class TraceRecorder:
         Master switch; when False every record call is a cheap no-op.
     nodes:
         If given, only record intervals on these node ids (the Fig-4 style
-        "trace one node of a large run").
-    categories:
-        If given, only record intervals for threads whose ``category`` is
-        in the set.  Marks are always recorded while enabled.
-    min_duration_us:
-        Drop intervals shorter than this (defaults to keeping everything).
+        "trace one node of a large run").  Marks and fault events are
+        recorded on every node while enabled.
     """
 
     def __init__(
         self,
         enabled: bool = True,
         nodes: Optional[Iterable[int]] = None,
-        categories: Optional[Iterable[str]] = None,
-        min_duration_us: float = 0.0,
     ) -> None:
         self.enabled = enabled
         self.node_filter = frozenset(nodes) if nodes is not None else None
-        self.category_filter = frozenset(categories) if categories is not None else None
-        self.min_duration_us = min_duration_us
         self.intervals: list[RunInterval] = []
         self.marks: list[Mark] = []
         self.faults: list[FaultEvent] = []
@@ -159,11 +151,7 @@ class TraceRecorder:
         """Record one CPU occupancy (called by the dispatcher; stays cheap)."""
         if not self.enabled:
             return
-        if t1 - t0 < self.min_duration_us:
-            return
         if self.node_filter is not None and node not in self.node_filter:
-            return
-        if self.category_filter is not None and thread.category not in self.category_filter:
             return
         self.intervals.append(
             RunInterval(node, cpu, thread.tid, thread.name, thread.category, t0, t1)
@@ -176,8 +164,8 @@ class TraceRecorder:
         self.marks.append(Mark(name, node, rank, time, payload))
 
     def record_fault(self, kind: str, node: int, time: float, detail: object = None) -> None:
-        """Record one injected fault / resilience action (node/category
-        filters don't apply — fault events are rare and always wanted)."""
+        """Record one injected fault / resilience action (the node filter
+        doesn't apply — fault events are rare and always wanted)."""
         if not self.enabled:
             return
         self.faults.append(FaultEvent(kind, node, time, detail))

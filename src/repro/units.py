@@ -16,8 +16,6 @@ __all__ = [
     "us",
     "ms",
     "s",
-    "to_ms",
-    "to_s",
     "format_time",
 ]
 
@@ -42,16 +40,6 @@ def ms(value: float) -> float:
 def s(value: float) -> float:
     """Return *value* seconds in canonical units (microseconds)."""
     return float(value) * SEC
-
-
-def to_ms(value_us: float) -> float:
-    """Convert canonical microseconds to milliseconds."""
-    return value_us / MSEC
-
-
-def to_s(value_us: float) -> float:
-    """Convert canonical microseconds to seconds."""
-    return value_us / SEC
 
 
 def format_time(value_us: float) -> str:

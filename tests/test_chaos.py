@@ -12,19 +12,11 @@ import json
 
 import pytest
 
-from repro.chaos import (
-    ChaosSchedule,
-    ChaosWorkload,
-    chaos_workload,
-    ddmin,
-    generate_schedule,
-    judge,
-    liveness_bound_us,
-    run_schedule,
-    shrink_schedule,
-)
-from repro.chaos.generator import estimated_span_us
-from repro.chaos.schedule import ENTRY_KINDS
+from repro.chaos.campaign import chaos_workload
+from repro.chaos.generator import estimated_span_us, generate_schedule
+from repro.chaos.oracles import judge, liveness_bound_us, run_schedule
+from repro.chaos.schedule import ENTRY_KINDS, ChaosSchedule, ChaosWorkload
+from repro.chaos.shrink import ddmin, shrink_schedule
 
 
 QUICK = chaos_workload(quick=True)

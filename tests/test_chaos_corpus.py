@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.chaos import load_corpus_entry, replay_corpus_entry
+from repro.chaos.campaign import load_corpus_entry, replay_corpus_entry
 from repro.faults.demo import ENV_VAR, KNOWN_BUGS
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")

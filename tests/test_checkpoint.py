@@ -3,12 +3,14 @@ the round-trip determinism acceptance check (restore at T and continue →
 bit-identical to never having stopped)."""
 
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.apps.aggregate_trace import AggregateTraceConfig, aggregate_trace_body
 from repro.checkpoint.manager import CheckpointManager, RestoreMismatch, list_checkpoints
-from repro.checkpoint.registry import audit_event_callbacks, register_builder
+from repro.checkpoint.registry import audit_event_callbacks
 from repro.checkpoint.snapshot import capture_state, state_fingerprint
 from repro.config import (
     CheckpointPolicy,
@@ -19,6 +21,7 @@ from repro.config import (
     MpiConfig,
     NodeFaultSpec,
 )
+from repro.experiments.e9_resume import run_e9
 from repro.system import System
 from repro.units import ms
 
@@ -58,7 +61,10 @@ class MiniDriver:
         )
 
 
-@register_builder("test.mini")
+#: The builder reference the checkpoints of these tests store.
+MINI = "tests.test_checkpoint:build_mini"
+
+
 def build_mini(seed: int = 7, faults: bool = False) -> MiniDriver:
     return MiniDriver(seed, faults)
 
@@ -74,8 +80,8 @@ def drive(driver, to_us, mgr=None, start=0.0):
 
 class TestCheckpointPolicy:
     def test_enabled_requires_an_interval(self):
-        with pytest.raises(ValueError):
-            CheckpointPolicy(enabled=True)
+        assert not CheckpointPolicy().enabled
+        assert CheckpointPolicy(interval_sim_us=ms(10)).enabled
 
     @pytest.mark.parametrize(
         "kw",
@@ -91,7 +97,7 @@ class TestCheckpointPolicy:
 
     def test_disabled_manager_never_due(self, tmp_path):
         d = build_mini()
-        mgr = CheckpointManager(d, "test.mini", {}, CheckpointPolicy(), tmp_path)
+        mgr = CheckpointManager(d, MINI, {}, CheckpointPolicy(), tmp_path)
         drive(d, ms(50), mgr)
         assert not mgr.due() and mgr.written == []
 
@@ -122,14 +128,14 @@ class TestRoundTrip:
         checkpoint, run to the horizon — same fingerprint as a run that
         was never interrupted, with and without injected faults."""
         args = {"seed": 7, "faults": faults}
-        policy = CheckpointPolicy(enabled=True, interval_sim_us=ms(80), keep_last=2)
+        policy = CheckpointPolicy(interval_sim_us=ms(80), keep_last=2)
 
         ref = build_mini(**args)
         drive(ref, HORIZON)
         fp_ref = state_fingerprint(capture_state(ref.system))
 
         victim = build_mini(**args)
-        mgr = CheckpointManager(victim, "test.mini", args, policy, tmp_path)
+        mgr = CheckpointManager(victim, MINI, args, policy, tmp_path)
         drive(victim, 0.6 * HORIZON, mgr)
         assert mgr.written  # at least one checkpoint landed before the "crash"
         del victim, mgr
@@ -144,20 +150,37 @@ class TestRoundTrip:
     def test_resume_latest_empty_dir_returns_none(self, tmp_path):
         assert CheckpointManager.resume_latest(tmp_path) is None
 
+    def test_e9_checkpoint_restores_in_a_fresh_interpreter(self, tmp_path):
+        """A checkpoint E9 wrote restores in a process that imported only
+        the checkpoint manager: the file names its builder by an importable
+        ``"pkg.mod:fn"`` reference, not by a name some module registers."""
+        ckpt_dir = tmp_path / "checkpoints"
+        run_e9(quick=True, workdir=tmp_path)
+        latest = list_checkpoints(ckpt_dir)[-1]
+        code = (
+            "from repro.checkpoint.manager import CheckpointManager\n"
+            f"m = CheckpointManager.resume_latest({str(ckpt_dir)!r})\n"
+            "print(m.system.sim.events_processed)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True
+        ).stdout
+        assert int(out) == int(latest.stem.removeprefix("ckpt-e"))
+
 
 class TestWriteDiscipline:
     def test_atomic_writes_leave_no_temp_files(self, tmp_path):
         d = build_mini()
-        policy = CheckpointPolicy(enabled=True, interval_sim_us=ms(40), keep_last=2)
-        mgr = CheckpointManager(d, "test.mini", {}, policy, tmp_path)
+        policy = CheckpointPolicy(interval_sim_us=ms(40), keep_last=2)
+        mgr = CheckpointManager(d, MINI, {}, policy, tmp_path)
         drive(d, ms(200), mgr)
         assert list(tmp_path.glob("*.tmp")) == []
         assert list(tmp_path.glob(".ckpt-*")) == []
 
     def test_keep_last_prunes_old_checkpoints(self, tmp_path):
         d = build_mini()
-        policy = CheckpointPolicy(enabled=True, interval_sim_us=ms(40), keep_last=2)
-        mgr = CheckpointManager(d, "test.mini", {}, policy, tmp_path)
+        policy = CheckpointPolicy(interval_sim_us=ms(40), keep_last=2)
+        mgr = CheckpointManager(d, MINI, {}, policy, tmp_path)
         drive(d, ms(400), mgr)
         on_disk = list_checkpoints(tmp_path)
         assert len(on_disk) == 2
@@ -166,8 +189,8 @@ class TestWriteDiscipline:
 
     def test_cadence_respects_interval(self, tmp_path):
         d = build_mini()
-        policy = CheckpointPolicy(enabled=True, interval_sim_us=ms(100), keep_last=10)
-        mgr = CheckpointManager(d, "test.mini", {}, policy, tmp_path)
+        policy = CheckpointPolicy(interval_sim_us=ms(100), keep_last=10)
+        mgr = CheckpointManager(d, MINI, {}, policy, tmp_path)
         drive(d, ms(400), mgr)
         # 400ms at a 100ms cadence: 4 checkpoints, ±1 for chunk phasing.
         assert 3 <= len(mgr.written) <= 5
@@ -176,8 +199,8 @@ class TestWriteDiscipline:
 class TestRestoreVerification:
     def test_tampered_fingerprint_is_rejected(self, tmp_path):
         d = build_mini()
-        policy = CheckpointPolicy(enabled=True, interval_sim_us=ms(40))
-        mgr = CheckpointManager(d, "test.mini", {}, policy, tmp_path)
+        policy = CheckpointPolicy(interval_sim_us=ms(40))
+        mgr = CheckpointManager(d, MINI, {}, policy, tmp_path)
         drive(d, ms(100), mgr)
         path = mgr.written[-1]
         with open(path, "rb") as fh:
@@ -192,8 +215,8 @@ class TestRestoreVerification:
         """A checkpoint whose builder args no longer reproduce the run
         (here: a different seed) must refuse to continue."""
         d = build_mini(seed=7)
-        policy = CheckpointPolicy(enabled=True, interval_sim_us=ms(40))
-        mgr = CheckpointManager(d, "test.mini", {"seed": 7}, policy, tmp_path)
+        policy = CheckpointPolicy(interval_sim_us=ms(40))
+        mgr = CheckpointManager(d, MINI, {"seed": 7}, policy, tmp_path)
         drive(d, ms(100), mgr)
         path = mgr.written[-1]
         with open(path, "rb") as fh:
@@ -215,10 +238,9 @@ class TestZeroOverhead:
         fp_plain = state_fingerprint(capture_state(plain.system))
 
         watched = build_mini()
-        policy = CheckpointPolicy(
-            enabled=True, interval_sim_us=ms(50), keep_last=3, sanitize=True
-        )
-        mgr = CheckpointManager(watched, "test.mini", {}, policy, tmp_path)
+        policy = CheckpointPolicy(interval_sim_us=ms(50), keep_last=3)
+        mgr = CheckpointManager(watched, MINI, {}, policy, tmp_path)
+        mgr.monitor.install_sanitizer()
         drive(watched, ms(200), mgr)
         assert mgr.written  # checkpoints (and invariant passes) happened
         assert watched.system.sim.events_processed == plain.system.sim.events_processed

@@ -119,23 +119,6 @@ class TestClusterConfig:
         assert not c.cosched.enabled
 
 
-class TestMachinePresets:
-    def test_paper_platforms(self):
-        from repro.machines import ASCI_WHITE, BLUE_OAK, FROST, machine_preset
-
-        assert ASCI_WHITE.total_cpus == 8192
-        assert FROST.total_cpus == 1088
-        assert BLUE_OAK.total_cpus == 1920
-        assert machine_preset("Blue Oak") is BLUE_OAK
-        assert machine_preset("asci_white") is ASCI_WHITE
-
-    def test_unknown_preset(self):
-        from repro.machines import machine_preset
-
-        with pytest.raises(KeyError, match="presets"):
-            machine_preset("bluegene")
-
-
 class TestCoschedInversionGuard:
     def test_inverted_priorities_rejected(self):
         with pytest.raises(ValueError, match="numerically below"):

@@ -90,12 +90,9 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(daemons=(spec(), spec()))
 
-    def test_get_and_without(self):
+    def test_get(self):
         nc = NoiseConfig(daemons=(spec(name="a"), spec(name="b")))
         assert nc.get("a").name == "a"
-        assert [d.name for d in nc.without("a").daemons] == ["b"]
-        with pytest.raises(KeyError):
-            nc.without("zzz")
         with pytest.raises(KeyError):
             nc.get("zzz")
 
@@ -277,5 +274,3 @@ class TestCatalog:
         with pytest.raises(ValueError):
             scale_noise(standard_noise(), 0.0)
 
-    def test_mmfsd_marked_io_critical(self):
-        assert standard_noise().get("mmfsd").io_critical

@@ -1,5 +1,6 @@
-"""The package import graph: no cycles, a small analytic footprint, and the
-quick-tour names resolving lazily to their defining modules."""
+"""The package import graph: no cycles, a small analytic footprint, the
+quick-tour names resolving lazily to their defining modules, and no module
+that the entry points never load."""
 
 import ast
 import importlib
@@ -16,7 +17,8 @@ import repro
 import repro.sim
 
 SRC = pathlib.Path(repro.__file__).parent
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 #: Every importable module under ``repro``; ``__main__`` modules are
 #: entry points that run their CLI when imported.
@@ -79,6 +81,53 @@ def test_analytic_and_harness_path_loads_no_des():
     assert not des, f"the analytic path loaded DES modules: {des}"
 
 
+def test_harness_chaos_loads_no_des():
+    """The worker-kill and store-fault plans load no simulator layer, so
+    the supervisor and the store CLI import them at module level."""
+    loaded = json.loads(_fresh_python(
+        "import json, sys\n"
+        "import repro.chaos.harness_faults\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    ))
+    des = [m for m in loaded if m.startswith(("repro.sim", "repro.mpi", "repro.system"))]
+    assert not des, f"repro.chaos.harness_faults loaded DES modules: {des}"
+
+
+def _repro_imports(scripts) -> list[tuple[str, list[str]]]:
+    """``(module, names)`` of every ``from repro... import`` in *scripts*
+    (read from the source; the scripts are not run)."""
+    return [
+        (node.module, [alias.name for alias in node.names])
+        for script in scripts
+        for node in ast.walk(ast.parse(script.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro"
+    ]
+
+
+def test_entry_points_reach_every_module():
+    """Every ``repro`` module is loaded by some entry point: the
+    ``repro-experiments`` CLI (which holds the ``store`` subcommands), the
+    quick-tour names, what the examples import, and what the benchmark
+    harness imports (the sharded DES runs only there).  A module none of
+    them reaches is dead code."""
+    scripts = sorted(EXAMPLES.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    code = f"""
+import importlib, json, sys
+import repro, repro.experiments.cli
+for name in repro.__all__:
+    getattr(repro, name)
+for module, names in {_repro_imports(scripts)!r}:
+    mod = importlib.import_module(module)
+    for name in names:
+        if not hasattr(mod, name):
+            importlib.import_module(module + "." + name)
+print(json.dumps(sorted(sys.modules)))
+"""
+    loaded = set(json.loads(_fresh_python(code)))
+    unreached = [m for m in MODULES if m not in loaded]
+    assert not unreached, f"no entry point loads {unreached}"
+
+
 def test_quick_tour_names_resolve_to_their_defining_modules():
     assert set(repro.__all__) == set(repro._MODULE_OF) | {"__version__"}
     for name, home in repro._MODULE_OF.items():
@@ -92,11 +141,9 @@ def test_quick_tour_names_resolve_to_their_defining_modules():
 
 @pytest.mark.parametrize("example", sorted(EXAMPLES.glob("*.py")), ids=lambda p: p.name)
 def test_example_imports_resolve(example):
-    """Every ``from repro... import`` name in the examples resolves (read
-    from the source; the examples are not run)."""
-    for node in ast.walk(ast.parse(example.read_text())):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                if not hasattr(module, alias.name):
-                    importlib.import_module(f"{node.module}.{alias.name}")
+    """Every ``from repro... import`` name in the examples resolves."""
+    for module, names in _repro_imports([example]):
+        mod = importlib.import_module(module)
+        for name in names:
+            if not hasattr(mod, name):
+                importlib.import_module(f"{module}.{name}")

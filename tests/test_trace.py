@@ -32,18 +32,6 @@ class TestRecorder:
         tr.record_interval(1, 0, thread("b", "app"), 0.0, 1.0)
         assert [iv.node for iv in tr.intervals] == [1]
 
-    def test_category_filter(self):
-        tr = TraceRecorder(categories=["daemon"])
-        tr.record_interval(0, 0, thread("a", "app"), 0.0, 1.0)
-        tr.record_interval(0, 0, thread("d", "daemon"), 0.0, 1.0)
-        assert [iv.category for iv in tr.intervals] == ["daemon"]
-
-    def test_min_duration_filter(self):
-        tr = TraceRecorder(min_duration_us=5.0)
-        tr.record_interval(0, 0, thread("a", "app"), 0.0, 1.0)
-        tr.record_interval(0, 0, thread("a", "app"), 0.0, 10.0)
-        assert len(tr) == 1
-
     def test_marks_and_queries(self):
         tr = TraceRecorder()
         tr.mark("aggr.block", 0, 3, 42.0, payload=(1, 64))

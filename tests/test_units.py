@@ -1,8 +1,6 @@
 """Unit helpers: conversions and formatting."""
 
-import pytest
-
-from repro.units import MSEC, SEC, USEC, format_time, ms, s, to_ms, to_s, us
+from repro.units import MSEC, SEC, USEC, format_time, ms, s, us
 
 
 class TestConstants:
@@ -25,12 +23,6 @@ class TestConversions:
 
     def test_s(self):
         assert s(5) == 5_000_000.0
-
-    def test_to_ms_roundtrip(self):
-        assert to_ms(ms(3.5)) == pytest.approx(3.5)
-
-    def test_to_s_roundtrip(self):
-        assert to_s(s(0.25)) == pytest.approx(0.25)
 
     def test_integer_input_returns_float(self):
         assert isinstance(us(7), float)
