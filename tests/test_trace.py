@@ -1,10 +1,19 @@
 """Trace recorder and attribution analysis."""
 
+import hashlib
+import json
+import tracemalloc
+
 import pytest
 
+from repro.apps.aggregate_trace import AggregateTraceConfig, run_aggregate_trace
+from repro.config import ClusterConfig, MachineConfig, MpiConfig
+from repro.daemons.catalog import scale_noise, standard_noise
 from repro.kernel.thread import Thread
+from repro.system import System
 from repro.trace.analysis import attribute_window, explain_outliers, window_breakdown
 from repro.trace.recorder import TraceRecorder
+from repro.units import ms, us
 
 
 def thread(name, category):
@@ -100,3 +109,74 @@ class TestAttribution:
         assert [o[0] for o in out] == [1, 0]
         top_names = [name for name, _ in out[0][2]]
         assert "syncd" in top_names
+
+
+def traced_run() -> TraceRecorder:
+    """A small traced DES: 8 ranks on 2x4 CPUs, node 0 recorded, noise x30,
+    MPI timer threads every 20 ms, so app, daemon, interrupt and mpi_timer
+    intervals all land in the trace."""
+    trace = TraceRecorder(enabled=True, nodes=[0])
+    system = System(
+        ClusterConfig(
+            machine=MachineConfig(n_nodes=2, cpus_per_node=4),
+            mpi=MpiConfig(progress_interval_us=ms(20)),
+            noise=scale_noise(standard_noise(include_cron=False), 30.0),
+            seed=3,
+        ),
+        trace=trace,
+    )
+    run_aggregate_trace(
+        system, 8, 4, AggregateTraceConfig(calls_per_loop=100, compute_between_us=us(200))
+    )
+    return trace
+
+
+#: ``traced_run``'s interval count and stream digest (tids renumbered by
+#: first appearance) and its ``snapshot_state`` digest.
+STREAM_LEN = 759
+STREAM_DIGEST = "d850f8c4a1db0f87334d05a2127b957d3ffea5d1ce01f218e58333be4c3668dd"
+SNAPSHOT_DIGEST = "65fb01e4cf0eeb1edc5b5dfa1147eda7ce1bed8ac8c39b435fb975227157871d"
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestTraceStreamPins:
+    """The recorded stream and its checkpoint view, pinned bit for bit:
+    a change of the recorder's storage must not move either."""
+
+    def test_interval_stream_digest(self):
+        trace = traced_run()
+        remap: dict[int, int] = {}
+        rows = [
+            [iv.node, iv.cpu, remap.setdefault(iv.tid, len(remap)),
+             iv.name, iv.category, iv.t0, iv.t1]
+            for iv in trace.intervals
+        ]
+        assert {r[4] for r in rows} >= {"app", "daemon", "interrupt", "mpi_timer"}
+        assert (len(rows), sha(rows)) == (STREAM_LEN, STREAM_DIGEST)
+
+    def test_snapshot_state_digest(self):
+        assert sha(traced_run().snapshot_state(None)) == SNAPSHOT_DIGEST
+
+
+class TestRecordingMemory:
+    def test_an_interval_costs_at_most_64_bytes(self):
+        """Recording keeps typed columns, not one object per interval."""
+        tr = TraceRecorder()
+        threads = [
+            thread(f"t{i}", cat)
+            for i, cat in enumerate(("app", "daemon", "interrupt", "mpi_timer"))
+        ]
+        n = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                tr.record_interval(0, i % 4, threads[i % 4], float(i), i + 0.5)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == n
+        assert grown / n <= 64, f"{grown / n:.1f} B per interval"
