@@ -65,18 +65,20 @@ def _overlap(iv: RunInterval, t0: float, t1: float) -> float:
     return max(0.0, min(iv.t1, t1) - max(iv.t0, t0))
 
 
-def _window_candidates(trace: TraceRecorder, node: int, t0: float, t1: float):
-    """Node-*node* intervals possibly overlapping ``[t0, t1]``, insertion order.
+def _window_rows(trace: TraceRecorder, node: int, t0: float, t1: float):
+    """``(name, category, iv.t0, iv.t1)`` of node-*node* intervals possibly
+    overlapping ``[t0, t1]``, insertion order.
 
-    Uses the recorder's stabbing index when available; objects that merely
-    quack like a recorder (bare ``intervals`` list) fall back to the full
-    scan with identical semantics.
+    Uses the recorder's stabbing index, which reads the interval columns
+    without building a :class:`RunInterval` per candidate; objects that
+    merely quack like a recorder (bare ``intervals`` sequence) fall back
+    to the full scan with identical semantics.
     """
     index_of = getattr(trace, "interval_index", None)
     if index_of is not None:
         idx = index_of(node)
-        return idx.overlapping(t0, t1) if idx is not None else ()
-    return [iv for iv in trace.intervals if iv.node == node]
+        return idx.rows(t0, t1) if idx is not None else ()
+    return [(iv.name, iv.category, iv.t0, iv.t1) for iv in trace.intervals if iv.node == node]
 
 
 def attribute_window(
@@ -91,13 +93,13 @@ def attribute_window(
     """
     by_name: dict[str, float] = defaultdict(float)
     by_category: dict[str, float] = defaultdict(float)
-    for iv in _window_candidates(trace, node, t0, t1):
-        ov = min(iv.t1, t1) - max(iv.t0, t0)
+    for name, category, iv_t0, iv_t1 in _window_rows(trace, node, t0, t1):
+        ov = min(iv_t1, t1) - max(iv_t0, t0)
         if ov <= 0.0:
             continue
-        by_category[iv.category] += ov
-        if iv.category != "app":
-            by_name[iv.name] += ov
+        by_category[category] += ov
+        if category != "app":
+            by_name[name] += ov
     return WindowAttribution(node, t0, t1, dict(by_name), dict(by_category))
 
 
@@ -202,13 +204,14 @@ def overhead_report(
 ) -> OverheadReport:
     """Measure per-daemon CPU consumption on *node* over ``[t0, t1]``."""
     by_daemon: dict[str, float] = defaultdict(float)
-    for iv in _window_candidates(trace, node, t0, t1):
-        if iv.category not in categories:
+    for name, category, iv_t0, iv_t1 in _window_rows(trace, node, t0, t1):
+        if category not in categories:
             continue
-        ov = min(iv.t1, t1) - max(iv.t0, t0)
+        ov = min(iv_t1, t1) - max(iv_t0, t0)
         if ov > 0.0:
             # Per-CPU instances (caddpin.c3) fold into their base name.
-            name = iv.name.split(".c")[0] if iv.category == "interrupt" else iv.name
+            if category == "interrupt":
+                name = name.split(".c")[0]
             by_daemon[name] += ov
     return OverheadReport(node, t0, t1, n_cpus, dict(by_daemon))
 
