@@ -201,7 +201,8 @@ class CheckpointManager:
         Returns a fresh manager wrapping the restored driver, ready to
         continue checkpointing into *out_dir* (defaults to the file's own
         directory) under *policy* (defaults to a disabled policy when not
-        given — callers resuming a run normally pass their own).
+        given — callers resuming a run normally pass their own).  The
+        checkpoints already in *out_dir* count against ``keep_last``.
         """
         path = Path(path)
         with open(path, "rb") as fh:
@@ -229,6 +230,7 @@ class CheckpointManager:
             policy,
             out_dir if out_dir is not None else path.parent,
         )
+        manager.written = list_checkpoints(manager.out_dir)
         state = capture_state(driver.system)
         if state_fingerprint(state) != payload["fingerprint"]:
             where = _first_divergence(payload["state"], state)

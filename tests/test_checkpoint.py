@@ -187,6 +187,16 @@ class TestWriteDiscipline:
         # The newest two survive, in event order.
         assert on_disk == mgr.written
 
+    def test_keep_last_holds_across_a_restore(self, tmp_path):
+        policy = CheckpointPolicy(interval_sim_us=ms(40), keep_last=2)
+        d = build_mini()
+        drive(d, ms(200), CheckpointManager(d, MINI, {}, policy, tmp_path))
+        resumed = CheckpointManager.resume_latest(tmp_path, policy=policy)
+        drive(resumed.driver, ms(400), resumed, start=resumed.system.sim.now)
+        on_disk = list_checkpoints(tmp_path)
+        assert len(on_disk) == 2
+        assert on_disk == resumed.written
+
     def test_cadence_respects_interval(self, tmp_path):
         d = build_mini()
         policy = CheckpointPolicy(interval_sim_us=ms(100), keep_last=10)
