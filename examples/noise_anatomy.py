@@ -67,12 +67,9 @@ def main() -> None:
         f"(paper: the cron outlier alone exceeded half)"
     )
 
-    # Rebuild rank-0's call windows and attribute the slow ones.
-    windows, t = [], 0.0
-    for d in durs:
-        windows.append((t, t + d))
-        t += d + 150.0
+    # Attribute the slow calls among rank 0's call windows.
     threshold = float(np.median(durs)) * 4.0
+    windows = result.call_windows()
     print(f"\nOutliers (> {format_time(threshold)}) and the CPU thieves inside them:")
     for idx, dur, top in explain_outliers(trace, windows, node=0, threshold_us=threshold)[:8]:
         culprits = ", ".join(f"{name} ({format_time(cpu)})" for name, cpu in top)

@@ -10,7 +10,8 @@ This module reproduces that structure.  Call counts are configurable so
 test-scale runs stay fast; the paper-scale defaults are preserved as
 :data:`PAPER_CONFIG`.  Per-call durations are recorded for every rank on
 node 0 (the "trace one node of a big run" methodology behind Figure 4)
-and for rank 0 globally.
+and for rank 0 globally, with rank 0's call start times, so a trace
+attribution examines each call's exact window.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class AggregateTraceResult:
     durations_us: np.ndarray
     #: rank -> per-call durations for every rank placed on node 0.
     node0_durations_us: dict[int, np.ndarray]
+    #: Per-call Allreduce start times (µs) on rank 0, all loops.
+    starts_us: np.ndarray
     elapsed_us: float
     n_ranks: int
     config: AggregateTraceConfig
@@ -97,6 +100,12 @@ class AggregateTraceResult:
         ranks = {str(r): d.tolist() for r, d in self.node0_durations_us.items()}
         return rank_digest(self.n_ranks, ranks, self.values_ok, self.elapsed_us)
 
+    def call_windows(self) -> list[tuple[float, float]]:
+        """Rank 0's per-call ``(start, end)`` windows, the spans a trace
+        attribution examines."""
+        starts, durations = self.starts_us.tolist(), self.durations_us.tolist()
+        return [(t0, t0 + d) for t0, d in zip(starts, durations)]
+
     def sorted_node0_sample(self) -> np.ndarray:
         """All node-0 per-call durations, sorted ascending — the Figure 4
         presentation (448 sorted Allreduce times from one node)."""
@@ -114,6 +123,7 @@ def aggregate_trace_body(config: AggregateTraceConfig, sink: dict, node0_ranks: 
         sim = api.world.cluster.sim
         record = rank == 0 or rank in node0_ranks
         durations = [] if record else None
+        starts = [] if rank == 0 else None
         expected = None
         ok = True
         for loop in range(config.loops):
@@ -123,6 +133,8 @@ def aggregate_trace_body(config: AggregateTraceConfig, sink: dict, node0_ranks: 
                 if work is not None:
                     yield work
                 t0 = sim.now
+                if starts is not None:
+                    starts.append(t0)
                 v = yield from api.allreduce(1.0, nbytes=config.payload_bytes)
                 if record:
                     durations.append(sim.now - t0)
@@ -131,6 +143,8 @@ def aggregate_trace_body(config: AggregateTraceConfig, sink: dict, node0_ranks: 
                 if v != expected:
                     ok = False
             api.trace_mark("aggr.loop_end", payload=loop)
+        if starts is not None:
+            sink["starts"] = np.asarray(starts, dtype=float)
         if record:
             sink[rank] = (np.asarray(durations, dtype=float), ok)
         elif not ok:
@@ -200,6 +214,7 @@ def run_aggregate_trace(
     return AggregateTraceResult(
         durations_us=durations0,
         node0_durations_us=node0,
+        starts_us=sink["starts"],
         elapsed_us=elapsed,
         n_ranks=n_ranks,
         config=cfg,

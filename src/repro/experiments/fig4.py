@@ -115,19 +115,11 @@ def run_fig4(
         AggregateTraceConfig(calls_per_loop=des_calls, compute_between_us=150.0),
         horizon_us=s(120),
     )
-    # Windows = per-call intervals of rank 0 (node 0): reconstruct from the
-    # recorded durations and the trace marks.
-    durs = result.node0_durations_us[0]
-    # Build windows by replaying rank-0 call start/end from durations and
-    # the known inter-call compute: approximate via cumulative sum anchored
-    # at job start.  Exact bracketing uses the marks written every block.
-    windows = []
-    t = 0.0
-    for d in durs:
-        windows.append((t, t + d))
-        t += d + 150.0
-    threshold = float(np.median(durs) * 4.0)
-    attribution = explain_outliers(trace, windows, node=0, threshold_us=threshold)
+    # Windows = rank 0's (node 0) per-call intervals, as the run timed them.
+    threshold = float(np.median(result.durations_us) * 4.0)
+    attribution = explain_outliers(
+        trace, result.call_windows(), node=0, threshold_us=threshold
+    )
     slowest = attribution[0][2][0][0] if attribution and attribution[0][2] else "(none)"
 
     return Fig4Result(
